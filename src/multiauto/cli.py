@@ -169,8 +169,19 @@ def _dump_stage(system, stage: str) -> None:
     parts = stage.split(":")
     kind = parts[0]
     if kind in ("reach", "run"):
+        if len(parts) != 4:
+            raise ValidationError(f"stage {stage}: expected {kind}:<i>:<s>:<s'>")
         i, s, s2 = int(parts[1]), parts[2], parts[3]
+        if not 1 <= i <= len(system.automata):
+            raise ValidationError(
+                f"stage {stage}: automaton index {i} not in 1..{len(system.automata)}"
+            )
         aut = system.automata[i - 1]
+        for state in (s, s2):
+            if state not in aut.states:
+                raise ValidationError(
+                    f"stage {stage}: {aut.name} has no state {state!r}"
+                )
         if kind == "reach":
             pf = construction.reach_formula(aut, frozenset(), s, s2)
         else:
@@ -179,9 +190,11 @@ def _dump_stage(system, stage: str) -> None:
         print(f"[{stage}] {presburger.to_sexpr(pf.formula)}")
         return
     if kind in ("frontier", "accept"):
+        if len(parts) != 2:
+            raise ValidationError(f"stage {stage}: expected {kind}:<k>")
         k = int(parts[1])
         layers = _frontier_layers(system, min(k, system.message_bound))
-        if k >= len(layers):
+        if not 0 <= k < len(layers):
             raise ValidationError(f"stage {stage}: no such phase layer")
         for fr in layers[k]:
             if kind == "frontier":

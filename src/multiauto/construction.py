@@ -51,6 +51,7 @@ __all__ = [
     "BouncePattern",
     "PhaseFrontier",
     "NoTraversal",
+    "UnstableLaunch",
     "reach_formula",
     "traversal_formula",
     "bounce_formula",
@@ -67,6 +68,11 @@ __all__ = [
 
 class NoTraversal(Exception):
     """The requested state pair admits no traversal; the formula is False."""
+
+
+class UnstableLaunch(Exception):
+    """A launch classification differs between two witness lengths, so the
+    rebound-chain construction's length-independence premise fails."""
 
 
 @dataclass(frozen=True)
@@ -316,14 +322,13 @@ def _launch_at(aut, state, side, N):
 
 @lru_cache(maxsize=None)
 def _launch(aut, state, side):
-    """Length-independent launch classification, asserted at two witnesses."""
+    """Length-independent launch classification, checked at two witnesses."""
     nw = _witness_length(aut)
     out = _launch_at(aut, state, side, nw)
     out2 = _launch_at(aut, state, side, nw + 1)
-    if out[0] in ("rebound", "falloff", "trapped"):
-        assert out == out2, f"unstable launch for ({state}, {side}): {out} vs {out2}"
-    else:
-        assert out2[0] == "cross", f"unstable launch for ({state}, {side}): {out} vs {out2}"
+    stable = out == out2 if out[0] != "cross" else out2[0] == "cross"
+    if not stable:
+        raise UnstableLaunch(f"unstable launch for ({state}, {side}): {out} vs {out2}")
     return out
 
 

@@ -10,8 +10,19 @@ variables introduced by the formula builders.
 One-free-variable formulas over the naturals are lowered to a canonical
 :class:`UltimatelyPeriodicSet`.
 
-Every node caches its hash and free-variable set at construction time; the
-elimination loop leans on that heavily.
+Every node computes at construction, and keeps, its hash (``_h``), its free
+variables (``fv``), its node count (``size``, what :func:`node_count`
+returns), whether no quantifier occurs below it (``qf``) and whether it is
+already in negation normal form (``nnf``).  The elimination loop leans on
+them: a quantifier-free argument of :func:`eliminate` comes back as it is,
+and NNF conversion returns a normal node without rebuilding it.
+
+One outermost :func:`eliminate` call computes each elimination of a
+quantified subformula, each ``exists v`` step of Cooper's method and each
+context-free :func:`simplify` once, in memo tables the call creates and
+passes down.  The tables live exactly as long as that call (a raised
+:class:`BudgetExceeded` drops them too); nothing is cached across calls, so
+a result never depends on what ran earlier in the process.
 """
 
 from __future__ import annotations
@@ -192,7 +203,7 @@ def const(k: int) -> Term:
 
 
 class Formula:
-    """Base of all formula nodes; hash and free variables cached on creation."""
+    """Base of all formula nodes; see the module docstring for what each caches."""
 
     __slots__ = ("fv", "_h")
 
@@ -203,7 +214,15 @@ class Formula:
         return to_sexpr(self)
 
 
-class _Top(Formula):
+class _Leaf(Formula):
+    """Constants and atoms: one node, quantifier-free, in NNF."""
+
+    __slots__ = ()
+    size = 1
+    qf = nnf = True
+
+
+class _Top(_Leaf):
     __slots__ = ()
 
     def __init__(self):
@@ -216,7 +235,7 @@ class _Top(Formula):
     __hash__ = Formula.__hash__
 
 
-class _Bot(Formula):
+class _Bot(_Leaf):
     __slots__ = ()
 
     def __init__(self):
@@ -233,7 +252,7 @@ TRUE = _Top()
 FALSE = _Bot()
 
 
-class Le(Formula):
+class Le(_Leaf):
     """``t <= 0``."""
 
     __slots__ = ("t",)
@@ -249,7 +268,7 @@ class Le(Formula):
     __hash__ = Formula.__hash__
 
 
-class Eq(Formula):
+class Eq(_Leaf):
     """``t = 0``."""
 
     __slots__ = ("t",)
@@ -265,7 +284,7 @@ class Eq(Formula):
     __hash__ = Formula.__hash__
 
 
-class Dvd(Formula):
+class Dvd(_Leaf):
     """``d | t`` with modulus ``d >= 2``."""
 
     __slots__ = ("d", "t")
@@ -288,12 +307,16 @@ class Dvd(Formula):
 
 
 class Not(Formula):
-    __slots__ = ("f",)
+    __slots__ = ("f", "size", "qf", "nnf")
 
     def __init__(self, f: Formula):
         self.f = f
         self.fv = f.fv
         self._h = hash(("not", f._h))
+        self.size = 1 + f.size
+        self.qf = f.qf
+        # Only a negated divisibility has no positive equivalent atom.
+        self.nnf = type(f) is Dvd
 
     def __eq__(self, other):
         return type(other) is Not and self._h == other._h and self.f == other.f
@@ -302,16 +325,27 @@ class Not(Formula):
 
 
 class _Junction(Formula):
-    __slots__ = ("args",)
+    """And/Or node; built only by ``land``/``lor``, whose normal form makes an
+    n-ary junction of NNF arguments NNF itself."""
+
+    __slots__ = ("args", "size", "qf", "nnf")
     _tag = ""
 
     def __init__(self, args: tuple):
         self.args = args
         fv = EMPTY
+        size = 1
+        qf = nnf = True
         for a in args:
             fv = fv | a.fv
+            size += a.size
+            qf = qf and a.qf
+            nnf = nnf and a.nnf
         self.fv = fv
         self._h = hash((self._tag, tuple(a._h for a in args)))
+        self.size = size
+        self.qf = qf
+        self.nnf = nnf
 
     def __eq__(self, other):
         return (
@@ -332,7 +366,7 @@ class Or(_Junction):
 
 
 class _Quant(Formula):
-    __slots__ = ("v", "f")
+    __slots__ = ("v", "f", "size", "qf", "nnf")
     _tag = ""
 
     def __init__(self, v: str, f: Formula):
@@ -340,6 +374,8 @@ class _Quant(Formula):
         self.f = f
         self.fv = f.fv - {v}
         self._h = hash((self._tag, v, f._h))
+        self.size = 1 + f.size
+        self.qf = self.nnf = False
 
     def __eq__(self, other):
         return (
@@ -524,13 +560,7 @@ def forall(v, f: Formula) -> Formula:
 
 
 def node_count(f: Formula) -> int:
-    if isinstance(f, Not):
-        return 1 + node_count(f.f)
-    if isinstance(f, _Junction):
-        return 1 + sum(node_count(a) for a in f.args)
-    if isinstance(f, _Quant):
-        return 1 + node_count(f.f)
-    return 1
+    return f.size
 
 
 def substitute(f: Formula, v: str, t: Term) -> Formula:
@@ -608,6 +638,8 @@ def evaluate(f: Formula, asg: dict, domain_bound: int = 64) -> bool:
 
 
 def _nnf(f: Formula, neg: bool) -> Formula:
+    if f.nnf and not neg:
+        return f
     if f is TRUE:
         return FALSE if neg else TRUE
     if f is FALSE:
@@ -721,7 +753,11 @@ def _cooper_one(v: str, f: Formula, budget: int) -> Formula:
         if c != 0:
             m = _lcm(m, c)
 
-    u = _fresh_var("c")
+    # The auxiliary variable never leaves this call: any name not free in f.
+    u, i = "_c", 0
+    while u in f.fv:
+        i += 1
+        u = f"_c{i}"
     uvar = var(u)
 
     def unit(a):
@@ -917,17 +953,52 @@ def simplify(f: Formula, _ctx=None) -> Formula:
     return f
 
 
-def _elim_exists(v: str, f: Formula, budget: int) -> Formula:
+class _Memo:
+    """Work tables of one outermost :func:`eliminate` call.
+
+    ``elim`` maps a formula with a quantifier below it to its elimination,
+    ``exists`` maps ``(v, nnf formula)`` to the elimination of ``exists v``
+    and ``simp`` maps a formula to its context-free :func:`simplify`.  Each
+    entry is a pure function of its key and ``budget``, so a hit returns what
+    recomputing would.  The call drops the tables when it returns or raises.
+    """
+
+    __slots__ = ("budget", "elim", "exists", "simp")
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.elim: dict = {}
+        self.exists: dict = {}
+        self.simp: dict = {}
+
+    def simplify(self, f: Formula) -> Formula:
+        out = self.simp.get(f)
+        if out is None:
+            out = self.simp[f] = simplify(f)
+        return out
+
+
+def _elim_exists(v: str, f: Formula, memo: _Memo) -> Formula:
     f = _nnf(f, False)
     if v not in f.fv:
         return f
+    key = (v, f)
+    out = memo.exists.get(key)
+    if out is None:
+        out = memo.exists[key] = _elim_exists_nnf(v, f, memo)
+    return out
+
+
+def _elim_exists_nnf(v: str, f: Formula, memo: _Memo) -> Formula:
+    """``exists v. f`` for an NNF ``f`` that mentions ``v`` (memo miss)."""
+    budget = memo.budget
     if isinstance(f, Or):
-        return lor(*[_elim_exists(v, a, budget) for a in f.args])
+        return lor(*[_elim_exists(v, a, memo) for a in f.args])
     if isinstance(f, And):
         inside = [a for a in f.args if v in a.fv]
         outside = [a for a in f.args if v not in a.fv]
         if outside:
-            return land(land(*outside), _elim_exists(v, land(*inside), budget))
+            return land(land(*outside), _elim_exists(v, land(*inside), memo))
         if _eq_conjunct(f, v) is None:
             # No pinning equality: distribute over the smallest disjunctive
             # conjunct mentioning v, so elimination works branch by branch
@@ -938,9 +1009,9 @@ def _elim_exists(v: str, f: Formula, budget: int) -> Formula:
                 rest = [a for a in f.args if a is not pick]
                 parts = []
                 for arm in pick.args:
-                    g = simplify(land(arm, *rest))
-                    parts.append(_elim_exists(v, g, budget))
-                out = simplify(lor(*parts))
+                    g = memo.simplify(land(arm, *rest))
+                    parts.append(_elim_exists(v, g, memo))
+                out = memo.simplify(lor(*parts))
                 n = node_count(out)
                 if n > budget:
                     raise BudgetExceeded("eliminate", n, budget)
@@ -963,29 +1034,38 @@ def eliminate(f: Formula, budget: int = None) -> Formula:
 
     ``budget`` caps intermediate formula size in AST nodes; when omitted it
     comes from the MULTIAUTO_QE_BUDGET environment variable (default 10**6).
+    A quantifier-free ``f`` is returned as it is.
     """
-    budget = _resolve_budget(budget)
+    return _eliminate(f, _Memo(_resolve_budget(budget)))
+
+
+def _eliminate(f: Formula, memo: _Memo) -> Formula:
+    if f.qf:
+        return f
+    out = memo.elim.get(f)
+    if out is not None:
+        return out
     if isinstance(f, Not):
-        return lnot(eliminate(f.f, budget))
-    if isinstance(f, And):
-        return land(*[eliminate(a, budget) for a in f.args])
-    if isinstance(f, Or):
-        return lor(*[eliminate(a, budget) for a in f.args])
-    if isinstance(f, Exists):
+        out = lnot(_eliminate(f.f, memo))
+    elif isinstance(f, And):
+        out = land(*[_eliminate(a, memo) for a in f.args])
+    elif isinstance(f, Or):
+        out = lor(*[_eliminate(a, memo) for a in f.args])
+    else:
         # Quantifiers range over the naturals: relativize with v >= 0 so the
         # (integer) Cooper core and the equality-pinning shortcut agree with
         # bounded evaluation.
-        body = land(simplify(eliminate(f.f, budget)), ge(var(f.v), 0))
-        out = simplify(_elim_exists(f.v, body, budget))
-    elif isinstance(f, Forall):
-        inner = eliminate(f.f, budget)
-        body = land(_nnf(simplify(inner), True), ge(var(f.v), 0))
-        out = simplify(lnot(_elim_exists(f.v, body, budget)))
-    else:
-        return f
-    n = node_count(out)
-    if n > budget:
-        raise BudgetExceeded("eliminate", n, budget)
+        inner = memo.simplify(_eliminate(f.f, memo))
+        if isinstance(f, Exists):
+            body = land(inner, ge(var(f.v), 0))
+            out = memo.simplify(_elim_exists(f.v, body, memo))
+        else:
+            body = land(_nnf(inner, True), ge(var(f.v), 0))
+            out = memo.simplify(lnot(_elim_exists(f.v, body, memo)))
+        n = node_count(out)
+        if n > memo.budget:
+            raise BudgetExceeded("eliminate", n, memo.budget)
+    memo.elim[f] = out
     return out
 
 

@@ -1,9 +1,22 @@
 import json
 import pathlib
+import random
 
 import pytest
 
 from multiauto.model import validate_system
+from multiauto.presburger import (
+    Term,
+    dvd,
+    eq,
+    exists,
+    forall,
+    land,
+    le,
+    lnot,
+    lor,
+    var,
+)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE_DIR = ROOT / "fixtures"
@@ -32,3 +45,50 @@ def unique_automata(systems):
         for aut in system.automata:
             seen.setdefault(aut, aut)
     return list(seen)
+
+
+# Every quantified variable of the criterion-7 stream is bounded by this, so
+# evaluate(f, point, domain_bound=CRITERION7_BOUND) is exact.
+CRITERION7_BOUND = 10
+
+
+def _random_qf(rng, names, depth=0):
+    def term():
+        t = Term(rng.randint(-4, 4))
+        for v in names:
+            t = t + var(v) * rng.randint(-2, 2)
+        return t
+
+    r = rng.random()
+    if depth >= 2 or r < 0.45:
+        k = rng.random()
+        if k < 0.45:
+            return le(term(), 0)
+        if k < 0.75:
+            return eq(term(), 0)
+        return dvd(rng.randint(2, 4), term())
+    if r < 0.65:
+        return land(_random_qf(rng, names, depth + 1), _random_qf(rng, names, depth + 1))
+    if r < 0.85:
+        return lor(_random_qf(rng, names, depth + 1), _random_qf(rng, names, depth + 1))
+    return lnot(_random_qf(rng, names, depth + 1))
+
+
+def criterion7_formulas(count, seed=41):
+    """The seeded QE differential stream: (formula, free variable names).
+
+    Every fifth formula quantifies two variables, the rest one; each
+    quantifier is bounded by CRITERION7_BOUND.
+    """
+    rng = random.Random(seed)
+    bound = CRITERION7_BOUND
+    for i in range(count):
+        depth = 2 if i % 5 == 0 else 1
+        names = ["x", "y", "z"][: 2 + (depth > 1)]
+        f = _random_qf(rng, names)
+        for v in names[:depth]:
+            if rng.random() < 0.5:
+                f = exists(v, land(le(var(v), bound), f))
+            else:
+                f = forall(v, lor(lnot(le(var(v), bound)), f))
+        yield f, names[depth:]

@@ -26,23 +26,17 @@ import pytest
 from multiauto import cli, construction as C, dynamics, sim
 from multiauto import presburger as P
 from multiauto.model import bounds_profile
-from multiauto.presburger import (
-    Term,
-    dvd,
-    eliminate,
-    eq,
-    evaluate,
-    exists,
-    forall,
-    land,
-    le,
-    lnot,
-    lor,
-    var,
-    vector_eval,
-)
+from multiauto.presburger import eliminate, evaluate, exists, vector_eval
 
-from conftest import FIXTURE_DIR, FIXTURE_NAMES, fixture_path, load_fixture, unique_automata
+from conftest import (
+    CRITERION7_BOUND,
+    FIXTURE_DIR,
+    FIXTURE_NAMES,
+    criterion7_formulas,
+    fixture_path,
+    load_fixture,
+    unique_automata,
+)
 
 FUZZ_SEED = 20240817
 FUZZ_COUNT = 100
@@ -232,47 +226,14 @@ def test_criterion_6_phase_branch_uniqueness(systems):
 # 7. QE differential
 
 
-def _random_qf(rng, names, depth=0):
-    def term():
-        t = Term(rng.randint(-4, 4))
-        for v in names:
-            t = t + var(v) * rng.randint(-2, 2)
-        return t
-
-    r = rng.random()
-    if depth >= 2 or r < 0.45:
-        k = rng.random()
-        if k < 0.45:
-            return le(term(), 0)
-        if k < 0.75:
-            return eq(term(), 0)
-        return dvd(rng.randint(2, 4), term())
-    if r < 0.65:
-        return land(_random_qf(rng, names, depth + 1), _random_qf(rng, names, depth + 1))
-    if r < 0.85:
-        return lor(_random_qf(rng, names, depth + 1), _random_qf(rng, names, depth + 1))
-    return lnot(_random_qf(rng, names, depth + 1))
-
-
 def test_criterion_7_qe_differential():
     started = time.monotonic()
-    rng = random.Random(41)
-    bound = 10
     mismatches = 0
-    for i in range(1000):
-        depth = 2 if i % 5 == 0 else 1
-        names = ["x", "y", "z"][: 2 + (depth > 1)]
-        f = _random_qf(rng, names)
-        free = names[depth:]
-        for v in names[:depth]:
-            if rng.random() < 0.5:
-                f = exists(v, land(le(var(v), bound), f))
-            else:
-                f = forall(v, lor(lnot(le(var(v), bound)), f))
+    for f, free in criterion7_formulas(1000):
         g = eliminate(f)
         for x in range(0, 8, 2):
             point = dict(zip(free, (x, (x * 3 + 1) % 7)))
-            if evaluate(f, point, domain_bound=bound) != evaluate(g, point):
+            if evaluate(f, point, domain_bound=CRITERION7_BOUND) != evaluate(g, point):
                 mismatches += 1
     elapsed = time.monotonic() - started
     assert mismatches == 0

@@ -140,6 +140,16 @@ def test_extract_dump_formula(capsys):
     assert lines[-1] == "t=0 p=1 low= residues={0}"
 
 
+@pytest.mark.parametrize("stage", ["run:1:A1.q0:A1.q0", "run:2:x:x"])
+def test_extract_dump_formula_unknown_target_exit_two(capsys, stage):
+    # crosser2 has one automaton, A1, whose states are x and y.
+    code, _, err = run_cli(
+        capsys, "extract", fixture_path("crosser2"), "--dump-formula", stage
+    )
+    assert code == 2
+    assert err.startswith(f"error: stage {stage}:")
+
+
 def test_extract_budget_exit_three(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("MULTIAUTO_QE_BUDGET", "1")
     # A fresh automaton name defeats construction-level caches.

@@ -1,11 +1,15 @@
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiauto import presburger as P
+from multiauto import cli, presburger as P
 from multiauto.presburger import (
     FALSE,
     TRUE,
@@ -34,6 +38,10 @@ from multiauto.presburger import (
     var,
     vector_eval,
 )
+
+from conftest import criterion7_formulas, fixture_path, load_fixture
+
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +112,17 @@ def test_eliminate_chinese_remainder():
     g = eliminate(f)
     for y in range(12):
         assert evaluate(g, {"y": y}) is True
+
+
+def test_cooper_auxiliary_variable_avoids_free_names():
+    # Cooper's method works on an auxiliary variable; a free variable that
+    # happens to carry the same name must stay free.
+    c, x = var("_c"), var("x")
+    f = exists("x", land(le(c, x), le(x, c + 4), dvd(3, x + 1)))
+    g = eliminate(f)
+    assert free_vars(g) == {"_c"}
+    for n in range(12):
+        assert evaluate(g, {"_c": n}) == evaluate(f, {"_c": n}, domain_bound=20)
 
 
 def test_budget_exceeded():
@@ -231,3 +250,97 @@ def test_to_sexpr_deterministic():
 def test_node_count_positive():
     assert node_count(TRUE) >= 1
     assert node_count(land(le(var("x"), 0), le(var("y"), 0))) >= 3
+
+
+# ---------------------------------------------------------------------------
+# cached node attributes and per-call memo tables
+
+
+def _walk(f):
+    """(node count, quantifier-free) by a full tree walk."""
+    if isinstance(f, (P.Exists, P.Forall)):
+        return 1 + _walk(f.f)[0], False
+    if isinstance(f, P.Not):
+        n, qf = _walk(f.f)
+        return 1 + n, qf
+    if isinstance(f, (P.And, P.Or)):
+        parts = [_walk(a) for a in f.args]
+        return 1 + sum(n for n, _ in parts), all(qf for _, qf in parts)
+    return 1, True
+
+
+def _reference_nnf(f, neg):
+    """Negation normal form by a full rebuild, with no already-normal shortcut."""
+    if f is TRUE:
+        return FALSE if neg else TRUE
+    if f is FALSE:
+        return TRUE if neg else FALSE
+    if isinstance(f, P.Le):
+        return le(-f.t + 1) if neg else f
+    if isinstance(f, P.Eq):
+        return lor(le(f.t + 1), le(-f.t + 1)) if neg else f
+    if isinstance(f, P.Dvd):
+        return P.Not(f) if neg else f
+    if isinstance(f, P.Not):
+        return _reference_nnf(f.f, not neg)
+    parts = [_reference_nnf(a, neg) for a in f.args]
+    return land(*parts) if isinstance(f, P.And) != neg else lor(*parts)
+
+
+def test_cached_node_attributes_match_tree_walk():
+    for f, free in criterion7_formulas(300):
+        matrix = f
+        while isinstance(matrix, (P.Exists, P.Forall)):
+            matrix = matrix.f
+        g = eliminate(f)
+        shifted = substitute(g, free[0], var(free[0]) + 1)
+        for h in (f, matrix, lnot(matrix), g, shifted):
+            assert (node_count(h), h.qf) == _walk(h), to_sexpr(h)
+            if h.qf:
+                ref = _reference_nnf(h, False)
+                assert P._nnf(h, False) == ref, to_sexpr(h)
+                assert h.nnf == (ref == h), to_sexpr(h)
+
+
+def test_eliminate_returns_quantifier_free_input():
+    for f, _ in criterion7_formulas(50):
+        g = eliminate(f)
+        assert eliminate(g) is g
+
+
+def test_budget_exceeded_leaves_no_state_behind():
+    # Formula 40 of the stream nests a forall under an exists; budget 200
+    # fails on the outer result after the inner elimination filled the
+    # memo tables.
+    f, _ = next(itertools.islice(criterion7_formulas(41), 40, None))
+    with pytest.raises(BudgetExceeded) as err:
+        eliminate(f, budget=200)
+    assert err.value.stage == "eliminate"
+    again = to_sexpr(eliminate(f))
+    code = (
+        "import itertools\n"
+        "from conftest import criterion7_formulas\n"
+        "from multiauto.presburger import eliminate, to_sexpr\n"
+        "f, _ = next(itertools.islice(criterion7_formulas(41), 40, None))\n"
+        "print(to_sexpr(eliminate(f)))\n"
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-c", code],
+        cwd=TESTS,
+        env={**os.environ, "PYTHONPATH": str(TESTS.parent / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert fresh.stdout == again + "\n"
+
+
+@pytest.mark.parametrize("name", ["crosser2", "racer2", "rebounder"])
+def test_frontier_and_accept_dumps_golden(capsys, name):
+    """Quantifier-free phase formulas, byte for byte as first recorded."""
+    argv = ["extract", str(fixture_path(name))]
+    for k in range(load_fixture(name).message_bound + 1):
+        argv += ["--dump-formula", f"frontier:{k}", "--dump-formula", f"accept:{k}"]
+    assert cli.main(argv) == 0
+    golden = TESTS / "data" / "golden" / f"{name}.txt"
+    assert capsys.readouterr().out == golden.read_text()

@@ -134,3 +134,19 @@ def test_run_deterministic_on_sample():
         vector_eval(g, env).sum(axis=2).astype(int) for g in gs.values()
     )
     assert total.max() <= 1
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (("rebound", "w", 4), ("rebound", "w", 5)),  # rebound time grows with N
+        (("cross", "w", 4), ("trapped",)),  # a crossing turns into a trap
+    ],
+)
+def test_unstable_launch_raises(monkeypatch, first, second):
+    aut = load_fixture("walker").automata[0]
+    outcomes = iter([first, second])
+    monkeypatch.setattr(C, "_launch_at", lambda *args: next(outcomes))
+    # Bypass the lru_cache so no earlier classification is returned or kept.
+    with pytest.raises(C.UnstableLaunch):
+        C._launch.__wrapped__(aut, "w", "L")
