@@ -8,14 +8,16 @@ interior letter, ``"L"`` for the left endmarker and ``"R"`` for the right
 endmarker, and ``move`` is -1, 0 or 1.  Unknown fields are rejected.
 
 Exit codes are a stable contract: 0 accept/OK, 1 reject/mismatch, 2 input
-error, 3 quantifier-elimination budget exhausted.  All randomness is seeded;
-no command reads wall-clock time or OS entropy.
+error, 3 quantifier-elimination budget exhausted, 141 (128 + SIGPIPE) when
+the reader of standard output went away, as after ``| head``.  All
+randomness is seeded; no command reads wall-clock time or OS entropy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import asdict
@@ -35,6 +37,7 @@ EXIT_OK = 0
 EXIT_REJECT = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 _SYMBOL_ORDER = {"L": 0, "a": 1, "R": 2}
 
@@ -443,6 +446,15 @@ def main(argv=None) -> int:
     except presburger.BudgetExceeded as exc:
         print(f"budget exceeded in stage {exc.stage}: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        # Not an input error: the reader closed the pipe.  Point stdout at
+        # the null device so the flush at exit does not fail a second time.
+        null = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(null, sys.stdout.fileno())
+        finally:
+            os.close(null)
+        return EXIT_PIPE
     except (OSError, json.JSONDecodeError, ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

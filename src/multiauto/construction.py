@@ -261,21 +261,9 @@ def _reach_canonical(aut, stop, s, s2):
     return _reach_expr(aut, stop, s, s2, var("p"), var("pp"), var("T"), var("N"))
 
 
-def _sub_many(f, mapping):
-    """Substitute several variables; images must not mention other sources."""
-    for v, t in mapping.items():
-        for w, _ in t.coeffs:
-            if w != v and w in mapping and mapping[w] != var(w):
-                raise ValueError(f"substitution image of {v} mentions source {w}")
-    for v, t in mapping.items():
-        if t != var(v):
-            f = substitute(f, v, t)
-    return f
-
-
 def _reach(aut, stop, s, s2, P, PP, Tm):
     f = _reach_canonical(aut, frozenset(stop), s, s2)
-    return _sub_many(f, {"p": P, "pp": PP, "T": Tm})
+    return substitute(f, {"p": P, "pp": PP, "T": Tm})
 
 
 def reach_formula(aut, stop, s, s2) -> ParamFormula:
@@ -453,11 +441,24 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
     only holds for sufficiently long inputs, so every chain disjunct carries
     an N >= N_min guard; below it only the exact Run0 branch remains (short
     inputs are handled by simulation downstream).
+
+    Every chain restates the reaches of its prefix, so one call builds each
+    Reach instantiation once: a dict keyed on (u, v, start, end, time) holds
+    them while the call runs and is dropped when it returns.
     """
     stop = frozenset(stop)
     nmin = 1 + max(dynamics.basic_sequence(aut, q).amplitude for q in aut.states)
     long_enough = ge(Nv, nmin)
-    disjuncts = [_reach(aut, stop, s, s2, P, PP, Tm)]
+    reaches: dict = {}
+
+    def reach(u, v, A, B, tv):
+        key = (u, v, A, B, tv)
+        out = reaches.get(key)
+        if out is None:
+            out = reaches[key] = _reach(aut, stop, u, v, A, B, tv)
+        return out
+
+    disjuncts = [reach(s, s2, P, PP, Tm)]
 
     def emit_stop(path, tvars):
         # Stop anywhere after the last junction of the path; a junction in a
@@ -474,20 +475,17 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
         tb = var(_fresh_var("t"))
         parts = [long_enough, eq(Tm - sum(tvars, Term(0)) - tb)]
         parts.extend(segment_formulas(path, tvars))
-        parts.append(_reach(aut, stop, u, s2, _side_pos(side, Nv), PP, tb))
+        parts.append(reach(u, s2, _side_pos(side, Nv), PP, tb))
         names = [t.coeffs[0][0] for t in tvars] + [tb.coeffs[0][0]]
         disjuncts.append(exists(names, land(*parts)))
 
     def segment_formulas(path, tvars):
-        parts = [_reach(aut, stop, s, path[0][0], P, _side_pos(path[0][1], Nv), tvars[0])]
+        parts = [reach(s, path[0][0], P, _side_pos(path[0][1], Nv), tvars[0])]
         for i in range(1, len(path)):
             u, uside = path[i - 1]
             v, vside = path[i]
             parts.append(
-                _reach(
-                    aut, stop, u, v,
-                    _side_pos(uside, Nv), _side_pos(vside, Nv), tvars[i],
-                )
+                reach(u, v, _side_pos(uside, Nv), _side_pos(vside, Nv), tvars[i])
             )
         return parts
 
@@ -500,7 +498,7 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
         for q, sd in path[entry_index:]:
             _, v, tau = _launch(aut, q, sd)
             lap_parts.append(
-                _reach(aut, stop, q, v, _side_pos(sd, Nv), _side_pos(sd, Nv), Term(tau))
+                reach(q, v, _side_pos(sd, Nv), _side_pos(sd, Nv), Term(tau))
             )
         h = var(_fresh_var("h"))
         for t in range(entry_index, len(path)):
@@ -510,7 +508,7 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
             parts = [long_enough, ge(h, 1), eq(Tm - sum(used, Term(0)) - h * period - tb)]
             parts.extend(lap_parts)
             parts.extend(segment_formulas(path[: t + 1], used))
-            parts.append(_reach(aut, stop, u, s2, _side_pos(side, Nv), PP, tb))
+            parts.append(reach(u, s2, _side_pos(side, Nv), PP, tb))
             names = [x.coeffs[0][0] for x in used] + [tb.coeffs[0][0], h.coeffs[0][0]]
             disjuncts.append(exists(names, land(*parts)))
 
@@ -558,7 +556,7 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
 
     for v in sorted(aut.states):
         for side in ("L", "R"):
-            first = _reach(aut, stop, s, v, P, _side_pos(side, Nv), var("__probe"))
+            first = reach(s, v, P, _side_pos(side, Nv), var("__probe"))
             if first is FALSE:
                 continue
             tv = var(_fresh_var("t"))
@@ -573,7 +571,7 @@ def _run_canonical(aut, stop, s, s2, K):
 
 def _run(aut, stop, s, s2, K, P, PP, Tm):
     f = _run_canonical(aut, frozenset(stop), s, s2, K)
-    return _sub_many(f, {"p": P, "pp": PP, "T": Tm})
+    return substitute(f, {"p": P, "pp": PP, "T": Tm})
 
 
 def run_formula(aut, stop, s, s2, K) -> ParamFormula:
@@ -932,7 +930,7 @@ def advance_frontier(system, frontier: PhaseFrontier, bounds) -> list:
     # frontiers compose.
     renamed = []
     for theta, fr in out:
-        g = _sub_many(
+        g = substitute(
             fr.position_graph.formula,
             {o: var(nn) for o, nn in zip(_pip_names(n), _pi_names(n))},
         )

@@ -15,7 +15,17 @@ variables (``fv``), its node count (``size``, what :func:`node_count`
 returns), whether no quantifier occurs below it (``qf``) and whether it is
 already in negation normal form (``nnf``).  The elimination loop leans on
 them: a quantifier-free argument of :func:`eliminate` comes back as it is,
-and NNF conversion returns a normal node without rebuilding it.
+and NNF conversion returns a normal node without rebuilding it.  ``Le`` and
+``Eq`` atoms also keep the coefficient key of their negated term (``nkey``),
+which :func:`simplify` looks up for every bound it tests, at the cost of
+one more tuple per atom.
+
+:func:`substitute` takes a mapping from variables to terms and replaces all
+of them in one pass, simultaneously: each atom is rebuilt once, from its
+fully substituted term, and an image is never substituted into again.  It
+avoids capture: a quantifier whose variable is free in an image that reaches
+its body is renamed to the first of ``w_1``, ``w_2``, ... free in neither,
+a name chosen locally rather than from a global counter.
 
 One outermost :func:`eliminate` call computes each elimination of a
 quantified subformula, each ``exists v`` step of Cooper's method and each
@@ -162,11 +172,19 @@ class Term:
             total += c * asg[v]
         return total
 
-    def subst(self, v: str, t: "Term") -> "Term":
-        c = self.coeff(v)
-        if c == 0:
-            return self
-        return self.drop(v) + t * c
+    def subst(self, mapping: dict) -> "Term":
+        """Replace every variable that ``mapping`` names by its term, at once."""
+        const = self.const
+        acc: dict = {}
+        for v, c in self.coeffs:
+            t = mapping.get(v)
+            if t is None:
+                acc[v] = acc.get(v, 0) + c
+                continue
+            const += c * t.const
+            for w, d in t.coeffs:
+                acc[w] = acc.get(w, 0) + c * d
+        return Term.make(const, acc)
 
     def __str__(self):
         parts = []
@@ -252,13 +270,18 @@ TRUE = _Top()
 FALSE = _Bot()
 
 
-class Le(_Leaf):
-    """``t <= 0``."""
+def _neg_coeffs(coeffs: tuple) -> tuple:
+    return tuple([(v, -c) for v, c in coeffs])
 
-    __slots__ = ("t",)
+
+class Le(_Leaf):
+    """``t <= 0``; ``nkey`` holds the coefficients of ``-t``."""
+
+    __slots__ = ("t", "nkey")
 
     def __init__(self, t: Term):
         self.t = t
+        self.nkey = _neg_coeffs(t.coeffs)
         self.fv = frozenset(v for v, _ in t.coeffs)
         self._h = hash(("le", t._h))
 
@@ -269,12 +292,13 @@ class Le(_Leaf):
 
 
 class Eq(_Leaf):
-    """``t = 0``."""
+    """``t = 0``; ``nkey`` holds the coefficients of ``-t``."""
 
-    __slots__ = ("t",)
+    __slots__ = ("t", "nkey")
 
     def __init__(self, t: Term):
         self.t = t
+        self.nkey = _neg_coeffs(t.coeffs)
         self.fv = frozenset(v for v, _ in t.coeffs)
         self._h = hash(("eq", t._h))
 
@@ -563,30 +587,52 @@ def node_count(f: Formula) -> int:
     return f.size
 
 
-def substitute(f: Formula, v: str, t: Term) -> Formula:
-    """Replace free occurrences of variable ``v`` by term ``t``."""
-    if v not in f.fv:
+def substitute(f: Formula, mapping: dict) -> Formula:
+    """Replace the free occurrences of every key of ``mapping`` by its term.
+
+    All keys are replaced at once, in one pass: an image is never substituted
+    into again, so ``{x: y, y: x}`` swaps.  A quantifier drops its variable
+    from the mapping; when that variable is free in an image that reaches
+    its body, it is renamed to the first of ``w_1``, ``w_2``, ... free in
+    neither.
+    """
+    active = {v: t for v, t in mapping.items() if t != var(v)}
+    if not active:
+        return f
+    return _subst(f, active)
+
+
+def _subst(f: Formula, mapping: dict) -> Formula:
+    if f.fv.isdisjoint(mapping):
         return f
     if isinstance(f, Le):
-        return le(f.t.subst(v, t))
+        return le(f.t.subst(mapping))
     if isinstance(f, Eq):
-        return eq(f.t.subst(v, t))
+        return eq(f.t.subst(mapping))
     if isinstance(f, Dvd):
-        return dvd(f.d, f.t.subst(v, t))
+        return dvd(f.d, f.t.subst(mapping))
     if isinstance(f, Not):
-        return lnot(substitute(f.f, v, t))
+        return lnot(_subst(f.f, mapping))
     if isinstance(f, And):
-        return land(*[substitute(a, v, t) for a in f.args])
+        return land(*[_subst(a, mapping) for a in f.args])
     if isinstance(f, Or):
-        return lor(*[substitute(a, v, t) for a in f.args])
-    if isinstance(f, Exists):
-        if f.v == v:
-            return f
-        return exists(f.v, substitute(f.f, v, t))
-    if isinstance(f, Forall):
-        if f.v == v:
-            return f
-        return forall(f.v, substitute(f.f, v, t))
+        return lor(*[_subst(a, mapping) for a in f.args])
+    if isinstance(f, _Quant):
+        v, body = f.v, f.f
+        inner = {w: t for w, t in mapping.items() if w != v and w in body.fv}
+        if any(t.coeff(v) for t in inner.values()):
+            # v would capture an image variable: rename it to the first w_i
+            # that is free in neither the body nor an image, as _cooper_one
+            # names its auxiliary variable (no global counter).
+            taken = set(body.fv)
+            for t in inner.values():
+                taken.update(w for w, _ in t.coeffs)
+            i = 1
+            while f"w_{i}" in taken:
+                i += 1
+            inner[v] = var(f"w_{i}")
+            v = f"w_{i}"
+        return (exists if isinstance(f, Exists) else forall)(v, _subst(body, inner))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -796,8 +842,8 @@ def _cooper_one(v: str, f: Formula, budget: int) -> Formula:
     if len(lowers) <= len(uppers):
         base = _minus_inf(body, u)
         for j in range(delta):
-            for g in [substitute(base, u, Term(j))] + [
-                substitute(body, u, b + Term(j)) for b in lowers
+            for g in [substitute(base, {u: Term(j)})] + [
+                substitute(body, {u: b + Term(j)}) for b in lowers
             ]:
                 if g is not FALSE:
                     disjuncts.append(g)
@@ -807,8 +853,8 @@ def _cooper_one(v: str, f: Formula, budget: int) -> Formula:
     else:
         base = _plus_inf(body, u)
         for j in range(delta):
-            for g in [substitute(base, u, Term(-j))] + [
-                substitute(body, u, b - Term(j)) for b in uppers
+            for g in [substitute(base, {u: Term(-j)})] + [
+                substitute(body, {u: b - Term(j)}) for b in uppers
             ]:
                 if g is not FALSE:
                     disjuncts.append(g)
@@ -850,25 +896,21 @@ def _plus_inf(f: Formula, v: str) -> Formula:
     raise TypeError(f"unexpected node: {f!r}")
 
 
-def _neg_key(k):
-    return tuple((v, -c) for v, c in k)
-
-
-def _ctx_add(ctx, k, c):
-    """Record k.x + c <= 0; returns False on contradiction with the context."""
+def _ctx_add(ctx, k, nk, c):
+    """Record k.x + c <= 0 (``nk`` negates ``k``); False on contradiction."""
     prev = ctx.get(k)
     if prev is None or c > prev:
         ctx[k] = c
-    opp = ctx.get(_neg_key(k))
+    opp = ctx.get(nk)
     return not (opp is not None and ctx[k] + opp > 0)
 
 
-def _ctx_test_le(ctx, k, c):
+def _ctx_test_le(ctx, k, nk, c):
     """TRUE if implied, FALSE if contradicted, None otherwise."""
     prev = ctx.get(k)
     if prev is not None and c <= prev:
         return True
-    opp = ctx.get(_neg_key(k))
+    opp = ctx.get(nk)
     if opp is not None and c + opp > 0:
         return False
     return None
@@ -882,12 +924,12 @@ def simplify(f: Formula, _ctx=None) -> Formula:
     """
     ctx = {} if _ctx is None else _ctx
     if isinstance(f, Le):
-        r = _ctx_test_le(ctx, f.t.coeffs, f.t.const)
+        r = _ctx_test_le(ctx, f.t.coeffs, f.nkey, f.t.const)
         return f if r is None else (TRUE if r else FALSE)
     if isinstance(f, Eq):
-        k, c = f.t.coeffs, f.t.const
-        a = _ctx_test_le(ctx, k, c)
-        b = _ctx_test_le(ctx, _neg_key(k), -c)
+        k, nk, c = f.t.coeffs, f.nkey, f.t.const
+        a = _ctx_test_le(ctx, k, nk, c)
+        b = _ctx_test_le(ctx, nk, k, -c)
         if a is False or b is False:
             return FALSE
         if a is True and b is True:
@@ -905,13 +947,10 @@ def simplify(f: Formula, _ctx=None) -> Formula:
                 if g is TRUE:
                     changed = True
                     continue
-                ok = True
-                if isinstance(g, Le):
-                    ok = _ctx_add(local, g.t.coeffs, g.t.const)
-                else:
-                    ok = _ctx_add(local, g.t.coeffs, g.t.const) and _ctx_add(
-                        local, _neg_key(g.t.coeffs), -g.t.const
-                    )
+                k, nk, c = g.t.coeffs, g.nkey, g.t.const
+                ok = _ctx_add(local, k, nk, c)
+                if ok and isinstance(g, Eq):
+                    ok = _ctx_add(local, nk, k, -c)
                 if not ok:
                     return FALSE
                 args.append(g)

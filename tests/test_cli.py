@@ -1,6 +1,8 @@
 import json
+import os
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -148,6 +150,39 @@ def test_extract_dump_formula_unknown_target_exit_two(capsys, stage):
     )
     assert code == 2
     assert err.startswith(f"error: stage {stage}:")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, over a real file descriptor."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_extract_closed_stdout_is_not_an_input_error(capsys, monkeypatch, tmp_path):
+    # As `multiauto extract ... --dump-formula ... | head -c 1`.
+    target = tmp_path / "stdout"
+    with open(target, "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        code = cli.main(
+            ["extract", str(fixture_path("crosser2")), "--dump-formula", "reach:1:x:x"]
+        )
+        monkeypatch.undo()
+        # The descriptor now points at the null device, so a final flush
+        # neither fails nor lands anywhere.
+        os.write(fh.fileno(), b"late")
+    assert code == cli.EXIT_PIPE == 141
+    assert "error:" not in capsys.readouterr().err
+    assert target.read_bytes() == b""
 
 
 def test_extract_budget_exit_three(capsys, monkeypatch, tmp_path):

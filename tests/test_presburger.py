@@ -71,8 +71,86 @@ def test_free_vars():
 
 def test_substitute_refuses_capture_free():
     f = le(var("x"), var("y"))
-    g = substitute(f, "x", var("y") + 1)
+    g = substitute(f, {"x": var("y") + 1})
     assert evaluate(g, {"y": 4}) == evaluate(f, {"x": 5, "y": 4})
+
+
+def _reference_substitute(f, v, t):
+    """One-variable substitution as it was before mappings: no renaming."""
+    if v not in f.fv:
+        return f
+    if isinstance(f, (P.Le, P.Eq, P.Dvd)):
+        c = f.t.coeff(v)
+        u = f.t.drop(v) + t * c
+        if isinstance(f, P.Le):
+            return le(u)
+        return eq(u) if isinstance(f, P.Eq) else dvd(f.d, u)
+    if isinstance(f, P.Not):
+        return lnot(_reference_substitute(f.f, v, t))
+    if isinstance(f, (P.And, P.Or)):
+        parts = [_reference_substitute(a, v, t) for a in f.args]
+        return land(*parts) if isinstance(f, P.And) else lor(*parts)
+    if f.v == v:
+        return f
+    body = _reference_substitute(f.f, v, t)
+    return exists(f.v, body) if isinstance(f, P.Exists) else forall(f.v, body)
+
+
+def _criterion7_cases(count):
+    """(formula, its quantifier-free matrix, its elimination) triples."""
+    for f, _ in criterion7_formulas(count):
+        matrix = f
+        while isinstance(matrix, (P.Exists, P.Forall)):
+            matrix = matrix.f
+        yield f, matrix, eliminate(f)
+
+
+def test_substitute_one_key_matches_one_variable_reference():
+    for case in _criterion7_cases(300):
+        for h in case:
+            for v in sorted(h.fv):
+                t = 2 * var(v) - var("n") + 1
+                assert to_sexpr(substitute(h, {v: t})) == to_sexpr(
+                    _reference_substitute(h, v, t)
+                )
+
+
+def test_substitute_two_keys_equals_two_passes():
+    # Neither image mentions x or y, so the order of two passes is immaterial.
+    tx, ty = 3 * var("n") - var("m"), var("m") + 2
+    for _, matrix, g in _criterion7_cases(300):
+        for h in (matrix, g):
+            once = substitute(h, {"x": tx, "y": ty})
+            assert once == substitute(substitute(h, {"x": tx}), {"y": ty})
+            assert once == substitute(substitute(h, {"y": ty}), {"x": tx})
+
+
+def test_substitute_swap_is_simultaneous():
+    for _, matrix, _ in _criterion7_cases(100):
+        g = substitute(matrix, {"x": var("y"), "y": var("x")})
+        for a, b, c in itertools.product(range(-3, 4), repeat=3):
+            assert evaluate(g, {"x": a, "y": b, "z": c}) == evaluate(
+                matrix, {"x": b, "y": a, "z": c}
+            )
+
+
+def test_substitute_renames_a_capturing_quantifier():
+    y = var("y")
+    # exists y (y <= 5 and x <= y) holds iff x <= 5; with x := y + 1 the
+    # free y must not be captured (that would read "exists y. y + 1 <= y").
+    f = exists("y", land(le(y, 5), le(var("x"), y)))
+    g = substitute(f, {"x": y + 1})
+    assert isinstance(g, P.Exists) and g.v == "w_1"
+    assert free_vars(g) == {"y"}
+    for n in range(10):
+        assert evaluate(g, {"y": n}) == evaluate(f, {"x": n + 1}) == (n <= 4)
+    # The new name is free in neither the body nor the images.
+    h = forall("y", lor(le(var("w_1"), y), le(var("x"), y)))
+    k = substitute(h, {"x": y + var("w_2")})
+    assert isinstance(k, P.Forall) and k.v == "w_3"
+    for a, b, c in itertools.product(range(4), repeat=3):
+        asg = {"y": a, "w_1": b, "w_2": c}
+        assert evaluate(k, asg, 8) == evaluate(h, {"x": a + c, "w_1": b}, 8)
 
 
 def test_evaluate_requires_bindings():
@@ -269,6 +347,16 @@ def _walk(f):
     return 1, True
 
 
+def _atoms(f):
+    if isinstance(f, (P.Exists, P.Forall, P.Not)):
+        yield from _atoms(f.f)
+    elif isinstance(f, (P.And, P.Or)):
+        for a in f.args:
+            yield from _atoms(a)
+    else:
+        yield f
+
+
 def _reference_nnf(f, neg):
     """Negation normal form by a full rebuild, with no already-normal shortcut."""
     if f is TRUE:
@@ -293,9 +381,12 @@ def test_cached_node_attributes_match_tree_walk():
         while isinstance(matrix, (P.Exists, P.Forall)):
             matrix = matrix.f
         g = eliminate(f)
-        shifted = substitute(g, free[0], var(free[0]) + 1)
+        shifted = substitute(g, {free[0]: var(free[0]) + 1})
         for h in (f, matrix, lnot(matrix), g, shifted):
             assert (node_count(h), h.qf) == _walk(h), to_sexpr(h)
+            for a in _atoms(h):
+                if isinstance(a, (P.Le, P.Eq)):
+                    assert a.nkey == (-a.t).coeffs, to_sexpr(a)
             if h.qf:
                 ref = _reference_nnf(h, False)
                 assert P._nnf(h, False) == ref, to_sexpr(h)
@@ -344,3 +435,31 @@ def test_frontier_and_accept_dumps_golden(capsys, name):
     assert cli.main(argv) == 0
     golden = TESTS / "data" / "golden" / f"{name}.txt"
     assert capsys.readouterr().out == golden.read_text()
+
+
+REACH_RUN_DUMPS = {
+    "crosser2": ("run:1:x:y", "reach:1:x:x", "reach:1:x:y"),
+    "racer2": ("run:2:z1:z2", "reach:2:z1:z2", "run:2:z2:z2", "reach:1:o:e"),
+    "rebounder": (
+        "run:1:f1:f2", "reach:1:f1:f1", "run:1:b1:f2", "reach:1:f2:f2", "run:1:f1:b1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REACH_RUN_DUMPS))
+def test_reach_and_run_dumps_golden(name):
+    """Reach/Run formulas (with construction names), byte for byte as first
+    recorded.  The names depend on what ran before in the process, so each
+    dump comes from a fresh interpreter."""
+    argv = [sys.executable, "-m", "multiauto.cli", "extract", str(fixture_path(name))]
+    for stage in REACH_RUN_DUMPS[name]:
+        argv += ["--dump-formula", stage]
+    out = subprocess.run(
+        argv,
+        env={**os.environ, "PYTHONPATH": str(TESTS.parent / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    golden = TESTS / "data" / "golden" / f"{name}-reach-run.txt"
+    assert out == golden.read_text()
