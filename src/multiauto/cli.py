@@ -8,7 +8,8 @@ interior letter, ``"L"`` for the left endmarker and ``"R"`` for the right
 endmarker, and ``move`` is -1, 0 or 1.  Unknown fields are rejected.
 
 Exit codes are a stable contract: 0 accept/OK, 1 reject/mismatch, 2 input
-error, 3 quantifier-elimination budget exhausted, 141 (128 + SIGPIPE) when
+error (including an automaton whose head falls off the tape), 3
+quantifier-elimination budget exhausted, 141 (128 + SIGPIPE) when
 the reader of standard output went away, as after ``| head``.  All
 randomness is seeded; no command reads wall-clock time or OS entropy.
 """
@@ -139,21 +140,6 @@ def cmd_analyze(args) -> int:
 # extract
 
 
-def _frontier_layers(system, message_bound):
-    """Phase frontiers reachable with at most ``message_bound`` messages,
-    grouped by number of messages spent (mirrors recognized_set's search)."""
-    bounds = bounds_profile(system)
-    layers = [[construction.initial_frontier(system)]]
-    for _ in range(message_bound):
-        nxt = []
-        for fr in layers[-1]:
-            nxt.extend(
-                f for _, f in construction.advance_frontier(system, fr, bounds)
-            )
-        layers.append(nxt)
-    return layers
-
-
 def cmd_extract(args) -> int:
     system = load_spec(args.spec)
     for stage in args.dump_formula or ():
@@ -196,10 +182,11 @@ def _dump_stage(system, stage: str) -> None:
         if len(parts) != 2:
             raise ValidationError(f"stage {stage}: expected {kind}:<k>")
         k = int(parts[1])
-        layers = _frontier_layers(system, min(k, system.message_bound))
-        if not 0 <= k < len(layers):
+        if not 0 <= k <= system.message_bound:
             raise ValidationError(f"stage {stage}: no such phase layer")
-        for fr in layers[k]:
+        for fr in construction.phase_frontiers(system, bounds_profile(system), k):
+            if fr.messages_spent != k:
+                continue
             if kind == "frontier":
                 body = fr.position_graph.formula
             else:
@@ -455,7 +442,13 @@ def main(argv=None) -> int:
         finally:
             os.close(null)
         return EXIT_PIPE
-    except (OSError, json.JSONDecodeError, ValidationError, ValueError) as exc:
+    except (
+        OSError,
+        json.JSONDecodeError,
+        ValidationError,
+        ValueError,
+        sim.HeadFellOff,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

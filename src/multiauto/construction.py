@@ -1,12 +1,14 @@
 """Executable construction of the Presburger acceptance formulas.
 
 The pipeline mirrors the silent-phase analysis: ``reach_formula`` describes
-endmarker-free runs exactly, traversals and bounce blocks compose reaches
-through a fixed rebound chain, ``run_formula`` stitches reaches through the
-endmarkers with the traversal count capped by K, races pick the earliest
-broadcasting state, the phase formula advances every automaton to the next
-broadcast, and ``recognized_set`` folds at most M phases into a single
-one-variable formula that is lowered to an ultimately periodic set.
+endmarker-free runs exactly; ``run_formula`` stitches reaches through the
+endmarkers, following each launch from an endmarker as
+``dynamics.takeoff`` classifies it (rebound, crossing, trap or fall-off) and
+capping the number of traversals by K; races pick the earliest broadcasting
+state; the phase formula advances every automaton to the next broadcast;
+``phase_frontiers`` walks the frontiers reachable with at most M messages
+breadth first; and ``recognized_set`` ORs their acceptance formulas into a
+single one-variable formula that is lowered to an ultimately periodic set.
 
 All formulas are exact descriptions of the simulator for sufficiently long
 inputs; the recognized set patches the short inputs by direct simulation.
@@ -48,26 +50,19 @@ from .presburger import (
 
 __all__ = [
     "ParamFormula",
-    "BouncePattern",
     "PhaseFrontier",
-    "NoTraversal",
     "UnstableLaunch",
     "reach_formula",
-    "traversal_formula",
-    "bounce_formula",
     "run_formula",
     "race_formula",
     "mute_formula",
     "phase_formula",
     "initial_frontier",
     "advance_frontier",
+    "phase_frontiers",
     "accept_formula",
     "recognized_set",
 ]
-
-
-class NoTraversal(Exception):
-    """The requested state pair admits no traversal; the formula is False."""
 
 
 class UnstableLaunch(Exception):
@@ -86,35 +81,6 @@ class ParamFormula:
         extra = free_vars(self.formula) - set(self.signature)
         if extra:
             raise ValueError(f"free variables outside signature: {sorted(extra)}")
-
-
-@dataclass(frozen=True)
-class BouncePattern:
-    """An alternating traversal block: kind RR/RL/LR/LL with r bounces.
-
-    RR and LL chains hold 2r+2 states (2r+1 traversals), RL and LR chains
-    hold 2r+3 states (2r+2 traversals).
-    """
-
-    kind: str
-    state_chain: tuple
-    r: int
-
-    def __post_init__(self):
-        if self.kind not in ("RR", "RL", "LR", "LL"):
-            raise ValueError(f"bad kind {self.kind!r}")
-        want = 2 * self.r + (2 if self.kind in ("RR", "LL") else 3)
-        if len(self.state_chain) != want:
-            raise ValueError(
-                f"{self.kind} with r={self.r} needs {want} states, got {len(self.state_chain)}"
-            )
-
-    @property
-    def directions(self) -> tuple:
-        first = "Right" if self.kind[0] == "R" else "Left"
-        other = "Left" if first == "Right" else "Right"
-        n = len(self.state_chain) - 1
-        return tuple(first if i % 2 == 0 else other for i in range(n))
 
 
 @dataclass(frozen=True)
@@ -278,110 +244,28 @@ def reach_formula(aut, stop, s, s2) -> ParamFormula:
 # Launch classification at a witness length (rebound chains are N-independent)
 
 
-def _witness_length(aut):
-    amp = max(dynamics.basic_sequence(aut, q).amplitude for q in aut.states)
-    return max(1 + amp, 2 * amp + 2)
-
-
-def _launch_at(aut, state, side, N):
-    """Simulate leaving the given endmarker: ('rebound', v, tau) back to the
-    same end, ('cross', v, tau) to the opposite end, ('trapped',) for an
-    interior oscillation, or ('falloff',)."""
-    start = 0 if side == "L" else N + 1
-    far = N + 1 if side == "L" else 0
-    table = aut.delta_left if side == "L" else aut.delta_right
-    s, d = table[state]
-    p = start + d
-    if p < 0 or p > N + 1:
-        return ("falloff",)
-    t = 1
-    seen = set()
-    while True:
-        if p == start:
-            return ("rebound", s, t)
-        if p == far:
-            return ("cross", s, t)
-        if (s, p) in seen:
-            return ("trapped",)
-        seen.add((s, p))
-        s, p = sim._step_one(aut, s, p, N)
-        t += 1
-
-
 @lru_cache(maxsize=None)
 def _launch(aut, state, side):
-    """Length-independent launch classification, checked at two witnesses."""
-    nw = _witness_length(aut)
-    out = _launch_at(aut, state, side, nw)
-    out2 = _launch_at(aut, state, side, nw + 1)
-    stable = out == out2 if out[0] != "cross" else out2[0] == "cross"
+    """Length-independent launch classification, checked at two witnesses.
+
+    A Return must agree in full; any other outcome only in kind, because
+    Oscillate.p and Traverse.T grow with N.
+    """
+    nw = 2 * dynamics.min_sufficient_length(aut)
+    out = dynamics.takeoff(aut, state, side, nw)
+    out2 = dynamics.takeoff(aut, state, side, nw + 1)
+    stable = out == out2 if isinstance(out, dynamics.Return) else type(out) is type(out2)
     if not stable:
         raise UnstableLaunch(f"unstable launch for ({state}, {side}): {out} vs {out2}")
     return out
 
 
 # ---------------------------------------------------------------------------
-# Traversals and bounce blocks
+# Run: reach, through at most K traversals, then reach again
 
 
 def _side_pos(side, Nv):
     return Term(0) if side == "L" else Nv + 1
-
-
-def _traversal_expr(aut, stop, s, s2, direction, Tm, Nv):
-    side = "L" if direction == "Right" else "R"
-    chain = []
-    cur = s
-    seen = {cur}
-    while True:
-        out = _launch(aut, cur, side)
-        if out[0] in ("trapped", "falloff"):
-            return FALSE
-        if out[0] == "rebound":
-            v = out[1]
-            if v in seen or v in stop:
-                return FALSE
-            chain.append((cur, v))
-            seen.add(v)
-            cur = v
-            continue
-        break
-    here = _side_pos(side, Nv)
-    there = _side_pos("R" if side == "L" else "L", Nv)
-    tvars = [var(_fresh_var("t")) for _ in range(len(chain) + 1)]
-    parts = [eq(Tm - sum(tvars, Term(0)))]
-    for (u, v), tv in zip(chain, tvars):
-        parts.append(_reach(aut, stop, u, v, here, here, tv))
-    parts.append(_reach(aut, stop, cur, s2, here, there, tvars[-1]))
-    return exists([t.coeffs[0][0] for t in tvars], land(*parts))
-
-
-def traversal_formula(aut, stop, s, s2, direction) -> ParamFormula:
-    """Right/Left traversal through the fixed rebound chain; False when the
-    pair cannot traverse."""
-    if direction not in ("Right", "Left"):
-        raise ValueError(f"direction must be Right or Left, got {direction!r}")
-    f = _traversal_expr(aut, frozenset(stop), s, s2, direction, var("T"), var("N"))
-    return ParamFormula(f, ("N", "T"))
-
-
-def bounce_formula(aut, stop, pattern: BouncePattern) -> ParamFormula:
-    """Alternating traversal block with T = sum of the traversal times."""
-    stop = frozenset(stop)
-    Nv, Tm = var("N"), var("T")
-    chain = pattern.state_chain
-    dirs = pattern.directions
-    tvars = [var(_fresh_var("t")) for _ in dirs]
-    parts = [eq(Tm - sum(tvars, Term(0)))]
-    for i, d in enumerate(dirs):
-        parts.append(_traversal_expr(aut, stop, chain[i], chain[i + 1], d, tvars[i], Nv))
-    return ParamFormula(
-        exists([t.coeffs[0][0] for t in tvars], land(*parts)), ("N", "T")
-    )
-
-
-# ---------------------------------------------------------------------------
-# Run: reach, through at most K traversals, then reach again
 
 
 @lru_cache(maxsize=None)
@@ -447,8 +331,7 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
     them while the call runs and is dropped when it returns.
     """
     stop = frozenset(stop)
-    nmin = 1 + max(dynamics.basic_sequence(aut, q).amplitude for q in aut.states)
-    long_enough = ge(Nv, nmin)
+    long_enough = ge(Nv, dynamics.min_sufficient_length(aut))
     reaches: dict = {}
 
     def reach(u, v, A, B, tv):
@@ -496,9 +379,9 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
         # times, so a lap broken by a stop state cannot pretend to cycle.
         lap_parts = []
         for q, sd in path[entry_index:]:
-            _, v, tau = _launch(aut, q, sd)
+            back = _launch(aut, q, sd)
             lap_parts.append(
-                reach(q, v, _side_pos(sd, Nv), _side_pos(sd, Nv), Term(tau))
+                reach(q, back.state, _side_pos(sd, Nv), _side_pos(sd, Nv), Term(back.T))
             )
         h = var(_fresh_var("h"))
         for t in range(entry_index, len(path)):
@@ -518,16 +401,16 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
         if u in stop:
             return
         out = _launch(aut, u, side)
-        if out[0] in ("trapped", "falloff"):
+        if isinstance(out, (dynamics.Oscillate, dynamics.FallOff)):
             return
-        if out[0] == "rebound":
-            v = out[1]
-            nxt = (v, side)
+        if isinstance(out, dynamics.Return):
+            nxt = (out.state, side)
             for idx in range(len(path)):
                 if path[idx] == nxt:
                     lap = path[idx:]
-                    if all(_launch(aut, q, sd)[0] == "rebound" for q, sd in lap):
-                        period = sum(_launch(aut, q, sd)[2] for q, sd in lap)
+                    launches = [_launch(aut, q, sd) for q, sd in lap]
+                    if all(isinstance(x, dynamics.Return) for x in launches):
+                        period = sum(x.T for x in launches)
                         emit_loop(path, tvars, idx, period)
                         return
             tv = var(_fresh_var("t"))
@@ -943,6 +826,23 @@ def advance_frontier(system, frontier: PhaseFrontier, bounds) -> list:
     return renamed
 
 
+def phase_frontiers(system, bounds, depth):
+    """Every frontier reachable with at most ``depth`` messages, breadth first.
+
+    A frontier is advanced only after the caller has taken it, so work the
+    caller does per frontier runs in a fixed order with the advances (which
+    keeps the fresh variable names of every formula built stable).
+    """
+    layer = [initial_frontier(system)]
+    for k in range(depth + 1):
+        nxt = []
+        for fr in layer:
+            yield fr
+            if k < depth:
+                nxt.extend(f for _, f in advance_frontier(system, fr, bounds))
+        layer = nxt
+
+
 # ---------------------------------------------------------------------------
 # Acceptance and the recognized set
 
@@ -1017,18 +917,11 @@ def recognized_set(system) -> UltimatelyPeriodicSet:
     system = validate_system(system)
     bounds = bounds_profile(system)
     nmin = dynamics.min_sufficient_length(system)
-    layer = [initial_frontier(system)]
-    parts = []
-    for depth in range(system.message_bound + 1):
-        nxt = []
-        for fr in layer:
-            final = fr.messages_spent == system.message_bound
-            parts.append(accept_formula(system, fr, final))
-            if not final:
-                nxt.extend(f for _, f in advance_frontier(system, fr, bounds))
-        layer = nxt
-        if not layer:
-            break
+    m = system.message_bound
+    parts = [
+        accept_formula(system, fr, fr.messages_spent == m)
+        for fr in phase_frontiers(system, bounds, m)
+    ]
     phi = land(lor(*parts), ge(var("N"), nmin))
     ups = solution_set(phi, "N")
     width = max(ups.threshold, nmin)

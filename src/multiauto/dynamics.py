@@ -20,6 +20,7 @@ __all__ = [
     "Return",
     "Oscillate",
     "Traverse",
+    "FallOff",
     "InputTooShort",
     "basic_sequence",
     "takeoff",
@@ -89,8 +90,9 @@ def basic_sequence(automaton: Automaton, state: str) -> BasicSequenceProfile:
 
 @dataclass(frozen=True)
 class Return:
-    """The head comes back to the starting endmarker after T steps."""
+    """The head comes back to the starting endmarker in ``state`` after T steps."""
 
+    state: str
     T: int
 
 
@@ -109,21 +111,31 @@ class Oscillate:
 
 @dataclass(frozen=True)
 class Traverse:
-    """The head crosses over and reaches the opposite endmarker."""
+    """The head crosses over and reaches the opposite endmarker in ``state``
+    after T steps."""
+
+    state: str
+    T: int
+
+
+@dataclass(frozen=True)
+class FallOff:
+    """The head leaves the tape at step T (an ill-designed automaton)."""
+
+    T: int
 
 
 def takeoff(automaton: Automaton, state: str, end: str, N: int):
     """Classify the trajectory leaving ``end`` ("L" or "R") in ``state`` on a^N.
 
     Requires N >= the sufficient input length of the automaton, so the
-    classification is independent of N.  Returns Return, Oscillate or
-    Traverse.
+    kind of outcome is independent of N, and so is the whole of a Return;
+    Oscillate.p and the fields of Traverse may depend on N.  Returns Return,
+    Oscillate, Traverse or FallOff.
     """
     if end not in ("L", "R"):
         raise ValueError(f"end must be 'L' or 'R', got {end!r}")
-    nmin = 1 + max(
-        basic_sequence(automaton, s).amplitude for s in automaton.states
-    )
+    nmin = min_sufficient_length(automaton)
     if N < nmin:
         raise InputTooShort(f"N={N} below sufficient length {nmin}")
     start_pos = 0 if end == "L" else N + 1
@@ -145,13 +157,11 @@ def takeoff(automaton: Automaton, state: str, end: str, N: int):
         p += mv
         t += 1
         if p == start_pos:
-            return Return(T=t)
+            return Return(state=s, T=t)
         if p == far_pos:
-            return Traverse()
+            return Traverse(state=s, T=t)
         if p < 0 or p > N + 1:
-            # Fell off the tape: treat like returning to the starting end,
-            # the trajectory is over either way.
-            return Return(T=t)
+            return FallOff(T=t)
 
 
 def min_sufficient_length(system) -> int:

@@ -73,7 +73,6 @@ __all__ = [
     "eliminate",
     "solution_set",
     "UltimatelyPeriodicSet",
-    "ups_member",
     "ups_equal",
     "to_sexpr",
     "UnboundVariable",
@@ -1190,10 +1189,6 @@ class UltimatelyPeriodicSet:
         return f"t={self.threshold} p={self.period} low={bits} residues={{{res}}}"
 
     __repr__ = __str__
-
-
-def ups_member(u: UltimatelyPeriodicSet, n: int) -> bool:
-    return u.member(n)
 
 
 def ups_equal(a: UltimatelyPeriodicSet, b: UltimatelyPeriodicSet) -> bool:

@@ -25,7 +25,6 @@ __all__ = [
     "global_step",
     "run",
     "accepts",
-    "brute_force_spectrum",
     "segment_run",
     "trace_log",
 ]
@@ -158,11 +157,6 @@ def accepts(system: MultiSystem, N: int) -> bool:
             return False
         seen.add((s, p))
         s, p = _step_one(aut, s, p, N)
-
-
-def brute_force_spectrum(system: MultiSystem, n_max: int) -> list:
-    """[accepts(system, 0), ..., accepts(system, n_max)]."""
-    return [accepts(system, n) for n in range(n_max + 1)]
 
 
 class NoStopWithinBudget(Exception):

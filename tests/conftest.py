@@ -38,6 +38,31 @@ def systems():
     return {name: load_fixture(name) for name in FIXTURE_NAMES}
 
 
+def falloff_spec():
+    """A spec that validates although its head falls off the tape: in w on
+    the left endmarker it moves to x and one cell further left."""
+    delta = [
+        ("w", "L", "x", -1),
+        ("w", "a", "w", 1),
+        ("w", "R", "w", 0),
+        ("x", "L", "x", 1),
+        ("x", "a", "x", 1),
+        ("x", "R", "x", 0),
+    ]
+    automaton = {
+        "name": "A1",
+        "states": ["w", "x"],
+        "initial": "w",
+        "finals": ["x"],
+        "broadcasting": [],
+        "delta": [
+            {"state": s, "symbol": sym, "next": nxt, "move": mv}
+            for s, sym, nxt, mv in delta
+        ],
+    }
+    return {"version": 1, "automata": [automaton], "message_bound": 1}
+
+
 def unique_automata(systems):
     """Deduplicated automata across a collection of systems."""
     seen = {}

@@ -37,6 +37,7 @@ from conftest import (
     load_fixture,
     unique_automata,
 )
+from oracles import reach_trajectory
 
 FUZZ_SEED = 20240817
 FUZZ_COUNT = 100
@@ -110,23 +111,6 @@ def test_criterion_3_takeoff_return_bound(systems):
 # 4. Reach soundness, exhaustive grid
 
 
-def _reach_truth(aut, stop, s, N, tmax):
-    """Realized (state, pos, t) triples per start position (endmarker-free)."""
-    per_start = []
-    for p in range(N + 2):
-        realized = [(s, p, 0)]
-        cs, cp = s, p
-        for t in range(1, tmax + 1):
-            if t > 1 and (cp == 0 or cp == N + 1):
-                break
-            if t > 1 and cs in stop:
-                break
-            cs, cp = sim._step_one(aut, cs, cp, N)
-            realized.append((cs, cp, t))
-        per_start.append(realized)
-    return per_start
-
-
 def test_criterion_4_reach_exhaustive(systems):
     started = time.monotonic()
     n_max, t_max = 40, 400
@@ -141,7 +125,10 @@ def test_criterion_4_reach_exhaustive(systems):
         stops = [frozenset()] + [frozenset({q}) for q in sorted(aut.states)][:1]
         for stop in stops:
             for s in sorted(aut.states):
-                truth = [_reach_truth(aut, stop, s, N, t_max) for N in range(n_max + 1)]
+                truth = [
+                    [reach_trajectory(aut, stop, s, p, N, t_max) for p in range(N + 2)]
+                    for N in range(n_max + 1)
+                ]
                 shape = (n_max + 1, n_max + 2, n_max + 2, t_max + 1)
                 want = {s2: np.zeros(shape, dtype=bool) for s2 in aut.states}
                 for N in range(n_max + 1):

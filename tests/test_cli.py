@@ -8,7 +8,7 @@ import pytest
 
 from multiauto import cli
 
-from conftest import FIXTURE_NAMES, fixture_path, load_fixture
+from conftest import FIXTURE_NAMES, falloff_spec, fixture_path, load_fixture
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -17,6 +17,13 @@ def run_cli(capsys, *argv):
     code = cli.main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def falloff_path(tmp_path):
+    path = tmp_path / "falloff.spec"
+    path.write_text(json.dumps(falloff_spec()))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +84,15 @@ def test_simulate_missing_file_exit_two(capsys):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize("argv", [("simulate", "--n", "3"), ("extract",)])
+def test_head_falling_off_is_an_input_error(capsys, falloff_path, argv):
+    command, *rest = argv
+    code, _, err = run_cli(capsys, command, falloff_path, *rest)
+    assert code == 2
+    assert err.startswith("error: A1: head moved to -1")
+    assert len(err.splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -90,6 +106,19 @@ def test_analyze_walker(capsys):
     assert w["amplitude"] == 1
     assert w["takeoff"]["L"]["outcome"] == "Traverse"
     assert report["bounds"]["K"] == 2
+
+
+def test_analyze_reports_falloff(capsys, falloff_path):
+    code, out, _ = run_cli(capsys, "analyze", falloff_path)
+    assert code == 0
+    states = json.loads(out)["automata"][0]["states"]
+    assert states["w"]["takeoff"]["L"] == {"n": 2, "outcome": "FallOff", "T": 1}
+    assert states["w"]["takeoff"]["R"] == {
+        "n": 2, "outcome": "Return", "state": "w", "T": 1
+    }
+    assert states["x"]["takeoff"]["L"] == {
+        "n": 2, "outcome": "Traverse", "state": "x", "T": 3
+    }
 
 
 def test_analyze_drift3(capsys):
@@ -142,9 +171,12 @@ def test_extract_dump_formula(capsys):
     assert lines[-1] == "t=0 p=1 low= residues={0}"
 
 
-@pytest.mark.parametrize("stage", ["run:1:A1.q0:A1.q0", "run:2:x:x"])
+@pytest.mark.parametrize(
+    "stage", ["run:1:A1.q0:A1.q0", "run:2:x:x", "frontier:3", "accept:-1"]
+)
 def test_extract_dump_formula_unknown_target_exit_two(capsys, stage):
-    # crosser2 has one automaton, A1, whose states are x and y.
+    # crosser2 has one automaton, A1, whose states are x and y, and a
+    # message bound of 2.
     code, _, err = run_cli(
         capsys, "extract", fixture_path("crosser2"), "--dump-formula", stage
     )

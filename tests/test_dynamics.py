@@ -3,10 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiauto import dynamics
-from multiauto.model import Automaton
+from multiauto import dynamics, sim
+from multiauto.model import Automaton, validate_system
 
-from conftest import load_fixture, unique_automata
+from conftest import falloff_spec, load_fixture, unique_automata
 
 
 def test_walker_basic_sequence():
@@ -48,6 +48,33 @@ def test_pingpong_takeoff_oscillates():
     n = dynamics.min_sufficient_length(aut)
     out = dynamics.takeoff(aut, "r", "L", n)
     assert isinstance(out, dynamics.Oscillate)
+
+
+def test_takeoff_falloff():
+    aut = validate_system(falloff_spec()).automata[0]
+    n = dynamics.min_sufficient_length(aut)
+    assert dynamics.takeoff(aut, "w", "L", n) == dynamics.FallOff(T=1)
+
+
+def test_takeoff_landing_matches_replay(systems):
+    # Replay every launch with the simulator's own step: a Return or
+    # Traverse names the state and time of the first endmarker contact.
+    for aut in unique_automata(systems):
+        n = dynamics.min_sufficient_length(aut)
+        for s in sorted(aut.states):
+            for side in ("L", "R"):
+                out = dynamics.takeoff(aut, s, side, n)
+                start = 0 if side == "L" else n + 1
+                q, p = s, start
+                # n * |Q| interior configurations: one more step repeats one.
+                for t in range(1, n * len(aut.states) + 2):
+                    q, p = sim._step_one(aut, q, p, n)
+                    if p in (0, n + 1):
+                        landed = dynamics.Return if p == start else dynamics.Traverse
+                        assert out == landed(q, t), (aut.name, s, side)
+                        break
+                else:
+                    assert isinstance(out, dynamics.Oscillate), (aut.name, s, side)
 
 
 def test_takeoff_rejects_short_input():

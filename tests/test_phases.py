@@ -12,17 +12,36 @@ def _pi_names(n):
     return [f"pi{i}" for i in range(1, n + 1)]
 
 
-def _frontier_layers(system, depth=None):
-    bounds = bounds_profile(system)
-    if depth is None:
-        depth = system.message_bound
-    layers = [[C.initial_frontier(system)]]
-    for _ in range(depth):
-        nxt = []
-        for fr in layers[-1]:
-            nxt.extend(f for _, f in C.advance_frontier(system, fr, bounds))
-        layers.append(nxt)
+def _layers_by_messages(system):
+    """phase_frontiers grouped by the number of messages spent."""
+    m = system.message_bound
+    layers = [[] for _ in range(m + 1)]
+    for fr in C.phase_frontiers(system, bounds_profile(system), m):
+        layers[fr.messages_spent].append(fr)
     return layers
+
+
+def test_phase_frontiers_advance_each_frontier_after_it_is_taken(monkeypatch):
+    # recognized_set builds a frontier's acceptance formula before that
+    # frontier is advanced, and the fresh names of both depend on the order.
+    system = load_fixture("crosser2")
+    m = system.message_bound
+    log = []
+    advance = C.advance_frontier
+
+    def logged_advance(system, fr, bounds):
+        log.append(("advance", id(fr)))
+        return advance(system, fr, bounds)
+
+    monkeypatch.setattr(C, "advance_frontier", logged_advance)
+    expected = []
+    for fr in C.phase_frontiers(system, bounds_profile(system), m):
+        log.append(("take", id(fr)))
+        expected.append(("take", id(fr)))
+        if fr.messages_spent < m:
+            expected.append(("advance", id(fr)))
+    assert log == expected
+    assert [kind for kind, _ in log].count("take") > 2
 
 
 def test_initial_frontier_pins_heads_to_zero():
@@ -49,7 +68,7 @@ def test_racer2_first_dispatch_is_a2_alone():
 def test_frontier_positions_match_simulation():
     for name in ("even", "crosser2", "racer2"):
         system = load_fixture(name)
-        layers = _frontier_layers(system)
+        layers = _layers_by_messages(system)
         for depth, layer in enumerate(layers[1:], start=1):
             for N in (3, 8, 15, 24):
                 events = C._phase_trace(system, N)
@@ -69,7 +88,7 @@ def test_frontier_graphs_are_functional():
     for name in ("even", "slowracer", "trio"):
         system = load_fixture(name)
         n = system.n
-        for layer in _frontier_layers(system):
+        for layer in _layers_by_messages(system):
             for fr in layer:
                 g = eliminate(fr.position_graph.formula)
                 env = {"N": np.arange(41).reshape((41,) + (1,) * n)}
@@ -92,7 +111,7 @@ def test_phase_formula_checks_theta():
 def test_advance_requires_remaining_messages():
     system = load_fixture("walker")
     bounds = bounds_profile(system)
-    layers = _frontier_layers(system)
+    layers = _layers_by_messages(system)
     final = layers[-1][0]
     assert final.messages_spent == system.message_bound
     with pytest.raises(ValueError):
@@ -101,7 +120,7 @@ def test_advance_requires_remaining_messages():
 
 def test_accept_formula_walker():
     system = load_fixture("walker")
-    layers = _frontier_layers(system)
+    layers = _layers_by_messages(system)
     # Before its (time-0) broadcast the walker has no chance to accept ...
     f0 = C.accept_formula(system, layers[0][0], final_phase=False)
     assert eliminate(f0) is not None

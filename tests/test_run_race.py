@@ -3,7 +3,7 @@ import pytest
 
 from multiauto import construction as C, dynamics, sim
 from multiauto.model import bounds_profile
-from multiauto.presburger import FALSE, eliminate, evaluate, vector_eval
+from multiauto.presburger import eliminate, evaluate, vector_eval
 
 from conftest import load_fixture
 from oracles import first_broadcast_time, run_trajectory
@@ -56,40 +56,6 @@ def test_run_matches_trajectory_with_stops():
                 assert np.array_equal(got, want), (s, s2, N)
 
 
-def test_walker_traversal():
-    aut = load_fixture("walker").automata[0]
-    pf = C.traversal_formula(aut, frozenset(), "w", "w", "Right")
-    g = eliminate(pf.formula)
-    for n in (2, 3, 10):
-        assert evaluate(g, {"N": n, "T": n + 1})
-        assert not evaluate(g, {"N": n, "T": n})
-
-
-def test_traversal_impossible_without_drift():
-    aut = load_fixture("pingpong").automata[0]
-    pf = C.traversal_formula(aut, frozenset(), "r", "r", "Right")
-    assert pf.formula is FALSE
-
-
-def test_zigzag_bounce_rl():
-    aut = load_fixture("zigzag").automata[0]
-    # Chain entries are marker-arrival states: f launches, arrives at the
-    # right marker still in f, and lands back at the left marker in b.
-    pattern = C.BouncePattern(kind="RL", state_chain=("f", "f", "b"), r=0)
-    g = eliminate(C.bounce_formula(aut, frozenset(), pattern).formula)
-    # Out in N+1 steps, back in N+1 steps.
-    for n in (3, 8, 15):
-        assert evaluate(g, {"N": n, "T": 2 * (n + 1)}), n
-        assert not evaluate(g, {"N": n, "T": 2 * n + 1}), n
-
-
-def test_bounce_pattern_validation():
-    with pytest.raises(ValueError):
-        C.BouncePattern(kind="XX", state_chain=("a", "b"), r=0)
-    with pytest.raises(ValueError):
-        C.BouncePattern(kind="RL", state_chain=("a", "b"), r=0)
-
-
 def test_race_first_broadcast_times():
     system = load_fixture("slowracer")
     for aut, start in zip(system.automata, ("w", "c0")):
@@ -139,14 +105,16 @@ def test_run_deterministic_on_sample():
 @pytest.mark.parametrize(
     "first, second",
     [
-        (("rebound", "w", 4), ("rebound", "w", 5)),  # rebound time grows with N
-        (("cross", "w", 4), ("trapped",)),  # a crossing turns into a trap
+        # the rebound time grows with N
+        (dynamics.Return("w", 4), dynamics.Return("w", 5)),
+        # a crossing turns into a trap
+        (dynamics.Traverse("w", 4), dynamics.Oscillate(p=2, T1=1, T2=2)),
     ],
 )
 def test_unstable_launch_raises(monkeypatch, first, second):
     aut = load_fixture("walker").automata[0]
     outcomes = iter([first, second])
-    monkeypatch.setattr(C, "_launch_at", lambda *args: next(outcomes))
+    monkeypatch.setattr(dynamics, "takeoff", lambda *args: next(outcomes))
     # Bypass the lru_cache so no earlier classification is returned or kept.
     with pytest.raises(C.UnstableLaunch):
         C._launch.__wrapped__(aut, "w", "L")
