@@ -46,7 +46,10 @@ _SYMBOL_ORDER = {"L": 0, "a": 1, "R": 2}
 def load_spec(path: str) -> MultiSystem:
     """Parse and validate a spec file into a MultiSystem."""
     with open(path, "r", encoding="ascii") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # bad JSON, a non-ASCII byte, an oversized number
+            raise ValidationError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise ValidationError("spec file must be a JSON object")
     if raw.get("version") != SPEC_VERSION:
@@ -149,6 +152,13 @@ def cmd_extract(args) -> int:
     return EXIT_OK
 
 
+def _stage_int(stage: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"stage {stage}: {text!r} is not an integer") from None
+
+
 def _dump_stage(system, stage: str) -> None:
     """Print one intermediate ParamFormula as an s-expression.
 
@@ -160,7 +170,7 @@ def _dump_stage(system, stage: str) -> None:
     if kind in ("reach", "run"):
         if len(parts) != 4:
             raise ValidationError(f"stage {stage}: expected {kind}:<i>:<s>:<s'>")
-        i, s, s2 = int(parts[1]), parts[2], parts[3]
+        i, s, s2 = _stage_int(stage, parts[1]), parts[2], parts[3]
         if not 1 <= i <= len(system.automata):
             raise ValidationError(
                 f"stage {stage}: automaton index {i} not in 1..{len(system.automata)}"
@@ -181,7 +191,7 @@ def _dump_stage(system, stage: str) -> None:
     if kind in ("frontier", "accept"):
         if len(parts) != 2:
             raise ValidationError(f"stage {stage}: expected {kind}:<k>")
-        k = int(parts[1])
+        k = _stage_int(stage, parts[1])
         if not 0 <= k <= system.message_bound:
             raise ValidationError(f"stage {stage}: no such phase layer")
         for fr in construction.phase_frontiers(system, bounds_profile(system), k):
@@ -271,6 +281,11 @@ def generate_system(
 
 
 def cmd_fuzz(args) -> int:
+    for flag in ("max_states", "max_automata", "max_messages"):
+        if getattr(args, flag) < 1:
+            raise ValidationError(
+                f"--{flag.replace('_', '-')} must be >= 1, got {getattr(args, flag)}"
+            )
     rng = random.Random(args.seed)
     failures = 0
     for i in range(args.count):
@@ -442,13 +457,7 @@ def main(argv=None) -> int:
         finally:
             os.close(null)
         return EXIT_PIPE
-    except (
-        OSError,
-        json.JSONDecodeError,
-        ValidationError,
-        ValueError,
-        sim.HeadFellOff,
-    ) as exc:
+    except (OSError, ValidationError, sim.HeadFellOff) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -12,6 +12,12 @@ single one-variable formula that is lowered to an ultimately periodic set.
 
 All formulas are exact descriptions of the simulator for sufficiently long
 inputs; the recognized set patches the short inputs by direct simulation.
+
+Which branches get built is decided by sampling: ``_phase_trace`` records
+the broadcast events of the run on each sampled length.  It runs on the
+table kernel ``sim.broadcast_events``, which steps quiet stretches on int
+tables and leaves every broadcasting step, and so the message rules, to
+``sim.global_step``.
 """
 
 from __future__ import annotations
@@ -613,56 +619,45 @@ def _sample_lengths(system):
 @lru_cache(maxsize=None)
 def _phase_trace(system, N):
     """Broadcast events of the run on a^N: list of (time, indices, config),
-    stopping once no further broadcast can occur."""
-    config = sim.GlobalConfiguration(
-        tuple(a.initial for a in system.automata),
-        tuple(0 for _ in system.automata),
-        0,
-    )
-    maxq = max(len(a.states) for a in system.automata)
-    patience = (N + 2) * maxq + 2
-    events = []
-    quiet = 0
-    t = 0
-    while config.messages_used < system.message_bound and quiet <= patience:
-        nxt, broadcasters = sim.global_step(system, config, N)
-        if broadcasters:
-            events.append((t, broadcasters, config))
-            quiet = 0
-        else:
-            quiet += 1
-        config = nxt
-        t += 1
-    return tuple(events)
+    stopping once no further broadcast can occur.
+
+    The cached entry point of the sampling.  The run itself goes through
+    the table kernel :func:`sim.broadcast_events`, whose quiet steps run
+    on int tables while every broadcasting step, and so every message
+    rule, goes through :func:`sim.global_step`.
+    """
+    return sim.broadcast_events(system, N)
 
 
 @lru_cache(maxsize=None)
 def _measured_crossings(system):
     """Max endmarker-to-endmarker traversals by any automaton inside one
-    phase, over the sampled lengths."""
+    phase, over the sampled lengths.  Each automaton is re-simulated alone
+    on the same int tables as the kernel (:func:`sim.solo_positions`)."""
     best = 0
     for N in _sample_lengths(system)[:: max(1, len(_sample_lengths(system)) // 80)]:
         events = _phase_trace(system, N)
         times = [t for t, _, _ in events]
         # Re-simulate each automaton alone, counting crossings per phase.
         for aut in system.automata:
-            s, p = aut.initial, 0
             crossings = 0
             ci = 0
             last_end = None
             horizon = (times[-1] if times else 0) + (N + 2) * (len(aut.states) + 1)
-            for t in range(1, horizon + 1):
-                s, p = sim._step_one(aut, s, p, N)
+            for t, p in enumerate(sim.solo_positions(aut, N, horizon), 1):
+                if 0 < p <= N:
+                    continue
+                # Only endmarker visits read the per-phase counters, so
+                # phases are closed lazily, at the next visit.
                 while ci < len(times) and t > times[ci]:
                     ci += 1
                     crossings = 0
                     last_end = None
-                if p == 0 or p == N + 1:
-                    end = "L" if p == 0 else "R"
-                    if last_end is not None and end != last_end:
-                        crossings += 1
-                        best = max(best, crossings)
-                    last_end = end
+                end = "L" if p == 0 else "R"
+                if last_end is not None and end != last_end:
+                    crossings += 1
+                    best = max(best, crossings)
+                last_end = end
     return best
 
 

@@ -73,7 +73,6 @@ __all__ = [
     "eliminate",
     "solution_set",
     "UltimatelyPeriodicSet",
-    "ups_equal",
     "to_sexpr",
     "UnboundVariable",
     "BudgetExceeded",
@@ -1189,10 +1188,6 @@ class UltimatelyPeriodicSet:
         return f"t={self.threshold} p={self.period} low={bits} residues={{{res}}}"
 
     __repr__ = __str__
-
-
-def ups_equal(a: UltimatelyPeriodicSet, b: UltimatelyPeriodicSet) -> bool:
-    return a.canonical() == b.canonical()
 
 
 def solution_set(

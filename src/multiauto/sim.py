@@ -21,11 +21,11 @@ __all__ = [
     "RejectedDead",
     "Trace",
     "HeadFellOff",
-    "NoStopWithinBudget",
     "global_step",
+    "broadcast_events",
+    "solo_positions",
     "run",
     "accepts",
-    "segment_run",
     "trace_log",
 ]
 
@@ -82,8 +82,12 @@ def _step_one(aut, s, p, N):
         nxt, mv = aut.delta_inner[s]
     q = p + mv
     if q < 0 or q > N + 1:
-        raise HeadFellOff(f"{aut.name}: head moved to {q} on a tape of length {N}")
+        raise _fell_off(aut, q, N)
     return nxt, q
+
+
+def _fell_off(aut, q, N):
+    return HeadFellOff(f"{aut.name}: head moved to {q} on a tape of length {N}")
 
 
 def global_step(system: MultiSystem, config: GlobalConfiguration, N: int):
@@ -159,23 +163,104 @@ def accepts(system: MultiSystem, N: int) -> bool:
         s, p = _step_one(aut, s, p, N)
 
 
-class NoStopWithinBudget(Exception):
-    """segment_run exhausted its step budget without hitting a stop condition."""
+def _int_tables(aut):
+    """One automaton's transitions on ints: (names, index, nxt, move, loud).
 
-
-def segment_run(automaton, state, pos, N, stop_states, budget=None):
-    """Run one automaton from (state, pos) until it enters a stop state or
-    touches an endmarker, whichever happens first; stop conditions are
-    checked strictly after the start.  Returns (state, pos, T).
+    States are numbered in iteration order.  Entry 3*s + k of ``nxt`` and
+    ``move`` is state s's transition on the left endmarker (k = 0), on an
+    inner cell (k = 1) or on the right endmarker (k = 2); ``loud[s]`` says
+    whether s broadcasts.
     """
-    if budget is None:
-        budget = (len(automaton.states) + 1) * (N + 2) + 2
-    s, p = state, pos
-    for t in range(1, budget + 1):
-        s, p = _step_one(automaton, s, p, N)
-        if s in stop_states or p == 0 or p == N + 1:
-            return s, p, t
-    raise NoStopWithinBudget(f"no stop within {budget} steps from ({state}, {pos})")
+    names = list(aut.states)
+    index = {s: i for i, s in enumerate(names)}
+    nxt, move = [], []
+    for s in names:
+        for table in (aut.delta_left, aut.delta_inner, aut.delta_right):
+            q, d = table[s]
+            nxt.append(index[q])
+            move.append(d)
+    return names, index, nxt, move, [s in aut.broadcasting for s in names]
+
+
+def broadcast_events(system: MultiSystem, N: int) -> tuple:
+    """Broadcast events of the run on a^N: ``(t, broadcaster_indices,
+    config)`` triples, where the step leaving ``config`` at time t emitted
+    the message.  The run stops once the message bound is spent or after
+    more than ``patience = (N + 2) * q + 2`` quiet steps in a row, q being
+    the largest state count; a quiet step is one where no automaton is in
+    a broadcasting state.
+
+    The patience stop is exact, not a heuristic.  Messages never change a
+    transition, so in a quiet stretch each automaton walks alone and
+    deterministically.  It has at most (N + 2) * q distinct (state,
+    position) pairs, and once its walk repeats a pair it repeats forever.
+    So if it will ever be in a broadcasting state again, or fall off the
+    tape, that happens within (N + 2) * q steps of the last broadcast (or
+    of the start); after ``patience`` quiet steps no automaton can do
+    either.
+
+    Quiet steps run on plain int lists (see :func:`_int_tables`): they
+    build no configuration or broadcaster set and make no
+    :func:`_step_one` call.  Each broadcasting configuration is built as a
+    GlobalConfiguration and stepped by :func:`global_step`, the one place
+    that applies the message rules.  HeadFellOff is raised at the step
+    where a head leaves the tape, with :func:`_step_one`'s message.
+    """
+    automata = system.automata
+    ids = range(len(automata))
+    names, index, nxt, move, loud = zip(*map(_int_tables, automata))
+    end = N + 1
+    patience = (N + 2) * max(len(a.states) for a in automata) + 2
+    state = [index[i][a.initial] for i, a in enumerate(automata)]
+    pos = [0] * len(automata)
+    used = 0
+    events = []
+    quiet = 0
+    t = 0
+    noisy = any(loud[i][state[i]] for i in ids)
+    while used < system.message_bound and quiet <= patience:
+        if noisy:
+            config = GlobalConfiguration(
+                tuple(names[i][state[i]] for i in ids), tuple(pos), used
+            )
+            after, broadcasters = global_step(system, config, N)
+            events.append((t, broadcasters, config))
+            quiet = 0
+            used = after.messages_used
+            state = [index[i][s] for i, s in enumerate(after.sigma)]
+            pos = list(after.pi)
+            noisy = any(loud[i][state[i]] for i in ids)
+        else:
+            quiet += 1
+            for i in ids:
+                p = pos[i]
+                k = 3 * state[i] + (0 if p == 0 else 2 if p == end else 1)
+                p += move[i][k]
+                if p < 0 or p > end:
+                    raise _fell_off(automata[i], p, N)
+                s = state[i] = nxt[i][k]
+                pos[i] = p
+                noisy = noisy or loud[i][s]
+        t += 1
+    return tuple(events)
+
+
+def solo_positions(aut, N: int, steps: int) -> list:
+    """Head positions of ``aut`` running alone from its initial
+    configuration at times 1..steps, stepped on the int tables; raises
+    HeadFellOff as :func:`_step_one` would."""
+    _, index, nxt, move, _ = _int_tables(aut)
+    end = N + 1
+    s, p = index[aut.initial], 0
+    out = []
+    for _ in range(steps):
+        k = 3 * s + (0 if p == 0 else 2 if p == end else 1)
+        p += move[k]
+        if p < 0 or p > end:
+            raise _fell_off(aut, p, N)
+        s = nxt[k]
+        out.append(p)
+    return out
 
 
 def trace_log(trace: Trace) -> str:

@@ -3,6 +3,8 @@
 The reach/run oracles replay one automaton's trajectory step by step and
 record exactly which (state, position, time) triples are realized under each
 predicate's side conditions; the formulas are then required to agree.
+``phase_trace`` and ``measured_crossings`` are the step-by-step references
+for the phase pipeline's sampling kernel.
 """
 
 from multiauto import sim
@@ -60,3 +62,76 @@ def first_broadcast_time(aut, s, p, N, tmax):
         except sim.HeadFellOff:
             return None
     return None
+
+
+class NoStopWithinBudget(Exception):
+    """segment_run exhausted its step budget without hitting a stop condition."""
+
+
+def segment_run(automaton, state, pos, N, stop_states, budget=None):
+    """Run one automaton from (state, pos) until it enters a stop state or
+    touches an endmarker, whichever happens first; stop conditions are
+    checked strictly after the start.  Returns (state, pos, T).
+    """
+    if budget is None:
+        budget = (len(automaton.states) + 1) * (N + 2) + 2
+    s, p = state, pos
+    for t in range(1, budget + 1):
+        s, p = sim._step_one(automaton, s, p, N)
+        if s in stop_states or p == 0 or p == N + 1:
+            return s, p, t
+    raise NoStopWithinBudget(f"no stop within {budget} steps from ({state}, {pos})")
+
+
+def phase_trace(system, N, stretch=1):
+    """Reference for ``sim.broadcast_events``: every step through
+    ``sim.global_step``.  ``stretch`` multiplies the patience, so a test
+    can check that waiting longer finds no further event."""
+    config = sim.GlobalConfiguration(
+        tuple(a.initial for a in system.automata),
+        tuple(0 for _ in system.automata),
+        0,
+    )
+    maxq = max(len(a.states) for a in system.automata)
+    patience = stretch * ((N + 2) * maxq + 2)
+    events = []
+    quiet = 0
+    t = 0
+    while config.messages_used < system.message_bound and quiet <= patience:
+        nxt, broadcasters = sim.global_step(system, config, N)
+        if broadcasters:
+            events.append((t, broadcasters, config))
+            quiet = 0
+        else:
+            quiet += 1
+        config = nxt
+        t += 1
+    return tuple(events)
+
+
+def measured_crossings(system, lengths):
+    """Reference for ``construction._measured_crossings`` over the given
+    sampled lengths: each automaton re-simulated alone with ``_step_one``."""
+    best = 0
+    for N in lengths[:: max(1, len(lengths) // 80)]:
+        events = phase_trace(system, N)
+        times = [t for t, _, _ in events]
+        for aut in system.automata:
+            s, p = aut.initial, 0
+            crossings = 0
+            ci = 0
+            last_end = None
+            horizon = (times[-1] if times else 0) + (N + 2) * (len(aut.states) + 1)
+            for t in range(1, horizon + 1):
+                s, p = sim._step_one(aut, s, p, N)
+                while ci < len(times) and t > times[ci]:
+                    ci += 1
+                    crossings = 0
+                    last_end = None
+                if p == 0 or p == N + 1:
+                    end = "L" if p == 0 else "R"
+                    if last_end is not None and end != last_end:
+                        crossings += 1
+                        best = max(best, crossings)
+                    last_end = end
+    return best

@@ -37,7 +37,7 @@ from conftest import (
     load_fixture,
     unique_automata,
 )
-from oracles import reach_trajectory
+from oracles import NoStopWithinBudget, reach_trajectory, segment_run
 
 FUZZ_SEED = 20240817
 FUZZ_COUNT = 100
@@ -145,8 +145,8 @@ def test_criterion_4_reach_exhaustive(systems):
                 for N in range(2, n_max + 1, 7):
                     for p in range(1, N + 1):
                         try:
-                            s2, pp, t = sim.segment_run(aut, s, p, N, stop)
-                        except sim.NoStopWithinBudget:
+                            s2, pp, t = segment_run(aut, s, p, N, stop)
+                        except NoStopWithinBudget:
                             continue
                         if t <= t_max:
                             assert (s2, pp, t) in truth[N][p], (aut.name, stop, s)

@@ -172,7 +172,8 @@ def test_extract_dump_formula(capsys):
 
 
 @pytest.mark.parametrize(
-    "stage", ["run:1:A1.q0:A1.q0", "run:2:x:x", "frontier:3", "accept:-1"]
+    "stage",
+    ["run:1:A1.q0:A1.q0", "run:2:x:x", "frontier:3", "accept:-1", "run:x:x:x", "accept:x"],
 )
 def test_extract_dump_formula_unknown_target_exit_two(capsys, stage):
     # crosser2 has one automaton, A1, whose states are x and y, and a
@@ -182,6 +183,33 @@ def test_extract_dump_formula_unknown_target_exit_two(capsys, stage):
     )
     assert code == 2
     assert err.startswith(f"error: stage {stage}:")
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("A1", "\u00c41", "'ascii' codec can't decode"),
+        ('"version": 1', '"version": 1,,', "Expecting property name"),
+        ('"message_bound": 1', '"message_bound": 1' + "0" * 5000, "Exceeds the limit"),
+    ],
+)
+def test_unparsable_spec_exit_two(capsys, tmp_path, old, new, message):
+    text = fixture_path("walker").read_text()
+    assert old in text
+    spec = tmp_path / "bad.spec"
+    spec.write_bytes(text.replace(old, new).encode())
+    code, _, err = run_cli(capsys, "extract", spec)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+
+
+def test_internal_value_error_is_not_an_input_error(monkeypatch):
+    def broken(system):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli.construction, "recognized_set", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        cli.main(["extract", str(fixture_path("walker"))])
 
 
 class _ClosedPipe:
@@ -264,6 +292,13 @@ def test_generator_respects_limits():
         assert 1 <= system.n <= 3
         assert all(len(a.states) <= 4 for a in system.automata)
         assert system.message_bound <= 3
+
+
+@pytest.mark.parametrize("flag", ["--max-states", "--max-automata", "--max-messages"])
+def test_fuzz_zero_limit_exit_two(capsys, flag):
+    code, _, err = run_cli(capsys, "fuzz", "--count", 1, flag, 0)
+    assert code == 2
+    assert err == f"error: {flag} must be >= 1, got 0\n"
 
 
 def test_fuzz_ok_and_dump_determinism(capsys, tmp_path):

@@ -34,7 +34,6 @@ from multiauto.presburger import (
     solution_set,
     substitute,
     to_sexpr,
-    ups_equal,
     var,
     vector_eval,
 )
@@ -284,6 +283,10 @@ def test_ups_canonical_minimizes():
     c = u.canonical()
     assert c.period == 2 and c.threshold == 0
     assert str(c) == "t=0 p=2 low= residues={0}"
+
+
+def ups_equal(a, b):
+    return a.canonical() == b.canonical()
 
 
 @settings(max_examples=80, deadline=None)

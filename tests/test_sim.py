@@ -4,6 +4,7 @@ from multiauto import sim
 from multiauto.sim import Accepted, GlobalConfiguration, RejectedLoop
 
 from conftest import FIXTURE_NAMES, load_fixture
+from oracles import NoStopWithinBudget, segment_run
 
 
 def test_walker_accepts_everything():
@@ -31,18 +32,18 @@ def test_pingpong_oscillates_in_the_interior():
 
 def test_pingpong_segment_run():
     aut = load_fixture("pingpong").automata[0]
-    assert sim.segment_run(aut, "r", 2, 9, {"l"}) == ("l", 3, 1)
+    assert segment_run(aut, "r", 2, 9, {"l"}) == ("l", 3, 1)
 
 
 def test_segment_run_stops_at_endmarkers():
     aut = load_fixture("walker").automata[0]
-    assert sim.segment_run(aut, "w", 3, 5, set()) == ("w", 6, 3)
+    assert segment_run(aut, "w", 3, 5, set()) == ("w", 6, 3)
 
 
 def test_segment_run_budget():
     aut = load_fixture("pingpong").automata[0]
-    with pytest.raises(sim.NoStopWithinBudget):
-        sim.segment_run(aut, "r", 2, 9, set(), budget=50)
+    with pytest.raises(NoStopWithinBudget):
+        segment_run(aut, "r", 2, 9, set(), budget=50)
 
 
 def test_broadcasts_respect_the_message_bound():
