@@ -92,11 +92,22 @@ def dump_spec(system: MultiSystem) -> str:
     return json.dumps(serialize_system(system), indent=2, sort_keys=False) + "\n"
 
 
+def _check_at_least(args, low: int, *flags: str) -> None:
+    """Reject a numeric option below ``low`` as an input error."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value < low:
+            raise ValidationError(
+                f"--{flag.replace('_', '-')} must be >= {low}, got {value}"
+            )
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
 
 def cmd_simulate(args) -> int:
+    _check_at_least(args, 0, "n")
     system = load_spec(args.spec)
     trace = sim.run(system, args.n)
     sys.stdout.write(sim.trace_log(trace))
@@ -145,9 +156,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_extract(args) -> int:
     system = load_spec(args.spec)
-    for stage in args.dump_formula or ():
-        _dump_stage(system, stage)
-    ups = construction.recognized_set(system)
+    # One scope for the dumps and the extraction: a reach dump reuses the
+    # canonicals a run dump built, and the extraction reuses both.
+    with construction.scope():
+        for stage in args.dump_formula or ():
+            _dump_stage(system, stage)
+        ups = construction.recognized_set(system)
     print(str(ups))
     return EXIT_OK
 
@@ -222,6 +236,7 @@ def verify_against_simulator(system, ups, n_max: int):
 
 
 def cmd_verify(args) -> int:
+    _check_at_least(args, 0, "n_max")
     system = load_spec(args.spec)
     ups = construction.recognized_set(system)
     if args.corrupt:
@@ -281,11 +296,8 @@ def generate_system(
 
 
 def cmd_fuzz(args) -> int:
-    for flag in ("max_states", "max_automata", "max_messages"):
-        if getattr(args, flag) < 1:
-            raise ValidationError(
-                f"--{flag.replace('_', '-')} must be >= 1, got {getattr(args, flag)}"
-            )
+    _check_at_least(args, 1, "max_states", "max_automata", "max_messages")
+    _check_at_least(args, 0, "count", "n_max")
     rng = random.Random(args.seed)
     failures = 0
     for i in range(args.count):
@@ -377,6 +389,7 @@ def render_diagram(trace: sim.Trace) -> str:
 
 
 def cmd_diagram(args) -> int:
+    _check_at_least(args, 0, "n")
     system = load_spec(args.spec)
     trace = sim.run(system, args.n)
     svg = render_diagram(trace)

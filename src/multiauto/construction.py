@@ -18,13 +18,22 @@ the broadcast events of the run on each sampled length.  It runs on the
 table kernel ``sim.broadcast_events``, which steps quiet stretches on int
 tables and leaves every broadcasting step, and so the message rules, to
 ``sim.global_step``.
+
+Reach/Run canonicals, launch classifications, segment constraints and the
+sampling results are memoized per extraction, not per process: the
+outermost public builder call (or an explicit :func:`scope`) owns the memo
+tables, nested calls reuse them, and the tables are dropped when that call
+returns or raises.  A batch of systems in one process therefore keeps no
+table of an earlier system alive.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 from math import gcd
 
 from . import dynamics, sim
@@ -58,6 +67,7 @@ __all__ = [
     "ParamFormula",
     "PhaseFrontier",
     "UnstableLaunch",
+    "scope",
     "reach_formula",
     "run_formula",
     "race_formula",
@@ -101,6 +111,69 @@ class PhaseFrontier:
     sigma: tuple
     position_graph: ParamFormula
     messages_spent: int
+
+
+# ---------------------------------------------------------------------------
+# Per-extraction memo scope
+
+
+# The memo tables of the open scope, if any: the name of each memoized
+# helper maps to a dict from its positional arguments to its result.  The
+# public builders keep their signatures and call one another through their
+# module bindings, so the helpers find the tables here instead of taking
+# them as an argument.
+_active = None
+
+
+@contextmanager
+def scope():
+    """Open the memo tables of one extraction unless a scope is open.
+
+    The outermost scope owns the tables and drops them when it exits,
+    normally or by an exception; nested scopes reuse them.  Every public
+    builder runs in a scope; open one around several builder calls on the
+    same system so that they share Reach/Run canonicals and phase traces.
+    Each memoized helper is a pure function of its arguments, so a hit
+    returns what recomputing would, apart from the fresh variable names a
+    rebuilt formula would get.
+    """
+    global _active
+    if _active is not None:
+        yield _active
+        return
+    _active = defaultdict(dict)
+    try:
+        yield _active
+    finally:
+        _active = None
+
+
+def _scoped(fn):
+    """Run ``fn`` in a scope."""
+
+    @wraps(fn)
+    def in_scope(*args, **kwargs):
+        with scope():
+            return fn(*args, **kwargs)
+
+    return in_scope
+
+
+def _per_scope(fn):
+    """Memoize ``fn`` on its positional arguments in the open scope."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def memoized(*args):
+        if _active is None:
+            raise RuntimeError(f"construction.{name} needs an open construction.scope()")
+        table = _active[name]
+        out = table.get(args)
+        if out is None:
+            out = table[args] = fn(*args)
+        return out
+
+    return memoized
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +301,7 @@ def _reach_expr(aut, stop, s, s2, P, PP, Tm, Nv):
     return lor(*branches)
 
 
-@lru_cache(maxsize=None)
+@_per_scope
 def _reach_canonical(aut, stop, s, s2):
     return _reach_expr(aut, stop, s, s2, var("p"), var("pp"), var("T"), var("N"))
 
@@ -238,6 +311,7 @@ def _reach(aut, stop, s, s2, P, PP, Tm):
     return substitute(f, {"p": P, "pp": PP, "T": Tm})
 
 
+@_scoped
 def reach_formula(aut, stop, s, s2) -> ParamFormula:
     """Reach_S: (s,p) to (s2,p') in exactly T steps, never at 0 or N+1 and
     never in a stop state at times 1..T-1."""
@@ -250,7 +324,7 @@ def reach_formula(aut, stop, s, s2) -> ParamFormula:
 # Launch classification at a witness length (rebound chains are N-independent)
 
 
-@lru_cache(maxsize=None)
+@_per_scope
 def _launch(aut, state, side):
     """Length-independent launch classification, checked at two witnesses.
 
@@ -274,7 +348,7 @@ def _side_pos(side, Nv):
     return Term(0) if side == "L" else Nv + 1
 
 
-@lru_cache(maxsize=None)
+@_per_scope
 def _edge_n_constraint(aut, stop, u, side, v, cross):
     """The N-projection of one endmarker-to-endmarker segment (for pruning)."""
     Nv = var("N")
@@ -453,7 +527,7 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
     return lor(*disjuncts)
 
 
-@lru_cache(maxsize=None)
+@_per_scope
 def _run_canonical(aut, stop, s, s2, K):
     return _run_expr(aut, stop, s, s2, K, var("p"), var("pp"), var("T"), var("N"))
 
@@ -463,6 +537,7 @@ def _run(aut, stop, s, s2, K, P, PP, Tm):
     return substitute(f, {"p": P, "pp": PP, "T": Tm})
 
 
+@_scoped
 def run_formula(aut, stop, s, s2, K) -> ParamFormula:
     """Run_S: like reach but the head may touch the endmarkers, making at
     most K traversals."""
@@ -498,6 +573,7 @@ def _race_expr(aut, s, K, P, Tm, Nv):
     return land(lor(*picks), *minimality)
 
 
+@_scoped
 def race_formula(aut, s, K) -> ParamFormula:
     """T is the earliest time a broadcasting state is occupied from (s, p)."""
     return ParamFormula(_race_expr(aut, s, K, var("p"), var("T"), var("N")), ("N", "p", "T"))
@@ -513,6 +589,7 @@ def _mute_expr(aut, s, K, P, Nv):
     return land(*parts)
 
 
+@_scoped
 def mute_formula(aut, s, K) -> ParamFormula:
     """No broadcasting state is ever reachable from (s, p)."""
     return ParamFormula(_mute_expr(aut, s, K, var("p"), var("N")), ("N", "p"))
@@ -576,6 +653,7 @@ def _check_theta(system, sigma2, I):
             )
 
 
+@_scoped
 def phase_formula(system, sigma, sigma2, I, bounds) -> ParamFormula:
     """The displayed phase formula: racers in I broadcast simultaneously at
     the minimum time T, everyone else is mute or strictly later, and every
@@ -604,7 +682,7 @@ def _run_caps(system, bounds):
     return tuple(min(ceiling, max(measured, 1) + 2) for _ in system.automata)
 
 
-@lru_cache(maxsize=None)
+@_per_scope
 def _sample_lengths(system):
     nmin = dynamics.min_sufficient_length(system)
     period = 1
@@ -616,12 +694,13 @@ def _sample_lengths(system):
     return tuple(range(0, max(320, nmin + 30 * period + 60) + 1))
 
 
-@lru_cache(maxsize=None)
+@_per_scope
 def _phase_trace(system, N):
     """Broadcast events of the run on a^N: list of (time, indices, config),
     stopping once no further broadcast can occur.
 
-    The cached entry point of the sampling.  The run itself goes through
+    The entry point of the sampling, memoized in the open scope, so each
+    length is simulated once per extraction.  The run itself goes through
     the table kernel :func:`sim.broadcast_events`, whose quiet steps run
     on int tables while every broadcasting step, and so every message
     rule, goes through :func:`sim.global_step`.
@@ -629,7 +708,7 @@ def _phase_trace(system, N):
     return sim.broadcast_events(system, N)
 
 
-@lru_cache(maxsize=None)
+@_per_scope
 def _measured_crossings(system):
     """Max endmarker-to-endmarker traversals by any automaton inside one
     phase, over the sampled lengths.  Each automaton is re-simulated alone
@@ -748,6 +827,7 @@ def _realized_branches(system, frontier):
     return sorted(out, key=lambda x: (x[0], sorted(x[1]), x[2]))
 
 
+@_scoped
 def advance_frontier(system, frontier: PhaseFrontier, bounds) -> list:
     """All satisfiable one-phase successors of a frontier.
 
@@ -826,7 +906,9 @@ def phase_frontiers(system, bounds, depth):
 
     A frontier is advanced only after the caller has taken it, so work the
     caller does per frontier runs in a fixed order with the advances (which
-    keeps the fresh variable names of every formula built stable).
+    keeps the fresh variable names of every formula built stable).  A
+    generator opens no scope: iterate it inside one, or every advance
+    samples the system afresh.
     """
     layer = [initial_frontier(system)]
     for k in range(depth + 1):
@@ -842,6 +924,7 @@ def phase_frontiers(system, bounds, depth):
 # Acceptance and the recognized set
 
 
+@_scoped
 def accept_formula(system, frontier: PhaseFrontier, final_phase: bool) -> Formula:
     """N is accepted during this phase: automaton 1 reaches a final state on
     the right endmarker strictly before the phase's next broadcast (the bound
@@ -879,6 +962,9 @@ def accept_formula(system, frontier: PhaseFrontier, final_phase: bool) -> Formul
         ]
         branches.append(exists(ta, land(final_hit, *guards)))
     else:
+        # Automaton i's stepped start depends on pattern[i] alone, so its
+        # guard is built once per (i, pattern[i]) and shared by the patterns.
+        silent: dict = {}
         for pattern in _patterns(n):
             stepped = _stepped(system, frontier.sigma, pattern, Nv, pos)
             if stepped is None:
@@ -889,19 +975,22 @@ def accept_formula(system, frontier: PhaseFrontier, final_phase: bool) -> Formul
                 continue
             # A broadcast at stepped-relative time t happens at time 1 + t;
             # acceptance needs T_a < 1 + t for every possible broadcast.
-            conds = [
-                lnot(
-                    _broadcast_by_expr(
-                        aut, start_states[i], bounds.K, start_terms[i], var(ta) - 1, Nv
+            conds = []
+            for i, aut in enumerate(system.automata):
+                cond = silent.get((i, pattern[i]))
+                if cond is None:
+                    cond = silent[i, pattern[i]] = lnot(
+                        _broadcast_by_expr(
+                            aut, start_states[i], bounds.K, start_terms[i], var(ta) - 1, Nv
+                        )
                     )
-                )
-                for i, aut in enumerate(system.automata)
-            ]
+                conds.append(cond)
             branches.append(land(guard, exists(ta, land(final_hit, *conds))))
     body = land(frontier.position_graph.formula, lor(*branches))
     return eliminate(exists(list(_pi_names(n)), body))
 
 
+@_scoped
 def recognized_set(system) -> UltimatelyPeriodicSet:
     """The full language of the system as an ultimately periodic set.
 

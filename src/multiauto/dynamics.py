@@ -11,7 +11,6 @@ is derived here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .model import Automaton
 
@@ -64,7 +63,6 @@ class BasicSequenceProfile:
         return "Right" if c > 0 else "Left" if c < 0 else "Motionless"
 
 
-@lru_cache(maxsize=None)
 def basic_sequence(automaton: Automaton, state: str) -> BasicSequenceProfile:
     seq = [state]
     lams = [0]

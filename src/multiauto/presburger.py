@@ -32,7 +32,10 @@ quantified subformula, each ``exists v`` step of Cooper's method and each
 context-free :func:`simplify` once, in memo tables the call creates and
 passes down.  The tables live exactly as long as that call (a raised
 :class:`BudgetExceeded` drops them too); nothing is cached across calls, so
-a result never depends on what ran earlier in the process.
+a result never depends on what ran earlier in the process.  The formula
+builders of :mod:`multiauto.construction` follow the same pattern one level
+up: their memo tables live for one extraction scope
+(``construction.scope``), opened by the outermost builder call.
 """
 
 from __future__ import annotations

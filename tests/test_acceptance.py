@@ -190,23 +190,25 @@ def test_criterion_6_phase_branch_uniqueness(systems):
         samples = sorted(set(range(nmin, 201, 7)) | {nmin, 200})
         pis = [f"pi{i}" for i in range(1, system.n + 1)]
         layer = [C.initial_frontier(system)]
-        for _depth in range(system.message_bound):
-            nxt = []
-            for fr in layer:
-                reachable = eliminate(exists(pis, fr.position_graph.formula))
-                branches = C.advance_frontier(system, fr, bounds)
-                projections = [
-                    eliminate(exists(pis, child.position_graph.formula))
-                    for _theta, child in branches
-                ]
-                for n in samples:
-                    if not evaluate(reachable, {"N": n}):
-                        continue
-                    live = sum(evaluate(g, {"N": n}) for g in projections)
-                    next_exists = len(C._phase_trace(system, n)) > fr.messages_spent
-                    assert live == (1 if next_exists else 0), (name, fr.sigma, n)
-                nxt.extend(child for _theta, child in branches)
-            layer = nxt
+        # One scope per system: the advances share its phase traces.
+        with C.scope():
+            for _depth in range(system.message_bound):
+                nxt = []
+                for fr in layer:
+                    reachable = eliminate(exists(pis, fr.position_graph.formula))
+                    branches = C.advance_frontier(system, fr, bounds)
+                    projections = [
+                        eliminate(exists(pis, child.position_graph.formula))
+                        for _theta, child in branches
+                    ]
+                    for n in samples:
+                        if not evaluate(reachable, {"N": n}):
+                            continue
+                        live = sum(evaluate(g, {"N": n}) for g in projections)
+                        next_exists = len(C._phase_trace(system, n)) > fr.messages_spent
+                        assert live == (1 if next_exists else 0), (name, fr.sigma, n)
+                    nxt.extend(child for _theta, child in branches)
+                layer = nxt
 
 
 # ---------------------------------------------------------------------------

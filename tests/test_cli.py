@@ -245,14 +245,9 @@ def test_extract_closed_stdout_is_not_an_input_error(capsys, monkeypatch, tmp_pa
     assert target.read_bytes() == b""
 
 
-def test_extract_budget_exit_three(capsys, monkeypatch, tmp_path):
+def test_extract_budget_exit_three(capsys, monkeypatch):
     monkeypatch.setenv("MULTIAUTO_QE_BUDGET", "1")
-    # A fresh automaton name defeats construction-level caches.
-    raw = json.loads(fixture_path("drift3").read_text())
-    raw["automata"][0]["name"] = "Afresh"
-    spec = tmp_path / "fresh.spec"
-    spec.write_text(json.dumps(raw))
-    code, _, err = run_cli(capsys, "extract", spec)
+    code, _, err = run_cli(capsys, "extract", fixture_path("drift3"))
     assert code == 3
     assert "budget" in err
 
@@ -299,6 +294,30 @@ def test_fuzz_zero_limit_exit_two(capsys, flag):
     code, _, err = run_cli(capsys, "fuzz", "--count", 1, flag, 0)
     assert code == 2
     assert err == f"error: {flag} must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (("fuzz", "--count", -1), "--count", -1),
+        (("fuzz", "--count", 1, "--n-max", -1), "--n-max", -1),
+        (("verify", fixture_path("even"), "--n-max", -1), "--n-max", -1),
+        (("simulate", fixture_path("even"), "--n", -3), "--n", -3),
+        (("diagram", fixture_path("even"), "--n", -1, "-o", os.devnull), "--n", -1),
+    ],
+    ids=["fuzz-count", "fuzz-n-max", "verify-n-max", "simulate-n", "diagram-n"],
+)
+def test_negative_count_or_length_exit_two(capsys, argv, flag, value):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {flag} must be >= 0, got {value}\n"
+
+
+def test_fuzz_zero_count_is_ok(capsys):
+    code, out, _ = run_cli(capsys, "fuzz", "--count", 0)
+    assert code == 0
+    assert out == "0/0 OK\n"
 
 
 def test_fuzz_ok_and_dump_determinism(capsys, tmp_path):

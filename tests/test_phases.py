@@ -16,8 +16,9 @@ def _layers_by_messages(system):
     """phase_frontiers grouped by the number of messages spent."""
     m = system.message_bound
     layers = [[] for _ in range(m + 1)]
-    for fr in C.phase_frontiers(system, bounds_profile(system), m):
-        layers[fr.messages_spent].append(fr)
+    with C.scope():
+        for fr in C.phase_frontiers(system, bounds_profile(system), m):
+            layers[fr.messages_spent].append(fr)
     return layers
 
 
@@ -71,7 +72,8 @@ def test_frontier_positions_match_simulation():
         layers = _layers_by_messages(system)
         for depth, layer in enumerate(layers[1:], start=1):
             for N in (3, 8, 15, 24):
-                events = C._phase_trace(system, N)
+                with C.scope():
+                    events = C._phase_trace(system, N)
                 if len(events) < depth:
                     continue
                 _t, _idxs, cfg = events[depth - 1]

@@ -115,6 +115,6 @@ def test_unstable_launch_raises(monkeypatch, first, second):
     aut = load_fixture("walker").automata[0]
     outcomes = iter([first, second])
     monkeypatch.setattr(dynamics, "takeoff", lambda *args: next(outcomes))
-    # Bypass the lru_cache so no earlier classification is returned or kept.
-    with pytest.raises(C.UnstableLaunch):
-        C._launch.__wrapped__(aut, "w", "L")
+    # A scope of its own: no earlier classification is returned or kept.
+    with C.scope(), pytest.raises(C.UnstableLaunch):
+        C._launch(aut, "w", "L")

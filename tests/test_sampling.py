@@ -60,10 +60,11 @@ def _outcome(trace, system, N):
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_kernel_matches_reference_on_fixtures(name):
     system = load_fixture(name)
-    for N in C._sample_lengths(system):
-        want = oracles.phase_trace(system, N)
-        assert sim.broadcast_events(system, N) == want, (name, N)
-        assert C._phase_trace(system, N) == want, (name, N)
+    with C.scope():
+        for N in C._sample_lengths(system):
+            want = oracles.phase_trace(system, N)
+            assert sim.broadcast_events(system, N) == want, (name, N)
+            assert C._phase_trace(system, N) == want, (name, N)
 
 
 def test_kernel_matches_reference_across_long_quiet_gaps():
@@ -78,7 +79,9 @@ def test_kernel_matches_reference_across_long_quiet_gaps():
 def test_kernel_matches_reference_on_fuzz_slice():
     events = 0
     for i, system in enumerate(_fuzz_slice()):
-        for N in C._sample_lengths(system):
+        with C.scope():
+            lengths = C._sample_lengths(system)
+        for N in lengths:
             want = oracles.phase_trace(system, N)
             assert sim.broadcast_events(system, N) == want, (i, N)
             events += len(want)
@@ -136,8 +139,9 @@ def test_measured_crossings_match_step_one_resimulation():
     systems = [load_fixture(name) for name in FIXTURE_NAMES] + _fuzz_slice()
     seen = set()
     for system in systems:
-        lengths = C._sample_lengths(system)
-        got = C._measured_crossings(system)
+        with C.scope():
+            lengths = C._sample_lengths(system)
+            got = C._measured_crossings(system)
         assert got == oracles.measured_crossings(system, lengths), system
         seen.add(got)
     assert len(seen) > 1
@@ -161,7 +165,9 @@ def test_patience_is_exact():
     # twice as long must find nothing new.
     systems = [load_fixture(name) for name in FIXTURE_NAMES] + _fuzz_slice()
     for system in systems:
-        for N in C._sample_lengths(system)[::5]:
+        with C.scope():
+            lengths = C._sample_lengths(system)
+        for N in lengths[::5]:
             assert oracles.phase_trace(system, N, stretch=2) == oracles.phase_trace(
                 system, N
             ), (system, N)
