@@ -14,10 +14,12 @@ All formulas are exact descriptions of the simulator for sufficiently long
 inputs; the recognized set patches the short inputs by direct simulation.
 
 Which branches get built is decided by sampling: ``_phase_trace`` records
-the broadcast events of the run on each sampled length.  It runs on the
-table kernel ``sim.broadcast_events``, which steps quiet stretches on int
-tables and leaves every broadcasting step, and so the message rules, to
-``sim.global_step``.
+the broadcast events of the run on each sampled length, and
+``_measured_crossings`` counts the traversals inside each phase.  Neither
+steps a quiet stretch: ``sim.broadcast_events`` and the crossing count walk
+each automaton from endmarker to endmarker in closed form
+(``dynamics.Hops``), and every broadcasting step, and so every message
+rule, is left to ``sim.global_step``.
 
 Reach/Run canonicals, launch classifications, segment constraints and the
 sampling results are memoized per extraction, not per process: the
@@ -30,6 +32,7 @@ table of an earlier system alive.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -701,9 +704,9 @@ def _phase_trace(system, N):
 
     The entry point of the sampling, memoized in the open scope, so each
     length is simulated once per extraction.  The run itself goes through
-    the table kernel :func:`sim.broadcast_events`, whose quiet steps run
-    on int tables while every broadcasting step, and so every message
-    rule, goes through :func:`sim.global_step`.
+    the kernel :func:`sim.broadcast_events`, which walks quiet stretches
+    hop by hop while every broadcasting step, and so every message rule,
+    goes through :func:`sim.global_step`.
     """
     return sim.broadcast_events(system, N)
 
@@ -711,32 +714,74 @@ def _phase_trace(system, N):
 @_per_scope
 def _measured_crossings(system):
     """Max endmarker-to-endmarker traversals by any automaton inside one
-    phase, over the sampled lengths.  Each automaton is re-simulated alone
-    on the same int tables as the kernel (:func:`sim.solo_positions`)."""
+    phase, over the sampled lengths.
+
+    Each automaton's walk is followed alone from time 1 up to a horizon of
+    (N + 2)(q + 1) steps past the last event, q being its state count, and
+    a traversal is a pair of consecutive endmarker visits on opposite sides
+    inside one phase.  The walk comes from :meth:`dynamics.Hops.walk`, so
+    only the endmarker visits are computed, and once it cycles the visits
+    of every later lap are counted by :func:`_most_crossings` without
+    being listed.  HeadFellOff is raised when a head leaves the tape before
+    the horizon, even after the message bound is spent.
+    """
     best = 0
-    for N in _sample_lengths(system)[:: max(1, len(_sample_lengths(system)) // 80)]:
-        events = _phase_trace(system, N)
-        times = [t for t, _, _ in events]
-        # Re-simulate each automaton alone, counting crossings per phase.
+    lengths = _sample_lengths(system)
+    for N in lengths[:: max(1, len(lengths) // 80)]:
+        times = [t for t, _, _ in _phase_trace(system, N)]
         for aut in system.automata:
-            crossings = 0
-            ci = 0
-            last_end = None
+            hops = aut.hops
             horizon = (times[-1] if times else 0) + (N + 2) * (len(aut.states) + 1)
-            for t, p in enumerate(sim.solo_positions(aut, N, horizon), 1):
-                if 0 < p <= N:
-                    continue
-                # Only endmarker visits read the per-phase counters, so
-                # phases are closed lazily, at the next visit.
-                while ci < len(times) and t > times[ci]:
-                    ci += 1
-                    crossings = 0
-                    last_end = None
-                end = "L" if p == 0 else "R"
-                if last_end is not None and end != last_end:
-                    crossings += 1
-                    best = max(best, crossings)
-                last_end = end
+            marks, end = hops.walk(hops.index[aut.initial], 0, 0, N, False)
+            if end[0] == "fall" and end[1] < horizon:
+                raise sim._fell_off(aut, end[2], N)
+            visits = [(t, p) for t, _, p in marks if not 0 < p <= N]
+            loop = None
+            if end[0] == "cycle":
+                loop = [t for t, _ in visits].index(end[1])
+                visits.append((end[2], visits[loop][1]))
+            # The phases: visits after event e_i up to e_{i+1} inclusive.
+            phases = zip([1] + [e + 1 for e in times], times + [horizon])
+            best = max(best, _most_crossings(visits, loop, phases))
+    return best
+
+
+def _most_crossings(visits, loop, windows):
+    """The most side changes between consecutive endmarker visits that lie
+    in one window [a, b], over the windows.
+
+    ``visits`` lists (time, side) pairs in time order.  When ``loop`` is an
+    index, the last visit repeats ``visits[loop]`` one period later and the
+    visits between them repeat forever; otherwise the list is complete.
+    """
+    times = [t for t, _ in visits]
+    changes = [0]
+    for (_, a), (_, b) in zip(visits, visits[1:]):
+        changes.append(changes[-1] + (a != b))
+    if loop is not None:
+        last = len(visits) - 1
+        period, size = times[last] - times[loop], last - loop
+        per_lap = changes[last] - changes[loop]
+
+    def first(a):
+        """Index of the first visit at time a or later."""
+        if loop is None or a <= times[-1]:
+            return bisect_left(times, a)
+        laps = (a - times[loop]) // period
+        return bisect_left(times, a - laps * period, loop) + laps * size
+
+    def changes_to(j):
+        """Side changes between consecutive visits up to visit j."""
+        if loop is None or j < len(changes):
+            return changes[j]
+        laps, i = divmod(j - loop, size)
+        return changes[loop + i] + laps * per_lap
+
+    best = 0
+    for a, b in windows:
+        i, j = first(a), first(b + 1) - 1
+        if j > i:
+            best = max(best, changes_to(j) - changes_to(i))
     return best
 
 

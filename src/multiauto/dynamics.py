@@ -5,12 +5,16 @@ sequence from any state is eventually periodic ("basic sequence") and the
 head displacement is a fixed profile over that sequence.  Everything the
 formula construction needs about one automaton -- net cycle displacement,
 amplitude, take-off behaviour after leaving an endmarker, traversal slope --
-is derived here.
+is derived here, and so is :class:`Hops`, which walks one automaton from
+endmarker to endmarker in closed form for the simulator's sampling kernel.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .model import Automaton
 
@@ -22,6 +26,7 @@ __all__ = [
     "FallOff",
     "InputTooShort",
     "basic_sequence",
+    "Hops",
     "takeoff",
     "min_sufficient_length",
     "traversal_slope",
@@ -84,6 +89,154 @@ def basic_sequence(automaton: Automaton, state: str) -> BasicSequenceProfile:
         net_cycle_displacement=lams[-1] - lams[ell],
         amplitude=max(lams) - min(lams),
     )
+
+
+_time = itemgetter(0)
+
+
+class _Inner(NamedTuple):
+    """The basic sequence of one state on ints, as :class:`Hops` reads it."""
+
+    states: tuple  # s_0 .. s_k, where s_k = s_entry is the first repeat
+    lambdas: tuple  # head displacement after i steps, i = 0 .. k
+    entry: int
+    c: int  # net displacement of one lap of the cycle
+    first: int | None  # index of the first broadcasting state
+    reach: dict  # displacement -> first index 1 .. k at which it is reached
+    # Past the first lap the head reaches displacement v first at a cycle
+    # index j plus whole laps; which j depends only on v mod c.
+    exits: dict
+
+
+class Hops:
+    """One automaton's walk in closed form, one endmarker-to-endmarker hop
+    at a time.  Built once per automaton (:attr:`model.Automaton.hops`).
+
+    States are numbered in sorted order (``names``, ``index``); ``loud[s]``
+    says whether s broadcasts and ``ends[s]`` holds its (next, move) pairs
+    on the left and on the right endmarker.  Away from the endmarkers every
+    step reads the inner letter, so the walk from an interior (s, p) is the
+    basic sequence of s (``inner[s]``): i steps later it is in the
+    sequence's i-th state at p + lambda_i, both extended past the first
+    repeat lap by lap.
+    """
+
+    def __init__(self, automaton: Automaton):
+        names = sorted(automaton.states)
+        index = {s: i for i, s in enumerate(names)}
+        self.names, self.index = names, index
+        self.loud = [s in automaton.broadcasting for s in names]
+        self.ends = [
+            tuple((index[q], d) for q, d in (automaton.delta_left[s], automaton.delta_right[s]))
+            for s in names
+        ]
+        self.inner = []
+        for s in names:
+            prof = basic_sequence(automaton, s)
+            seq, lam = tuple(index[q] for q in prof.sequence), prof.lambdas
+            k, ell, c = prof.k, prof.loop_entry, prof.net_cycle_displacement
+            reach = {}
+            for i in range(k, 0, -1):
+                reach[lam[i]] = i
+            exits = {
+                v: min(range(ell, k), key=lambda j: j - (lam[j] - v) // c * (k - ell))
+                for v in range(0, c, 1 if c > 0 else -1)
+            }
+            first = next((i for i, q in enumerate(seq[:-1]) if self.loud[q]), None)
+            self.inner.append(_Inner(seq, lam, ell, c, first, reach, exits))
+
+    def after(self, s, p, i):
+        """State and position i steps after (s, p), none of them on an endmarker."""
+        seq, lam, ell, c = self.inner[s][:4]
+        k = len(seq) - 1
+        if i <= k:
+            return seq[i], p + lam[i]
+        laps, j = divmod(i - ell, k - ell)
+        return seq[ell + j], p + lam[ell + j] + laps * c
+
+    def hop(self, s, p, N):
+        """The walk from state s at interior position p (1 <= p <= N) on
+        a^N up to its next endmarker arrival, in O(1).
+
+        Returns (T, state, position, b): the head arrives after T steps, in
+        ``state`` at ``position`` (0 or N + 1), and b < T is the index of
+        the first broadcasting state on the way (the start is index 0), or
+        None.  T, state and position are None when the head never arrives:
+        the cycle displacement is 0 and the first lap stays inside [1, N].
+        With b also None the walk is trapped: it never broadcasts and never
+        leaves the tape.
+
+        Moves are -1, 0 or +1, so the first step out of [1, N] lands on an
+        endmarker: an inner move cannot leave the tape.
+        """
+        seq, lam, ell, c, first, reach, exits = self.inner[s]
+        k = len(seq) - 1
+        lo, hi = -p, N + 1 - p
+        i = min(reach.get(lo, k + 1), reach.get(hi, k + 1))
+        if i > k:
+            if not c:
+                return None, None, None, first
+            # Every later index is a cycle index j plus whole laps, and each
+            # lap moves the head by c towards the one endmarker it can reach.
+            end = hi if c > 0 else lo
+            j = exits[end % c]
+            i = j - (lam[j] - end) // c * (k - ell)
+        s2, p2 = self.after(s, p, i)
+        return i, s2, p2, first if first is not None and first < i else None
+
+    def walk(self, s, p, t, N, to_loud):
+        """The walk from (s, p) at time t on a^N, hop by hop.
+
+        Returns (marks, end).  ``marks`` holds the configuration (time,
+        state, position) at every endmarker visit and at the start of every
+        hop; :meth:`at` rebuilds the ones in between.  ``end`` says how the
+        walk goes on after its last mark:
+
+        - ``("loud", t1)``: only with ``to_loud``, the first broadcasting
+          state, at time t1;
+        - ``("fall", t1, q)``: the step leaving the endmarker at time t1
+          moves the head to q, off the tape;
+        - ``("cycle", t0, t1)``: the endmarker visit at t1 repeats the
+          (state, side) of the one at t0, so the walk repeats with period
+          t1 - t0 forever;
+        - ``("trap",)``: the head never reaches an endmarker again.
+
+        With ``to_loud`` a fall, a cycle or a trap means that no state up
+        to it broadcasts, and so (for a cycle or a trap) none ever will.
+        """
+        marks = []
+        seen = {}
+        right = N + 1
+        while True:
+            if to_loud and self.loud[s]:
+                marks.append((t, s, p))
+                return marks, ("loud", t)
+            if 0 < p < right:
+                marks.append((t, s, p))
+                T, s, p, b = self.hop(s, p, N)
+                if to_loud and b is not None:
+                    return marks, ("loud", t + b)
+                if T is None:
+                    return marks, ("trap",)
+                t += T
+                continue
+            if (s, p) in seen:
+                return marks, ("cycle", seen[s, p], t)
+            seen[s, p] = t
+            marks.append((t, s, p))
+            s, d = self.ends[s][p == right]
+            p += d
+            if not 0 <= p <= right:
+                return marks, ("fall", t, p)
+            t += 1
+
+    def at(self, marks, end, u):
+        """The (state, position) at time u of a walk from :meth:`walk`; u
+        is at or after its first mark, and not after a loud or fall end."""
+        if end[0] == "cycle" and u >= end[1]:
+            u = end[1] + (u - end[1]) % (end[2] - end[1])
+        t, s, p = marks[bisect_right(marks, u, key=_time) - 1]
+        return self.after(s, p, u - t) if u > t else (s, p)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ one per endmarker.  All types are immutable after validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "Automaton",
@@ -65,8 +66,13 @@ class Automaton:
     delta_right: dict
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
         # The generated dataclass hash chokes on the dict fields; hash a
-        # canonical tuple instead so automata can key caches.
+        # canonical tuple instead so automata can key caches.  Computed once:
+        # an automaton is not changed after validation.
         return hash(
             (
                 self.name,
@@ -79,6 +85,14 @@ class Automaton:
                 tuple(sorted(self.delta_right.items())),
             )
         )
+
+    @cached_property
+    def hops(self):
+        """The automaton's closed-form walk (:class:`dynamics.Hops`), built
+        on first use."""
+        from .dynamics import Hops
+
+        return Hops(self)
 
     def validate(self) -> "Automaton":
         if self.initial not in self.states:
@@ -117,6 +131,10 @@ class MultiSystem:
     acceptor_index: int = 1
 
     def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
         return hash((self.automata, self.message_bound, self.acceptor_index))
 
     @property

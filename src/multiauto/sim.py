@@ -23,7 +23,6 @@ __all__ = [
     "HeadFellOff",
     "global_step",
     "broadcast_events",
-    "solo_positions",
     "run",
     "accepts",
     "trace_log",
@@ -163,104 +162,70 @@ def accepts(system: MultiSystem, N: int) -> bool:
         s, p = _step_one(aut, s, p, N)
 
 
-def _int_tables(aut):
-    """One automaton's transitions on ints: (names, index, nxt, move, loud).
-
-    States are numbered in iteration order.  Entry 3*s + k of ``nxt`` and
-    ``move`` is state s's transition on the left endmarker (k = 0), on an
-    inner cell (k = 1) or on the right endmarker (k = 2); ``loud[s]`` says
-    whether s broadcasts.
-    """
-    names = list(aut.states)
-    index = {s: i for i, s in enumerate(names)}
-    nxt, move = [], []
-    for s in names:
-        for table in (aut.delta_left, aut.delta_inner, aut.delta_right):
-            q, d = table[s]
-            nxt.append(index[q])
-            move.append(d)
-    return names, index, nxt, move, [s in aut.broadcasting for s in names]
-
-
 def broadcast_events(system: MultiSystem, N: int) -> tuple:
     """Broadcast events of the run on a^N: ``(t, broadcaster_indices,
     config)`` triples, where the step leaving ``config`` at time t emitted
-    the message.  The run stops once the message bound is spent or after
-    more than ``patience = (N + 2) * q + 2`` quiet steps in a row, q being
-    the largest state count; a quiet step is one where no automaton is in
-    a broadcasting state.
+    the message.  The run stops once the message bound is spent or once no
+    automaton will ever be in a broadcasting state again.
 
-    The patience stop is exact, not a heuristic.  Messages never change a
-    transition, so in a quiet stretch each automaton walks alone and
-    deterministically.  It has at most (N + 2) * q distinct (state,
-    position) pairs, and once its walk repeats a pair it repeats forever.
-    So if it will ever be in a broadcasting state again, or fall off the
-    tape, that happens within (N + 2) * q steps of the last broadcast (or
-    of the start); after ``patience`` quiet steps no automaton can do
-    either.
+    Messages never change a transition, so each automaton walks alone and
+    deterministically, whatever the others broadcast.  Its walk
+    (:meth:`dynamics.Hops.walk`) starts at time 0 or right after its own
+    broadcasting step and goes from endmarker visit to endmarker visit in
+    closed form, up to its next broadcasting state; no quiet step is taken
+    one at a time.  A quiet stretch ends at the earliest of these states.
+    Every automaton's configuration at that time is rebuilt from its walk,
+    and the broadcasting step is taken by :func:`global_step`, the one
+    place that applies the message rules.
 
-    Quiet steps run on plain int lists (see :func:`_int_tables`): they
-    build no configuration or broadcaster set and make no
-    :func:`_step_one` call.  Each broadcasting configuration is built as a
-    GlobalConfiguration and stepped by :func:`global_step`, the one place
-    that applies the message rules.  HeadFellOff is raised at the step
-    where a head leaves the tape, with :func:`_step_one`'s message.
+    The stop is exact.  An automaton has settled when its walk repeats an
+    endmarker (state, side), or when it is trapped: a lap of its basic
+    sequence stays inside the tape with cycle displacement 0 and no state
+    of the sequence broadcasts.  A settled walk repeats forever what it did
+    since the first visit of the repeated pair (or since the trapped lap
+    began), and none of that broadcast or left the tape, so it admits no
+    later broadcast and no fall-off.  Once every automaton has settled the
+    run has no event left.  No patience cap remains: each stretch ends in
+    a message, a fall-off or the settled stop, so the run takes at most
+    ``message_bound`` stretches.
+
+    HeadFellOff is raised with :func:`_step_one`'s message for the head
+    that leaves the tape first, the lowest index among heads leaving at the
+    same step; an inner move cannot leave the tape, so this is always an
+    endmarker step.  A fall-off at a broadcasting step comes from
+    :func:`global_step`, which steps the automata in index order.
     """
     automata = system.automata
-    ids = range(len(automata))
-    names, index, nxt, move, loud = zip(*map(_int_tables, automata))
-    end = N + 1
-    patience = (N + 2) * max(len(a.states) for a in automata) + 2
-    state = [index[i][a.initial] for i, a in enumerate(automata)]
-    pos = [0] * len(automata)
+    hops = [a.hops for a in automata]
+    walks = [None] * len(automata)
+    starts = [(i, h.index[a.initial], 0) for i, (h, a) in enumerate(zip(hops, automata))]
+    t = -1
     used = 0
     events = []
-    quiet = 0
-    t = 0
-    noisy = any(loud[i][state[i]] for i in ids)
-    while used < system.message_bound and quiet <= patience:
-        if noisy:
-            config = GlobalConfiguration(
-                tuple(names[i][state[i]] for i in ids), tuple(pos), used
-            )
-            after, broadcasters = global_step(system, config, N)
-            events.append((t, broadcasters, config))
-            quiet = 0
-            used = after.messages_used
-            state = [index[i][s] for i, s in enumerate(after.sigma)]
-            pos = list(after.pi)
-            noisy = any(loud[i][state[i]] for i in ids)
-        else:
-            quiet += 1
-            for i in ids:
-                p = pos[i]
-                k = 3 * state[i] + (0 if p == 0 else 2 if p == end else 1)
-                p += move[i][k]
-                if p < 0 or p > end:
-                    raise _fell_off(automata[i], p, N)
-                s = state[i] = nxt[i][k]
-                pos[i] = p
-                noisy = noisy or loud[i][s]
-        t += 1
+    while used < system.message_bound:
+        # Walks start at t + 1 = 0, and after that only the broadcasters'
+        # walks end at t; every other walk runs past t or has settled.
+        for i, s, p in starts:
+            walks[i] = hops[i].walk(s, p, t + 1, N, True)
+        t = min((end[1] for _, end in walks if end[0] == "loud"), default=None)
+        falls = [
+            (end[1], i, end[2])
+            for i, (_, end) in enumerate(walks)
+            if end[0] == "fall" and (t is None or end[1] < t)
+        ]
+        if falls:
+            _, i, q = min(falls)
+            raise _fell_off(automata[i], q, N)
+        if t is None:
+            break
+        states, pi = zip(*[h.at(marks, end, t) for h, (marks, end) in zip(hops, walks)])
+        sigma = tuple([h.names[s] for h, s in zip(hops, states)])
+        config = GlobalConfiguration(sigma, pi, used)
+        after, broadcasters = global_step(system, config, N)
+        events.append((t, broadcasters, config))
+        used = after.messages_used
+        starts = [(i, hops[i].index[after.sigma[i]], after.pi[i]) for i in broadcasters]
     return tuple(events)
-
-
-def solo_positions(aut, N: int, steps: int) -> list:
-    """Head positions of ``aut`` running alone from its initial
-    configuration at times 1..steps, stepped on the int tables; raises
-    HeadFellOff as :func:`_step_one` would."""
-    _, index, nxt, move, _ = _int_tables(aut)
-    end = N + 1
-    s, p = index[aut.initial], 0
-    out = []
-    for _ in range(steps):
-        k = 3 * s + (0 if p == 0 else 2 if p == end else 1)
-        p += move[k]
-        if p < 0 or p > end:
-            raise _fell_off(aut, p, N)
-        s = nxt[k]
-        out.append(p)
-    return out
 
 
 def trace_log(trace: Trace) -> str:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from multiauto.model import (
@@ -10,7 +12,7 @@ from multiauto.model import (
     validate_system,
 )
 
-from conftest import FIXTURE_NAMES, load_fixture, unique_automata
+from conftest import FIXTURE_NAMES, fixture_path, load_fixture, unique_automata
 
 
 def walker_raw():
@@ -95,6 +97,21 @@ def test_automata_are_hashable():
     a = validate_system(walker_raw()).automata[0]
     b = validate_system(walker_raw()).automata[0]
     assert a == b and hash(a) == hash(b)
+
+
+def test_systems_built_separately_hash_equal():
+    # Each object computes its hash once; automata and systems built apart,
+    # with their transition tables filled in another order, hash alike.
+    with open(fixture_path("racer2")) as fh:
+        raw = json.load(fh)
+    a = validate_system(raw)
+    for aut in raw["automata"]:
+        aut["delta"].reverse()
+    b = validate_system(raw)
+    assert a.automata[0].delta_inner is not b.automata[0].delta_inner
+    assert [hash(x) for x in a.automata] == [hash(x) for x in b.automata]
+    assert a == b and hash(a) == hash(b)
+    assert {a: "racer2"}[b] == "racer2"
 
 
 def test_pingpong_bounds_profile():

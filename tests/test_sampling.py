@@ -1,8 +1,10 @@
 """The phase pipeline's sampling kernel against the step-by-step reference.
 
-``sim.broadcast_events`` steps quiet stretches on int tables and only the
-broadcasting steps through ``sim.global_step``; ``oracles.phase_trace``
-takes every step through ``global_step``.  Their events must be equal.
+``sim.broadcast_events`` walks quiet stretches hop by hop in closed form
+(``dynamics.Hops``) and takes only the broadcasting steps through
+``sim.global_step``; ``oracles.phase_trace`` takes every step through
+``global_step``.  Their events must be equal, and so must
+``construction._measured_crossings`` and ``oracles.measured_crossings``.
 """
 
 import random
@@ -102,9 +104,9 @@ def test_kernel_head_fell_off_like_reference(loud):
         assert _outcome(sim.broadcast_events, system, N) == want
 
 
-def test_kernel_head_fell_off_after_broadcasts():
-    # A second automaton broadcasts at every step while the first walks
-    # right, bounces and falls off the left endmarker.
+def _falls_after_broadcasts(message_bound):
+    """A second automaton broadcasts at every step while the first walks
+    right, bounces and falls off the left endmarker."""
     raw = falloff_spec()
     walker = raw["automata"][0]
     walker["delta"] = [
@@ -127,12 +129,32 @@ def test_kernel_head_fell_off_after_broadcasts():
         ],
     }
     raw["automata"].append(shouter)
-    raw["message_bound"] = 50
-    system = validate_system(raw)
+    raw["message_bound"] = message_bound
+    return validate_system(raw)
+
+
+def test_kernel_head_fell_off_after_broadcasts():
+    system = _falls_after_broadcasts(50)
     for N in range(12):
         want = _outcome(oracles.phase_trace, system, N)
         assert want[0] == "HeadFellOff"
         assert _outcome(sim.broadcast_events, system, N) == want
+
+
+def test_crossings_head_fell_off_after_the_bound_is_spent():
+    # The kernel stops after two messages, before the walker falls; the
+    # crossing walk runs on to its horizon and must fall like the reference.
+    system = _falls_after_broadcasts(2)
+    with C.scope():
+        lengths = C._sample_lengths(system)
+        for N in lengths:
+            assert len(sim.broadcast_events(system, N)) == 2, N
+        with pytest.raises(sim.HeadFellOff) as got:
+            C._measured_crossings(system)
+    assert _outcome(oracles.measured_crossings, system, lengths) == (
+        "HeadFellOff",
+        str(got.value),
+    )
 
 
 def test_measured_crossings_match_step_one_resimulation():
@@ -147,22 +169,70 @@ def test_measured_crossings_match_step_one_resimulation():
     assert len(seen) > 1
 
 
-def test_solo_positions_follow_step_one():
+def _hop_by_steps(aut, s, p, N):
+    """What ``Hops.hop`` must return, stepped with ``_step_one``: a walk
+    that reaches no endmarker within q·(N + 2) steps never does."""
+    b = None
+    for i in range(len(aut.states) * (N + 2) + 1):
+        if i and p in (0, N + 1):
+            return i, s, p, b
+        if b is None and s in aut.broadcasting:
+            b = i
+        s, p = sim._step_one(aut, s, p, N)
+    return None, None, None, b
+
+
+def test_hop_follows_step_one():
+    trapped = 0
     for name in FIXTURE_NAMES:
         for aut in load_fixture(name).automata:
-            for N in (0, 1, 5, 13):
-                s, p = aut.initial, 0
-                want = []
-                for _ in range(4 * (N + 2)):
-                    s, p = sim._step_one(aut, s, p, N)
-                    want.append(p)
-                assert sim.solo_positions(aut, N, len(want)) == want, (name, N)
+            hops = aut.hops
+            for s in sorted(aut.states):
+                for N in (0, 1, 5, 13, 40):
+                    for p in range(1, N + 1):
+                        T, s2, p2, b = hops.hop(hops.index[s], p, N)
+                        got = (T, None if s2 is None else hops.names[s2], p2, b)
+                        assert got == _hop_by_steps(aut, s, p, N), (name, s, p, N)
+                        trapped += T is None and b is None
+    assert trapped
+
+
+def test_kernel_matches_reference_at_large_n():
+    # Three quiet stretches of about 2N steps each: the hop kernel takes a
+    # handful of hops where a step loop would take 6·10^6 steps.
+    N = 10**6
+    events = sim.broadcast_events(_sweeper(), N)
+    assert [(t, cfg.pi) for t, _, cfg in events] == [
+        (2 * N + 3, (1,)),
+        (4 * N + 5, (1,)),
+        (6 * N + 7, (1,)),
+    ]
+
+
+def test_kernel_and_crossings_match_reference_on_random_systems():
+    # Larger systems than the criterion-1 batch, over every short length
+    # and a few long ones.
+    rng = random.Random(7)
+    lengths = list(range(60)) + [97, 150, 321]
+    seen = set()
+    for i in range(150):
+        system = cli.generate_system(rng, 5, 3, 3)
+        for N in lengths:
+            assert sim.broadcast_events(system, N) == oracles.phase_trace(system, N), (i, N)
+        with C.scope():
+            got = C._measured_crossings(system)
+            want = oracles.measured_crossings(system, C._sample_lengths(system))
+        assert got == want, i
+        seen.add(got)
+    assert len(seen) > 2
 
 
 def test_patience_is_exact():
-    # broadcast_events' docstring proves that no broadcast (and no head
-    # falling off) can follow more than `patience` quiet steps; waiting
-    # twice as long must find nothing new.
+    # The reference stops after `patience` quiet steps.  That is exact:
+    # an automaton walking alone repeats a (state, position) pair within
+    # (N + 2)·q steps, after which it settles (broadcast_events' docstring),
+    # so no broadcast and no head falling off comes later.  Waiting twice
+    # as long must find nothing new.
     systems = [load_fixture(name) for name in FIXTURE_NAMES] + _fuzz_slice()
     for system in systems:
         with C.scope():
