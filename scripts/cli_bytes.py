@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Write the CLI output of every fixture and of the first fuzz systems.
 
-For each committed fixture and each of the first 40 systems that
-``multiauto fuzz --seed 20240817`` generates (limits 4, 3, 3), one fresh
-interpreter (PYTHONHASHSEED=0) runs, in this order:
+For each committed fixture and each of the first ``--count`` systems
+(default 40) that ``multiauto fuzz --seed 20240817`` generates (limits 4,
+3, 3), one fresh interpreter (PYTHONHASHSEED=0) runs, in this order:
 
 - ``extract`` with every ``run:<i>:<s>:<s'>`` and ``reach:<i>:<s>:<s'>``
   stage (run before reach, for every state pair of every automaton), then
@@ -19,6 +19,8 @@ under ``diff -r``:
     python3 scripts/cli_bytes.py /tmp/a --root path/to/other/tree
     python3 scripts/cli_bytes.py /tmp/b
     diff -r /tmp/a /tmp/b
+
+``--count 100`` covers the whole criterion-1 batch.
 """
 
 import argparse
@@ -33,7 +35,6 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve()
 FUZZ_SEED = 20240817
-FUZZ_COUNT = 40
 FUZZ_SHAPE = (4, 3, 3)  # max states, max automata, max messages
 VERIFY_N_MAX = 300
 SIMULATE_NS = range(13)
@@ -84,6 +85,12 @@ def main(argv=None):
         default=str(HERE.parents[1]),
         help="source tree whose src/ and fixtures/ are run (default: this one)",
     )
+    ap.add_argument(
+        "--count",
+        type=int,
+        default=40,
+        help="how many fuzz systems to cover (default: 40)",
+    )
     ap.add_argument("--one", nargs=2, metavar=("SPEC", "OUT"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     src = str(Path(args.root).resolve() / "src")
@@ -98,7 +105,7 @@ def main(argv=None):
     (out / "specs").mkdir(parents=True, exist_ok=True)
     specs = sorted((Path(args.root) / "fixtures").glob("*.spec"))
     rng = random.Random(FUZZ_SEED)
-    for i in range(FUZZ_COUNT):
+    for i in range(args.count):
         path = out / "specs" / f"fuzz-{i:02d}.spec"
         path.write_text(cli.dump_spec(cli.generate_system(rng, *FUZZ_SHAPE)))
         specs.append(path)

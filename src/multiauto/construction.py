@@ -10,6 +10,16 @@ state; the phase formula advances every automaton to the next broadcast;
 breadth first; and ``recognized_set`` ORs their acceptance formulas into a
 single one-variable formula that is lowered to an ultimately periodic set.
 
+Only automaton 1 decides acceptance, and messages never change a
+transition, so ``recognized_set`` searches only the frontiers where
+automaton 1 is in a live state (``dynamics.live_states``: one from which a
+step into a final state on the right endmarker is reachable).  Every
+frontier after a dead one is dead too, and a dead frontier's acceptance
+formula is unsatisfiable, unless automaton 1 is in a final state at the
+frontier's broadcast, which may itself be the accepting step;
+``phase_frontiers`` keeps that one case.  The pruned search therefore ORs
+the same satisfiable formulas and gives the same set.
+
 All formulas are exact descriptions of the simulator for sufficiently long
 inputs; the recognized set patches the short inputs by direct simulation.
 
@@ -685,6 +695,18 @@ def _run_caps(system, bounds):
     return tuple(min(ceiling, max(measured, 1) + 2) for _ in system.automata)
 
 
+def _sample(system, bounds):
+    """Run the sampling that decides what an advance builds, and return the
+    run caps: the crossing count first, then the trace of every sampled
+    length, in that order.  Both are memoized in the open scope; running
+    them up front fixes which HeadFellOff is raised first, whether or not
+    anything is built afterwards."""
+    caps = _run_caps(system, bounds)
+    for N in _sample_lengths(system):
+        _phase_trace(system, N)
+    return caps
+
+
 @_per_scope
 def _sample_lengths(system):
     nmin = dynamics.min_sufficient_length(system)
@@ -887,7 +909,7 @@ def advance_frontier(system, frontier: PhaseFrontier, bounds) -> list:
     Nv = var("N")
     pos = [var(x) for x in _pi_names(n)]
     pos2 = [var(x) for x in _pip_names(n)]
-    caps = _run_caps(system, bounds)
+    caps = _sample(system, bounds)
     initial = frontier.messages_spent == 0
 
     graphs: dict = {}
@@ -946,7 +968,7 @@ def advance_frontier(system, frontier: PhaseFrontier, bounds) -> list:
     return renamed
 
 
-def phase_frontiers(system, bounds, depth):
+def phase_frontiers(system, bounds, depth, live=None):
     """Every frontier reachable with at most ``depth`` messages, breadth first.
 
     A frontier is advanced only after the caller has taken it, so work the
@@ -954,14 +976,35 @@ def phase_frontiers(system, bounds, depth):
     keeps the fresh variable names of every formula built stable).  A
     generator opens no scope: iterate it inside one, or every advance
     samples the system afresh.
+
+    ``live``, automaton 1's live states (:func:`dynamics.live_states`),
+    prunes the search to the frontiers where the system can still accept.
+    A frontier whose automaton-1 state is not live is not advanced: every
+    later frontier's state is reachable from it, so none is live either, and
+    no later phase can accept.  Such a frontier is not yielded either,
+    unless it sits on a broadcast in a final state: that broadcasting step
+    may itself be the accepting configuration, which only this frontier's
+    acceptance formula covers (the phase before it requires silence up to
+    and including the accepting time).  The pruning is exact: every
+    acceptance formula it skips is unsatisfiable.  When the initial
+    frontier is not advanced, the sampling its advance would have run still
+    runs (:func:`_sample`), so a head falling off the tape raises as it
+    would without the pruning.
     """
     layer = [initial_frontier(system)]
+    finals = system.automata[0].finals
     for k in range(depth + 1):
         nxt = []
         for fr in layer:
-            yield fr
-            if k < depth:
+            alive = live is None or fr.sigma[0] in live
+            if alive or (k and fr.sigma[0] in finals):
+                yield fr
+            if k == depth:
+                continue
+            if alive:
                 nxt.extend(f for _, f in advance_frontier(system, fr, bounds))
+            elif not k:
+                _sample(system, bounds)
         layer = nxt
 
 
@@ -1042,14 +1085,22 @@ def recognized_set(system) -> UltimatelyPeriodicSet:
     Breadth-first phase expansion through at most M broadcasts, OR-ing the
     per-frontier acceptance formulas, then lowering to a set; lengths below
     the sufficient threshold are patched by direct simulation.
+
+    The expansion is pruned to the frontiers where automaton 1 can still
+    accept (:func:`phase_frontiers` states the rule and why it is exact):
+    messages never change a transition, so once automaton 1 is in a state
+    from which no accepting step is reachable, no later phase accepts, and
+    leaving those phases out cannot change the set.  A system whose
+    automaton 1 starts in such a state builds no formula at all.
     """
     system = validate_system(system)
     bounds = bounds_profile(system)
     nmin = dynamics.min_sufficient_length(system)
     m = system.message_bound
+    live = dynamics.live_states(system.automata[0])
     parts = [
         accept_formula(system, fr, fr.messages_spent == m)
-        for fr in phase_frontiers(system, bounds, m)
+        for fr in phase_frontiers(system, bounds, m, live)
     ]
     phi = land(lor(*parts), ge(var("N"), nmin))
     ups = solution_set(phi, "N")

@@ -6,7 +6,9 @@ head displacement is a fixed profile over that sequence.  Everything the
 formula construction needs about one automaton -- net cycle displacement,
 amplitude, take-off behaviour after leaving an endmarker, traversal slope --
 is derived here, and so is :class:`Hops`, which walks one automaton from
-endmarker to endmarker in closed form for the simulator's sampling kernel.
+endmarker to endmarker in closed form for the simulator's sampling kernel
+and for :func:`sim.accepts`, and :func:`live_states`, the states from which
+an automaton can still accept.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "InputTooShort",
     "basic_sequence",
     "Hops",
+    "live_states",
     "takeoff",
     "min_sufficient_length",
     "traversal_slope",
@@ -237,6 +240,39 @@ class Hops:
             u = end[1] + (u - end[1]) % (end[2] - end[1])
         t, s, p = marks[bisect_right(marks, u, key=_time) - 1]
         return self.after(s, p, u - t) if u > t else (s, p)
+
+
+def live_states(automaton: Automaton) -> frozenset:
+    """The states from which the automaton can still accept.
+
+    Acceptance is a final state with the head on the right endmarker, and
+    the head starts on the left one, so the accepting configuration is
+    entered by a step: an inner move +1 (from position N), a stay on the
+    right endmarker, or a move +1 off the left endmarker (on a^0, where
+    that lands on N + 1).  A state is live when such a step into a final
+    state is reachable from it over the three transition tables.
+    Positions are ignored, so this over-approximates: a state outside the
+    set never reaches an accepting configuration later, on any a^N.
+    """
+    finals = automaton.finals
+    preds = {s: [] for s in automaton.states}
+    live = set()
+    for table, lands in (
+        (automaton.delta_inner, 1),
+        (automaton.delta_right, 0),
+        (automaton.delta_left, 1),
+    ):
+        for s, (nxt, mv) in table.items():
+            preds[nxt].append(s)
+            if mv == lands and nxt in finals:
+                live.add(s)
+    stack = list(live)
+    while stack:
+        for s in preds[stack.pop()]:
+            if s not in live:
+                live.add(s)
+                stack.append(s)
+    return frozenset(live)
 
 
 @dataclass(frozen=True)

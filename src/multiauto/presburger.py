@@ -358,16 +358,14 @@ class _Junction(Formula):
 
     def __init__(self, args: tuple):
         self.args = args
-        fv = EMPTY
         size = 1
         qf = nnf = True
         for a in args:
-            fv = fv | a.fv
             size += a.size
             qf = qf and a.qf
             nnf = nnf and a.nnf
-        self.fv = fv
-        self._h = hash((self._tag, tuple(a._h for a in args)))
+        self.fv = EMPTY.union(*[a.fv for a in args])
+        self._h = hash((self._tag, tuple([a._h for a in args])))
         self.size = size
         self.qf = qf
         self.nnf = nnf
@@ -493,8 +491,14 @@ def lnot(f: Formula) -> Formula:
 
 
 def _flatten(fs, absorb, dual, node_type):
+    """The distinct arguments of a junction, nested lists and same-type
+    junctions spliced in: (dual, None, False) when ``dual`` occurs, else
+    (None, args, shared), where ``shared`` says whether two ``Le``
+    arguments have the same coefficients (so one subsumes the other)."""
     args = []
     seen = set()
+    keys = set()
+    shared = False
     stack = list(fs)
     stack.reverse()
     while stack:
@@ -505,14 +509,19 @@ def _flatten(fs, absorb, dual, node_type):
         if f is absorb:
             continue
         if f is dual:
-            return dual, None
+            return dual, None, False
         if type(f) is node_type:
             stack.extend(reversed(f.args))
             continue
         if f not in seen:
             seen.add(f)
             args.append(f)
-    return None, args
+            if type(f) is Le:
+                k = f.t.coeffs
+                if k in keys:
+                    shared = True
+                keys.add(k)
+    return None, args, shared
 
 
 def _subsume_bounds(args, keep_max):
@@ -525,8 +534,6 @@ def _subsume_bounds(args, keep_max):
                 (a.t.const > best[k]) if keep_max else (a.t.const < best[k])
             ):
                 best[k] = a.t.const
-    if len(best) == sum(1 for a in args if isinstance(a, Le)):
-        return args
     out, done = [], set()
     for a in args:
         if isinstance(a, Le):
@@ -541,10 +548,11 @@ def _subsume_bounds(args, keep_max):
 
 
 def land(*fs) -> Formula:
-    bail, args = _flatten(fs, TRUE, FALSE, And)
+    bail, args, shared = _flatten(fs, TRUE, FALSE, And)
     if bail is not None:
         return bail
-    args = _subsume_bounds(args, keep_max=True)
+    if shared:
+        args = _subsume_bounds(args, keep_max=True)
     if not args:
         return TRUE
     if len(args) == 1:
@@ -553,10 +561,11 @@ def land(*fs) -> Formula:
 
 
 def lor(*fs) -> Formula:
-    bail, args = _flatten(fs, FALSE, TRUE, Or)
+    bail, args, shared = _flatten(fs, FALSE, TRUE, Or)
     if bail is not None:
         return bail
-    args = _subsume_bounds(args, keep_max=False)
+    if shared:
+        args = _subsume_bounds(args, keep_max=False)
     if not args:
         return FALSE
     if len(args) == 1:

@@ -146,20 +146,25 @@ def accepts(system: MultiSystem, N: int) -> bool:
     """Whether a^N is accepted.
 
     Messages never alter transitions, so acceptance is decided by automaton
-    1's own trajectory; simulating it alone with (state, position) loop
-    detection is equivalent to the full run and much cheaper.
+    1's own trajectory, walked alone.  The walk goes from endmarker visit to
+    endmarker visit in closed form (:meth:`dynamics.Hops.walk`), and every
+    arrival on the right endmarker is such a visit, so a^N is accepted iff
+    one of the visits before the walk ends sits on N + 1 in a final state.
+    The walk ends in a cycle of endmarker visits, in a trap inside the tape
+    (both reject: nothing new is visited), or by falling off, which raises
+    HeadFellOff with :func:`_step_one`'s message unless an accepting visit
+    came first.  The cost is a few operations per endmarker visit, not one
+    per step.
     """
     system = validate_system(system)
     aut = system.automata[0]
-    s, p = aut.initial, 0
-    seen = set()
-    while True:
-        if s in aut.finals and p == N + 1:
-            return True
-        if (s, p) in seen:
-            return False
-        seen.add((s, p))
-        s, p = _step_one(aut, s, p, N)
+    hops = aut.hops
+    marks, end = hops.walk(hops.index[aut.initial], 0, 0, N, False)
+    if any(p == N + 1 and hops.names[s] in aut.finals for _, s, p in marks):
+        return True
+    if end[0] == "fall":
+        raise _fell_off(aut, end[2], N)
+    return False
 
 
 def broadcast_events(system: MultiSystem, N: int) -> tuple:

@@ -4,7 +4,8 @@ The reach/run oracles replay one automaton's trajectory step by step and
 record exactly which (state, position, time) triples are realized under each
 predicate's side conditions; the formulas are then required to agree.
 ``phase_trace`` and ``measured_crossings`` are the step-by-step references
-for the phase pipeline's sampling kernel.
+for the phase pipeline's sampling kernel, and ``accepts`` is the one for
+``sim.accepts``.
 """
 
 from multiauto import sim
@@ -135,3 +136,18 @@ def measured_crossings(system, lengths):
                         best = max(best, crossings)
                     last_end = end
     return best
+
+
+def accepts(system, N):
+    """Reference for ``sim.accepts``: automaton 1 stepped alone with
+    ``_step_one`` until it accepts or repeats a (state, position) pair."""
+    aut = system.automata[0]
+    s, p = aut.initial, 0
+    seen = set()
+    while True:
+        if s in aut.finals and p == N + 1:
+            return True
+        if (s, p) in seen:
+            return False
+        seen.add((s, p))
+        s, p = sim._step_one(aut, s, p, N)

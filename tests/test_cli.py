@@ -93,6 +93,38 @@ def test_head_falling_off_is_an_input_error(capsys, falloff_path, argv):
     assert len(err.splitlines()) == 1
 
 
+def _dead_falloff_specs():
+    """Specs whose automaton 1 can never accept while a head falls off, so
+    the extraction prunes every phase: the falling automaton is automaton 1
+    itself, or a second one that only the sampling runs."""
+    alone = falloff_spec()
+    alone["automata"][0]["finals"] = []
+    behind = falloff_spec()
+    behind["automata"][0]["name"] = "A2"
+    behind["automata"].insert(0, {
+        "name": "A1",
+        "states": ["d"],
+        "initial": "d",
+        "finals": [],
+        "broadcasting": [],
+        "delta": [{"state": "d", "symbol": sym, "next": "d", "move": 0} for sym in "LaR"],
+    })
+    return {
+        "no_finals": (alone, "error: A1: head moved to -1 on a tape of length 0\n"),
+        "dead_first": (behind, "error: A2: head moved to -1 on a tape of length 0\n"),
+    }
+
+
+@pytest.mark.parametrize("command", ["extract", "verify"])
+@pytest.mark.parametrize("case", sorted(_dead_falloff_specs()))
+def test_pruned_extraction_keeps_the_falloff_exit(capsys, tmp_path, case, command):
+    spec, error = _dead_falloff_specs()[case]
+    path = tmp_path / "dead.spec"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, command, path)
+    assert (code, out, err) == (2, "", error)
+
+
 # ---------------------------------------------------------------------------
 # analyze
 

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
-from multiauto import sim
+from multiauto import cli, sim
+from multiauto.model import validate_system
 from multiauto.sim import Accepted, GlobalConfiguration, RejectedLoop
 
-from conftest import FIXTURE_NAMES, load_fixture
+import oracles
+from conftest import FIXTURE_NAMES, falloff_spec, load_fixture
 from oracles import NoStopWithinBudget, segment_run
 
 
@@ -89,6 +93,51 @@ def test_accepts_matches_full_run():
         for n in range(0, 40):
             full = isinstance(sim.run(system, n).outcome, Accepted)
             assert sim.accepts(system, n) == full, (name, n)
+
+
+def _random_one_automaton(rng):
+    """One automaton of 1 to 5 states whose endmarker moves may also point
+    off the tape, so that some heads fall off."""
+    states = [f"q{j}" for j in range(rng.randint(1, 5))]
+    automaton = {
+        "name": "A1",
+        "states": states,
+        "initial": "q0",
+        "finals": rng.sample(states, rng.randint(0, len(states))),
+        "broadcasting": [],
+        "delta": [
+            {"state": s, "symbol": sym, "next": rng.choice(states), "move": rng.choice((-1, 0, 1))}
+            for s in states
+            for sym in "LaR"
+        ],
+    }
+    return validate_system({"version": 1, "automata": [automaton], "message_bound": 1})
+
+
+def _accepts_outcome(accepts, system, n):
+    try:
+        return accepts(system, n)
+    except sim.HeadFellOff as exc:
+        return ("HeadFellOff", str(exc))
+
+
+def test_accepts_matches_step_reference():
+    # The hop-by-hop walk against the step loop, messages of a head falling
+    # off included, on short tapes and on tapes of about 1000 and 2000.
+    systems = [load_fixture(name) for name in FIXTURE_NAMES]
+    systems.append(validate_system(falloff_spec()))
+    rng = random.Random(20240817)
+    systems += [cli.generate_system(rng, 4, 3, 3) for _ in range(100)]
+    rng = random.Random(3)
+    systems += [_random_one_automaton(rng) for _ in range(1000)]
+    lengths = list(range(120)) + [999, 1000, 2000, 2001]
+    seen = set()
+    for i, system in enumerate(systems):
+        for n in lengths:
+            want = _accepts_outcome(oracles.accepts, system, n)
+            assert _accepts_outcome(sim.accepts, system, n) == want, (i, n)
+            seen.add(want if isinstance(want, bool) else want[0])
+    assert seen == {True, False, "HeadFellOff"}
 
 
 def test_run_halts_within_configuration_space_bound():
