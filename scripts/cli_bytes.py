@@ -8,6 +8,7 @@ For each committed fixture and each of the first ``--count`` systems
 - ``extract`` with every ``run:<i>:<s>:<s'>`` and ``reach:<i>:<s>:<s'>``
   stage (run before reach, for every state pair of every automaton), then
   ``frontier:<k>`` and ``accept:<k>`` for k = 0..M;
+- ``analyze``;
 - ``verify --n-max 300``;
 - ``simulate --n 0`` .. ``simulate --n 12``.
 
@@ -53,6 +54,7 @@ def _commands(system, spec):
     for stage in stages:
         extract += ["--dump-formula", stage]
     yield extract
+    yield ["analyze", spec]
     yield ["verify", spec, "--n-max", str(VERIFY_N_MAX)]
     for n in SIMULATE_NS:
         yield ["simulate", spec, "--n", str(n)]

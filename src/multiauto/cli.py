@@ -214,9 +214,7 @@ def _dump_stage(system, stage: str) -> None:
             if kind == "frontier":
                 body = fr.position_graph.formula
             else:
-                body = construction.accept_formula(
-                    system, fr, final_phase=(k == system.message_bound)
-                )
+                body = construction.accept_formula(system, fr)
             theta = ",".join(fr.sigma)
             print(f"[{stage} theta={theta}] {presburger.to_sexpr(body)}")
         return

@@ -54,13 +54,11 @@ from .model import BoundsProfile, MultiSystem, bounds_profile, validate_system
 from .presburger import (
     FALSE,
     TRUE,
-    Dvd,
-    Eq,
     Formula,
-    Le,
     Term,
     UltimatelyPeriodicSet,
     _fresh_var,
+    _window,
     eliminate,
     eq,
     evaluate,
@@ -373,27 +371,10 @@ def _edge_n_constraint(aut, stop, u, side, v, cross):
 
 
 def _n_sat(f) -> bool:
-    """Satisfiability over naturals of a quantifier-free formula in N."""
-    if f is TRUE:
-        return True
-    if f is FALSE:
-        return False
-    bound = 1
-    period = 1
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, (Le, Eq)):
-            c = max((abs(c) for _, c in g.t.coeffs), default=1)
-            bound = max(bound, abs(g.t.const) // max(c, 1) + 1)
-        elif isinstance(g, Dvd):
-            period = period * g.d // gcd(period, g.d)
-        for attr in ("f", "args"):
-            sub = getattr(g, attr, None)
-            if sub is None:
-                continue
-            stack.extend(sub if isinstance(sub, tuple) else [sub])
-    return any(evaluate(f, {"N": n}) for n in range(bound + period + 1))
+    """Satisfiability over naturals of a quantifier-free formula in N, on
+    the window that :func:`presburger.solution_set` scans."""
+    threshold, period = _window(f, "N")
+    return any(evaluate(f, {"N": n}) for n in range(threshold + period))
 
 
 def _crossing_targets(aut, stop, u, side):
@@ -1013,10 +994,11 @@ def phase_frontiers(system, bounds, depth, live=None):
 
 
 @_scoped
-def accept_formula(system, frontier: PhaseFrontier, final_phase: bool) -> Formula:
+def accept_formula(system, frontier: PhaseFrontier) -> Formula:
     """N is accepted during this phase: automaton 1 reaches a final state on
     the right endmarker strictly before the phase's next broadcast (the bound
-    is dropped once messages are exhausted)."""
+    is dropped in the final phase, once the frontier has spent every
+    message)."""
     system = validate_system(system)
     aut1 = system.automata[0]
     if not aut1.finals:
@@ -1027,6 +1009,7 @@ def accept_formula(system, frontier: PhaseFrontier, final_phase: bool) -> Formul
     Nv = var("N")
     pos = [var(x) for x in _pi_names(n)]
     initial = frontier.messages_spent == 0
+    final_phase = frontier.messages_spent == system.message_bound
 
     ta = _fresh_var("T")
     final_hit = lor(
@@ -1099,8 +1082,7 @@ def recognized_set(system) -> UltimatelyPeriodicSet:
     m = system.message_bound
     live = dynamics.live_states(system.automata[0])
     parts = [
-        accept_formula(system, fr, fr.messages_spent == m)
-        for fr in phase_frontiers(system, bounds, m, live)
+        accept_formula(system, fr) for fr in phase_frontiers(system, bounds, m, live)
     ]
     phi = land(lor(*parts), ge(var("N"), nmin))
     ups = solution_set(phi, "N")

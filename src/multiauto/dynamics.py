@@ -2,13 +2,15 @@
 
 Inside the tape every step reads the same unary letter, so the state
 sequence from any state is eventually periodic ("basic sequence") and the
-head displacement is a fixed profile over that sequence.  Everything the
-formula construction needs about one automaton -- net cycle displacement,
-amplitude, take-off behaviour after leaving an endmarker, traversal slope --
-is derived here, and so is :class:`Hops`, which walks one automaton from
-endmarker to endmarker in closed form for the simulator's sampling kernel
-and for :func:`sim.accepts`, and :func:`live_states`, the states from which
-an automaton can still accept.
+head displacement is a fixed profile over that sequence.  :class:`Hops`
+turns the basic sequences into one automaton's walk from endmarker to
+endmarker in closed form.  The simulator's sampling kernel and
+:func:`sim.accepts` walk with it, and :func:`takeoff` reads a launch off
+it: one endmarker step and at most one hop, because on a^N with N >= 1 a
+launch ends at its first endmarker contact.  The rest of what the formula
+construction needs about one automaton -- net cycle displacement,
+amplitude, traversal slope -- is derived here too, and so is
+:func:`live_states`, the states from which an automaton can still accept.
 """
 
 from __future__ import annotations
@@ -313,42 +315,42 @@ class FallOff:
 
 
 def takeoff(automaton: Automaton, state: str, end: str, N: int):
-    """Classify the trajectory leaving ``end`` ("L" or "R") in ``state`` on a^N.
+    """Classify the launch leaving ``end`` ("L" or "R") in ``state`` on a^N.
 
     Requires N >= the sufficient input length of the automaton, so the
     kind of outcome is independent of N, and so is the whole of a Return;
     Oscillate.p and the fields of Traverse may depend on N.  Returns Return,
     Oscillate, Traverse or FallOff.
+
+    The launch is read off the automaton's :class:`Hops`: one endmarker
+    step, then at most one :meth:`Hops.hop`.  One hop is enough.  A stay
+    returns at once and a step outward falls off; since N >= 1, a step
+    inward lands inside the tape, and the launch ends at its first
+    endmarker contact, which is the hop's arrival.  A hop without arrival
+    has cycle displacement 0: the configurations at basic-sequence indices
+    0 .. k - 1 differ in state, and index k repeats the position and state
+    of the loop entry l, so the launch oscillates from time 1 + l with
+    period k - l.
     """
     if end not in ("L", "R"):
         raise ValueError(f"end must be 'L' or 'R', got {end!r}")
     nmin = min_sufficient_length(automaton)
     if N < nmin:
         raise InputTooShort(f"N={N} below sufficient length {nmin}")
-    start_pos = 0 if end == "L" else N + 1
-    far_pos = N + 1 if end == "L" else 0
-    s, p, t = state, start_pos, 0
-    seen: dict = {}
-    while True:
-        if p == 0:
-            s, mv = automaton.delta_left[s]
-        elif p == N + 1:
-            s, mv = automaton.delta_right[s]
-        else:
-            key = (s, p)
-            if key in seen:
-                t1 = seen[key]
-                return Oscillate(p=p, T1=t1, T2=t - t1)
-            seen[key] = t
-            s, mv = automaton.delta_inner[s]
-        p += mv
-        t += 1
-        if p == start_pos:
-            return Return(state=s, T=t)
-        if p == far_pos:
-            return Traverse(state=s, T=t)
-        if p < 0 or p > N + 1:
-            return FallOff(T=t)
+    hops = automaton.hops
+    right = end == "R"
+    s, d = hops.ends[hops.index[state]][right]
+    if not d:
+        return Return(state=hops.names[s], T=1)
+    p = (N + 1 if right else 0) + d
+    if not 0 < p <= N:
+        return FallOff(T=1)
+    T, s2, p2, _ = hops.hop(s, p, N)
+    if T is None:
+        seq, lam, ell = hops.inner[s][:3]
+        return Oscillate(p=p + lam[ell], T1=1 + ell, T2=len(seq) - 1 - ell)
+    landed = Return if (p2 > N) == right else Traverse
+    return landed(state=hops.names[s2], T=1 + T)
 
 
 def min_sufficient_length(system) -> int:

@@ -831,78 +831,54 @@ def _cooper_one(v: str, f: Formula, budget: int) -> Formula:
     body = land(_map_atoms(f, unit), dvd(m, uvar))
     if not isinstance(body, Formula):  # pragma: no cover
         raise AssertionError
-    lowers: list[Term] = []
-    uppers: list[Term] = []
+    # u has coefficient +1 or -1 in every atom now: bounds[-1] holds each
+    # lower bound b (b <= u), bounds[1] each upper bound b' (u <= b').
+    bounds: dict = {-1: [], 1: []}
     delta = 1
     atoms = []
     _atoms_on(body, u, atoms)
     for a in atoms:
         if isinstance(a, Le):
-            c = a.t.coeff(u)
-            if c > 0:
-                uppers.append(-(a.t.drop(u)))  # u <= bound
-            else:
-                lowers.append(a.t.drop(u))  # u >= bound
+            side = 1 if a.t.coeff(u) > 0 else -1
+            bounds[side].append(a.t.drop(u) * -side)
         elif isinstance(a, Dvd):
             delta = _lcm(delta, a.d)
 
+    # Bounds are non-strict, so the witnesses are b + j with -infinity, or
+    # b' - j with +infinity, for j in [0, delta): whichever side has fewer
+    # bounds.
+    sign = -1 if len(bounds[-1]) <= len(bounds[1]) else 1
+    base = _at_inf(body, u, sign)
     disjuncts: list[Formula] = []
     size = 0
-    # bounds are non-strict (b <= u), so witnesses are b + j for j in [0, delta)
-    if len(lowers) <= len(uppers):
-        base = _minus_inf(body, u)
-        for j in range(delta):
-            for g in [substitute(base, {u: Term(j)})] + [
-                substitute(body, {u: b + Term(j)}) for b in lowers
-            ]:
-                if g is not FALSE:
-                    disjuncts.append(g)
-                    size += node_count(g)
-            if size > budget:
-                raise BudgetExceeded("cooper", size, budget)
-    else:
-        base = _plus_inf(body, u)
-        for j in range(delta):
-            for g in [substitute(base, {u: Term(-j)})] + [
-                substitute(body, {u: b - Term(j)}) for b in uppers
-            ]:
-                if g is not FALSE:
-                    disjuncts.append(g)
-                    size += node_count(g)
-            if size > budget:
-                raise BudgetExceeded("cooper", size, budget)
+    for j in range(delta):
+        shift = Term(-sign * j)
+        for g in [substitute(base, {u: shift})] + [
+            substitute(body, {u: b + shift}) for b in bounds[sign]
+        ]:
+            if g is not FALSE:
+                disjuncts.append(g)
+                size += node_count(g)
+        if size > budget:
+            raise BudgetExceeded("cooper", size, budget)
     return lor(*disjuncts)
 
 
-def _minus_inf(f: Formula, v: str) -> Formula:
+def _at_inf(f: Formula, v: str, sign: int) -> Formula:
+    """``f`` with v taken to -infinity (sign -1) or +infinity (sign 1):
+    every bound on v becomes a constant, congruences stay."""
     if v not in f.fv:
         return f
     if isinstance(f, Le):
-        return TRUE if f.t.coeff(v) > 0 else FALSE
+        return TRUE if f.t.coeff(v) * sign < 0 else FALSE
     if isinstance(f, Eq):
         return FALSE
     if isinstance(f, (Dvd, Not)):
         return f
     if isinstance(f, And):
-        return land(*[_minus_inf(a, v) for a in f.args])
+        return land(*[_at_inf(a, v, sign) for a in f.args])
     if isinstance(f, Or):
-        return lor(*[_minus_inf(a, v) for a in f.args])
-    raise TypeError(f"unexpected node: {f!r}")
-
-
-def _plus_inf(f: Formula, v: str) -> Formula:
-    if v not in f.fv:
-        return f
-    if isinstance(f, Le):
-        return FALSE if f.t.coeff(v) > 0 else TRUE
-    if isinstance(f, Eq):
-        return FALSE
-    if isinstance(f, (Dvd, Not)):
-        return f
-    if isinstance(f, And):
-        return land(*[_plus_inf(a, v) for a in f.args])
-    if isinstance(f, Or):
-        return lor(*[_plus_inf(a, v) for a in f.args])
+        return lor(*[_at_inf(a, v, sign) for a in f.args])
     raise TypeError(f"unexpected node: {f!r}")
 
 
@@ -1202,6 +1178,23 @@ class UltimatelyPeriodicSet:
     __repr__ = __str__
 
 
+def _window(g: Formula, v: str):
+    """(threshold, period) for a quantifier-free ``g`` free in ``v`` alone:
+    from the threshold on, every atom's truth depends only on v mod the
+    period, so the values of ``g`` on [0, threshold + period) decide it for
+    every natural v."""
+    threshold = 0
+    period = 1
+    atoms: list = []
+    _atoms_on(g, v, atoms)
+    for a in atoms:
+        if isinstance(a, (Le, Eq)):
+            threshold = max(threshold, abs(a.t.const) // abs(a.t.coeff(v)) + 1)
+        elif isinstance(a, Dvd):
+            period = _lcm(period, a.d)
+    return threshold, period
+
+
 def solution_set(
     f: Formula, free_var: str, budget: int = None
 ) -> UltimatelyPeriodicSet:
@@ -1209,16 +1202,7 @@ def solution_set(
     if not f.fv <= {free_var}:
         raise ValueError(f"unexpected free variables: {sorted(f.fv - {free_var})}")
     g = eliminate(land(f, ge(var(free_var), 0)), budget)
-    threshold = 0
-    period = 1
-    atoms: list = []
-    _atoms_on(g, free_var, atoms)
-    for a in atoms:
-        if isinstance(a, (Le, Eq)):
-            c = a.t.coeff(free_var)
-            threshold = max(threshold, abs(a.t.const) // abs(c) + 1)
-        elif isinstance(a, Dvd):
-            period = _lcm(period, a.d)
+    threshold, period = _window(g, free_var)
     bits = [evaluate(g, {free_var: n}) for n in range(threshold + period)]
     return UltimatelyPeriodicSet.from_bits(bits, threshold, period)
 

@@ -56,25 +56,47 @@ def test_takeoff_falloff():
     assert dynamics.takeoff(aut, "w", "L", n) == dynamics.FallOff(T=1)
 
 
+def _replay_launch(aut, s, side, n):
+    """The launch by the simulator's own step: its first endmarker contact,
+    its first repeated interior configuration or its step off the tape."""
+    start = 0 if side == "L" else n + 1
+    q, p = s, start
+    seen = {}
+    # n * |Q| interior configurations: one more step repeats one.
+    for t in range(1, n * len(aut.states) + 2):
+        try:
+            q, p = sim._step_one(aut, q, p, n)
+        except sim.HeadFellOff:
+            return dynamics.FallOff(t)
+        if p in (0, n + 1):
+            return (dynamics.Return if p == start else dynamics.Traverse)(q, t)
+        if (q, p) in seen:
+            return dynamics.Oscillate(p, seen[q, p], t - seen[q, p])
+        seen[q, p] = t
+    raise AssertionError("no interior configuration repeated")
+
+
 def test_takeoff_landing_matches_replay(systems):
-    # Replay every launch with the simulator's own step: a Return or
-    # Traverse names the state and time of the first endmarker contact.
-    for aut in unique_automata(systems):
+    # Every launch of the fixtures at N_min, and of seeded random automata
+    # whose endmarker moves may point off the tape at N_min and
+    # 2 * N_min + 1, against a replay with the simulator's own step.
+    rng = random.Random(11)
+    random_automata = [
+        _random_automaton(rng.randrange(10**6), rng.randint(1, 6), outward=True)
+        for _ in range(300)
+    ]
+    cases = [(aut, dynamics.min_sufficient_length(aut)) for aut in unique_automata(systems)]
+    for aut in random_automata:
         n = dynamics.min_sufficient_length(aut)
+        cases += [(aut, n), (aut, 2 * n + 1)]
+    kinds = set()
+    for aut, n in cases:
         for s in sorted(aut.states):
             for side in ("L", "R"):
                 out = dynamics.takeoff(aut, s, side, n)
-                start = 0 if side == "L" else n + 1
-                q, p = s, start
-                # n * |Q| interior configurations: one more step repeats one.
-                for t in range(1, n * len(aut.states) + 2):
-                    q, p = sim._step_one(aut, q, p, n)
-                    if p in (0, n + 1):
-                        landed = dynamics.Return if p == start else dynamics.Traverse
-                        assert out == landed(q, t), (aut.name, s, side)
-                        break
-                else:
-                    assert isinstance(out, dynamics.Oscillate), (aut.name, s, side)
+                assert out == _replay_launch(aut, s, side, n), (aut.name, s, side, n)
+                kinds.add(type(out))
+    assert kinds == {dynamics.Return, dynamics.Traverse, dynamics.Oscillate, dynamics.FallOff}
 
 
 def test_takeoff_rejects_short_input():
@@ -93,7 +115,8 @@ def test_takeoff_classification_is_length_independent():
                 assert type(a) is type(b), (aut.name, s, side)
 
 
-def _random_automaton(seed, k):
+def _random_automaton(seed, k, outward=False):
+    """k states; with ``outward`` the endmarker moves may leave the tape."""
     rng = random.Random(seed)
     states = [f"q{i}" for i in range(k)]
 
@@ -107,8 +130,8 @@ def _random_automaton(seed, k):
         finals=frozenset(),
         broadcasting=frozenset(),
         delta_inner=tbl((-1, 0, 1)),
-        delta_left=tbl((0, 1)),
-        delta_right=tbl((-1, 0)),
+        delta_left=tbl((-1, 0, 1) if outward else (0, 1)),
+        delta_right=tbl((-1, 0, 1) if outward else (-1, 0)),
     )
 
 

@@ -124,11 +124,11 @@ def test_accept_formula_walker():
     system = load_fixture("walker")
     layers = _layers_by_messages(system)
     # Before its (time-0) broadcast the walker has no chance to accept ...
-    f0 = C.accept_formula(system, layers[0][0], final_phase=False)
+    f0 = C.accept_formula(system, layers[0][0])
     assert eliminate(f0) is not None
     accept0 = eliminate(exists(["N"], f0))
     # ... afterwards it accepts every length.
-    f1 = C.accept_formula(system, layers[1][0], final_phase=True)
+    f1 = C.accept_formula(system, layers[1][0])
     g1 = eliminate(f1)
     for n in (1, 2, 9, 30):
         assert evaluate(g1, {"N": n}), n

@@ -48,7 +48,7 @@ def _check(system):
     live = dynamics.live_states(system.automata[0])
     with C.scope():
         every = [
-            (fr, C.accept_formula(system, fr, fr.messages_spent == m))
+            (fr, C.accept_formula(system, fr))
             for fr in C.phase_frontiers(system, bounds_profile(system), m)
         ]
         pruned = C.recognized_set(system)
