@@ -22,6 +22,17 @@ under ``diff -r``:
     diff -r /tmp/a /tmp/b
 
 ``--count 100`` covers the whole criterion-1 batch.
+
+A change that only reshapes the quantifier-free phase formulas is checked
+with ``--against``, which writes nothing and compares two written trees:
+
+    python3 scripts/cli_bytes.py /tmp/b --against /tmp/a
+
+It fails on any byte difference outside ``[frontier:k ...]`` and
+``[accept:k ...]`` lines.  For each pair of such lines that differ it
+parses both s-expressions and requires them to agree, by ``vector_eval``,
+for every N < 40 with every other free variable (a head position) over
+0..N+1.
 """
 
 import argparse
@@ -39,6 +50,7 @@ FUZZ_SEED = 20240817
 FUZZ_SHAPE = (4, 3, 3)  # max states, max automata, max messages
 VERIFY_N_MAX = 300
 SIMULATE_NS = range(13)
+AGAINST_N = 40  # --against compares formulas for N < AGAINST_N
 JOBS = 2  # interpreters at once
 
 
@@ -79,6 +91,120 @@ def run_one(spec, out):
             fh.write(f"--- stdout\n{stdout.getvalue()}--- stderr\n{stderr.getvalue()}")
 
 
+def parse_sexpr(text):
+    """The formula that ``presburger.to_sexpr`` printed as ``text``."""
+    from multiauto import presburger as P
+
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    pos = 0
+
+    def tree():
+        nonlocal pos
+        tok = tokens[pos]
+        pos += 1
+        if tok != "(":
+            return tok
+        out = []
+        while tokens[pos] != ")":
+            out.append(tree())
+        pos += 1
+        return out
+
+    def term(x):
+        if isinstance(x, list):
+            if x[0] == "*":
+                return P.Term(0, ((x[2], int(x[1])),))
+            parts = [term(a) for a in x[1:]]
+            coeffs = tuple(c for t in parts for c in t.coeffs)
+            return P.Term(sum(t.const for t in parts), coeffs)
+        try:
+            return P.Term(int(x))
+        except ValueError:
+            return P.var(x)
+
+    def formula(x):
+        if x in ("true", "false"):
+            return P.TRUE if x == "true" else P.FALSE
+        head, *args = x
+        if head in ("<=", "="):
+            if args[1] != "0":
+                raise ValueError(f"atom not compared with 0: {x}")
+            return (P.Le if head == "<=" else P.Eq)(term(args[0]))
+        if head == "divides":
+            return P.Dvd(int(args[0]), term(args[1]))
+        if head == "not":
+            return P.Not(formula(args[0]))
+        if head in ("and", "or"):
+            return (P.And if head == "and" else P.Or)(tuple(formula(a) for a in args))
+        if head in ("exists", "forall"):
+            return (P.Exists if head == "exists" else P.Forall)(args[0], formula(args[1]))
+        raise ValueError(f"unknown head {head!r}")
+
+    out = formula(tree())
+    if pos != len(tokens):
+        raise ValueError(f"trailing text after position {pos}")
+    return out
+
+
+def _equivalent(f, g):
+    """f and g agree for every N < AGAINST_N with every other free variable
+    over 0..N+1."""
+    import numpy as np
+    from multiauto.presburger import vector_eval
+
+    names = sorted((f.fv | g.fv) - {"N"})
+    for n in range(AGAINST_N):
+        env = {"N": np.array(n)}
+        for axis, v in enumerate(names):
+            shape = [1] * len(names)
+            shape[axis] = n + 2
+            env[v] = np.arange(n + 2).reshape(shape)
+        if not np.array_equal(vector_eval(f, env), vector_eval(g, env)):
+            return False
+    return True
+
+
+def _formula_line(line):
+    """(tag, s-expression) of a frontier or accept dump line, else None."""
+    if line.startswith(("[frontier:", "[accept:")) and "] " in line:
+        tag, text = line.split("] ", 1)
+        return tag, text
+    return None
+
+
+def against(new, old):
+    """Compare two trees; return the number of differences not allowed."""
+    new, old = Path(new), Path(old)
+    files = sorted({p.relative_to(d) for d in (new, old) for p in d.rglob("*") if p.is_file()})
+    bad = same = 0
+    for rel in files:
+        a, b = new / rel, old / rel
+        if not (a.is_file() and b.is_file()):
+            print(f"{rel}: only in {new if a.is_file() else old}")
+            bad += 1
+            continue
+        la, lb = a.read_text().splitlines(), b.read_text().splitlines()
+        if len(la) != len(lb):
+            print(f"{rel}: {len(la)} lines against {len(lb)}")
+            bad += 1
+            continue
+        for i, (x, y) in enumerate(zip(la, lb), 1):
+            if x == y:
+                continue
+            fx, fy = _formula_line(x), _formula_line(y)
+            if not (fx and fy and fx[0] == fy[0]):
+                print(f"{rel}:{i}: differs outside a formula line")
+                bad += 1
+            elif _equivalent(parse_sexpr(fx[1]), parse_sexpr(fy[1])):
+                print(f"{rel}:{i}: {fx[0]}] differs, equivalent")
+                same += 1
+            else:
+                print(f"{rel}:{i}: {fx[0]}] NOT equivalent")
+                bad += 1
+    print(f"{len(files)} files, {same} equivalent formula lines, {bad} differences")
+    return bad
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("outdir")
@@ -93,6 +219,11 @@ def main(argv=None):
         default=40,
         help="how many fuzz systems to cover (default: 40)",
     )
+    ap.add_argument(
+        "--against",
+        metavar="DIR",
+        help="compare OUTDIR with the tree in DIR instead of writing it",
+    )
     ap.add_argument("--one", nargs=2, metavar=("SPEC", "OUT"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     src = str(Path(args.root).resolve() / "src")
@@ -100,6 +231,8 @@ def main(argv=None):
     if args.one:
         run_one(*args.one)
         return 0
+    if args.against:
+        return 1 if against(args.outdir, args.against) else 0
 
     from multiauto import cli
 

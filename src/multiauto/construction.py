@@ -31,12 +31,16 @@ each automaton from endmarker to endmarker in closed form
 (``dynamics.Hops``), and every broadcasting step, and so every message
 rule, is left to ``sim.global_step``.
 
-Reach/Run canonicals, launch classifications, segment constraints and the
-sampling results are memoized per extraction, not per process: the
-outermost public builder call (or an explicit :func:`scope`) owns the memo
-tables, nested calls reuse them, and the tables are dropped when that call
-returns or raises.  A batch of systems in one process therefore keeps no
-table of an earlier system alive.
+Reach/Run canonicals, the Run canonicals with their quantifiers eliminated
+and the two projections of those (occupied at time T, ever occupied),
+launch classifications, segment constraints and the sampling results are
+memoized per extraction, not per process.  Every use of a Run substitutes
+its terms into the eliminated form, so Cooper sees each Run canonical once
+per extraction, and the ``run``/``reach`` dumps still print the raw
+canonicals.  The outermost public builder call (or an explicit
+:func:`scope`) owns the memo tables, nested calls reuse them, and the
+tables are dropped when that call returns or raises.  A batch of systems
+in one process therefore keeps no table of an earlier system alive.
 """
 
 from __future__ import annotations
@@ -342,7 +346,7 @@ def _launch(aut, state, side):
     A Return must agree in full; any other outcome only in kind, because
     Oscillate.p and Traverse.T grow with N.
     """
-    nw = 2 * dynamics.min_sufficient_length(aut)
+    nw = 2 * aut.hops.nmin
     out = dynamics.takeoff(aut, state, side, nw)
     out2 = dynamics.takeoff(aut, state, side, nw + 1)
     stable = out == out2 if isinstance(out, dynamics.Return) else type(out) is type(out2)
@@ -405,7 +409,7 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
     them while the call runs and is dropped when it returns.
     """
     stop = frozenset(stop)
-    long_enough = ge(Nv, dynamics.min_sufficient_length(aut))
+    long_enough = ge(Nv, aut.hops.nmin)
     reaches: dict = {}
 
     def reach(u, v, A, B, tv):
@@ -526,9 +530,38 @@ def _run_canonical(aut, stop, s, s2, K):
     return _run_expr(aut, stop, s, s2, K, var("p"), var("pp"), var("T"), var("N"))
 
 
+@_per_scope
+def _run_qf(aut, stop, s, s2, K):
+    """The Run canonical with its quantifiers eliminated, once per scope.
+
+    Substituting terms for free variables commutes with an
+    equivalence-preserving elimination, so every use instantiates this
+    instead of handing Cooper the same inner structure again.
+    """
+    return eliminate(_run_canonical(aut, stop, s, s2, K))
+
+
+@_per_scope
+def _occupancy_qf(aut, stop, s, s2, K):
+    """exists pp. Run: s2 is occupied at time T from (s, p)."""
+    return eliminate(exists("pp", _run_qf(aut, stop, s, s2, K)))
+
+
+@_per_scope
+def _ever_qf(aut, stop, s, s2, K):
+    """exists T, pp. Run: s2 is ever occupied from (s, p)."""
+    return eliminate(exists(["T", "pp"], _run_qf(aut, stop, s, s2, K)))
+
+
 def _run(aut, stop, s, s2, K, P, PP, Tm):
-    f = _run_canonical(aut, frozenset(stop), s, s2, K)
+    f = _run_qf(aut, frozenset(stop), s, s2, K)
     return substitute(f, {"p": P, "pp": PP, "T": Tm})
+
+
+def _occupied(aut, b, s, K, P, Tm):
+    """The broadcasting state b is occupied at time Tm from (s, P), with
+    b stopping the run."""
+    return substitute(_occupancy_qf(aut, frozenset({b}), s, b, K), {"p": P, "T": Tm})
 
 
 @_scoped
@@ -546,23 +579,12 @@ def run_formula(aut, stop, s, s2, K) -> ParamFormula:
 
 def _race_expr(aut, s, K, P, Tm, Nv):
     B = sorted(aut.broadcasting)
-    picks = []
-    for b in B:
-        pb = _fresh_var("q")
-        picks.append(exists(pb, _run(aut, frozenset({b}), s, b, K, P, var(pb), Tm)))
+    picks = [_occupied(aut, b, s, K, P, Tm) for b in B]
     minimality = []
     for c in B:
-        tc, pc = _fresh_var("t"), _fresh_var("q")
+        tc = _fresh_var("t")
         minimality.append(
-            lnot(
-                exists(
-                    [tc, pc],
-                    land(
-                        _run(aut, frozenset({c}), s, c, K, P, var(pc), var(tc)),
-                        le(var(tc), Tm - 1),
-                    ),
-                )
-            )
+            lnot(exists(tc, land(_occupied(aut, c, s, K, P, var(tc)), le(var(tc), Tm - 1))))
         )
     return land(lor(*picks), *minimality)
 
@@ -576,10 +598,8 @@ def race_formula(aut, s, K) -> ParamFormula:
 def _mute_expr(aut, s, K, P, Nv):
     parts = []
     for b in sorted(aut.broadcasting):
-        tb, pb = _fresh_var("t"), _fresh_var("q")
-        parts.append(
-            lnot(exists([tb, pb], _run(aut, frozenset({b}), s, b, K, P, var(pb), var(tb))))
-        )
+        ever = _ever_qf(aut, frozenset({b}), s, b, K)
+        parts.append(lnot(substitute(ever, {"p": P})))
     return land(*parts)
 
 
@@ -593,16 +613,8 @@ def _broadcast_by_expr(aut, s, K, P, Bound, Nv):
     """Some broadcasting state is occupied at a time <= Bound from (s, P)."""
     parts = []
     for b in sorted(aut.broadcasting):
-        tb, pb = _fresh_var("t"), _fresh_var("q")
-        parts.append(
-            exists(
-                [tb, pb],
-                land(
-                    _run(aut, frozenset({b}), s, b, K, P, var(pb), var(tb)),
-                    le(var(tb), Bound),
-                ),
-            )
-        )
+        tb = _fresh_var("t")
+        parts.append(exists(tb, land(_occupied(aut, b, s, K, P, var(tb)), le(var(tb), Bound))))
     return lor(*parts)
 
 

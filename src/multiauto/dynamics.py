@@ -123,7 +123,8 @@ class Hops:
     step reads the inner letter, so the walk from an interior (s, p) is the
     basic sequence of s (``inner[s]``): i steps later it is in the
     sequence's i-th state at p + lambda_i, both extended past the first
-    repeat lap by lap.
+    repeat lap by lap.  ``nmin`` is the automaton's sufficient input
+    length (:func:`min_sufficient_length`).
     """
 
     def __init__(self, automaton: Automaton):
@@ -136,8 +137,10 @@ class Hops:
             for s in names
         ]
         self.inner = []
+        amplitude = 0
         for s in names:
             prof = basic_sequence(automaton, s)
+            amplitude = max(amplitude, prof.amplitude)
             seq, lam = tuple(index[q] for q in prof.sequence), prof.lambdas
             k, ell, c = prof.k, prof.loop_entry, prof.net_cycle_displacement
             reach = {}
@@ -149,6 +152,7 @@ class Hops:
             }
             first = next((i for i, q in enumerate(seq[:-1]) if self.loud[q]), None)
             self.inner.append(_Inner(seq, lam, ell, c, first, reach, exits))
+        self.nmin = 1 + amplitude
 
     def after(self, s, p, i):
         """State and position i steps after (s, p), none of them on an endmarker."""
@@ -334,10 +338,9 @@ def takeoff(automaton: Automaton, state: str, end: str, N: int):
     """
     if end not in ("L", "R"):
         raise ValueError(f"end must be 'L' or 'R', got {end!r}")
-    nmin = min_sufficient_length(automaton)
-    if N < nmin:
-        raise InputTooShort(f"N={N} below sufficient length {nmin}")
     hops = automaton.hops
+    if N < hops.nmin:
+        raise InputTooShort(f"N={N} below sufficient length {hops.nmin}")
     right = end == "R"
     s, d = hops.ends[hops.index[state]][right]
     if not d:
@@ -354,11 +357,10 @@ def takeoff(automaton: Automaton, state: str, end: str, N: int):
 
 
 def min_sufficient_length(system) -> int:
-    """Smallest N strictly above every state amplitude in the system."""
+    """Smallest N strictly above every state amplitude in the system
+    (an automaton's own is :attr:`Hops.nmin`)."""
     automata = system.automata if hasattr(system, "automata") else (system,)
-    return 1 + max(
-        basic_sequence(aut, s).amplitude for aut in automata for s in aut.states
-    )
+    return max(aut.hops.nmin for aut in automata)
 
 
 def traversal_slope(automaton: Automaton) -> int:

@@ -829,8 +829,6 @@ def _cooper_one(v: str, f: Formula, budget: int) -> Formula:
         return Dvd(a.d * k, t)
 
     body = land(_map_atoms(f, unit), dvd(m, uvar))
-    if not isinstance(body, Formula):  # pragma: no cover
-        raise AssertionError
     # u has coefficient +1 or -1 in every atom now: bounds[-1] holds each
     # lower bound b (b <= u), bounds[1] each upper bound b' (u <= b').
     bounds: dict = {-1: [], 1: []}

@@ -38,7 +38,7 @@ from multiauto.presburger import (
     vector_eval,
 )
 
-from conftest import criterion7_formulas, fixture_path, load_fixture
+from conftest import FIXTURE_NAMES, ROOT, criterion7_formulas, fixture_path, load_fixture
 
 TESTS = pathlib.Path(__file__).resolve().parent
 
@@ -466,3 +466,37 @@ def test_reach_and_run_dumps_golden(name):
     ).stdout
     golden = TESTS / "data" / "golden" / f"{name}-reach-run.txt"
     assert out == golden.read_text()
+
+
+def _dump_formulas(system):
+    """Every formula a ``--dump-formula`` stage prints for the system."""
+    from multiauto import construction as C
+    from multiauto.model import bounds_profile
+
+    bounds = bounds_profile(system)
+    with C.scope():
+        caps = C._run_caps(system, bounds)
+        for aut, cap in zip(system.automata, caps):
+            for s in sorted(aut.states):
+                for s2 in sorted(aut.states):
+                    yield C.run_formula(aut, frozenset(), s, s2, cap).formula
+                    yield C.reach_formula(aut, frozenset(), s, s2).formula
+        for fr in C.phase_frontiers(system, bounds, system.message_bound):
+            yield fr.position_graph.formula
+            yield C.accept_formula(system, fr)
+
+
+def test_cli_bytes_parses_fixture_dumps_back():
+    """scripts/cli_bytes.py reads a dumped s-expression back into the very
+    formula that was printed, for every fixture dump."""
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import cli_bytes
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    count = 0
+    for name in FIXTURE_NAMES:
+        for f in _dump_formulas(load_fixture(name)):
+            assert cli_bytes.parse_sexpr(to_sexpr(f)) == f, (name, to_sexpr(f))
+            count += 1
+    assert count > 100

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from multiauto import construction as C, dynamics, sim
+from multiauto import construction as C, dynamics, presburger as P, sim
 from multiauto.model import bounds_profile
 from multiauto.presburger import eliminate, evaluate, vector_eval
 
@@ -118,3 +118,85 @@ def test_unstable_launch_raises(monkeypatch, first, second):
     # A scope of its own: no earlier classification is returned or kept.
     with C.scope(), pytest.raises(C.UnstableLaunch):
         C._launch(aut, "w", "L")
+
+
+def test_occupancy_and_ever_projections_match_trajectory():
+    """exists pp. Run and exists T, pp. Run with a broadcasting stop state,
+    against the replayed run, for every start position and T <= 80."""
+    tmax = 80
+    for name in ("crosser2", "racer2", "slowracer"):
+        system = load_fixture(name)
+        K = bounds_profile(system).K
+        for aut in system.automata:
+            for b in sorted(aut.broadcasting):
+                stop = frozenset({b})
+                for s in sorted(aut.states):
+                    with C.scope():
+                        occ = C._occupancy_qf(aut, stop, s, b, K)
+                        ever = C._ever_qf(aut, stop, s, b, K)
+                    for N in range(_nmin(aut), _nmin(aut) + 7):
+                        # A deterministic walk repeats a configuration within
+                        # this many steps, so T <= tmax sees every first visit.
+                        assert len(aut.states) * (N + 2) <= tmax
+                        got = vector_eval(
+                            occ,
+                            {
+                                "N": np.array(N),
+                                "p": np.arange(N + 2)[:, None],
+                                "T": np.arange(tmax + 1)[None, :],
+                            },
+                        )
+                        want = np.zeros_like(got)
+                        for p in range(N + 2):
+                            for cs, _, t in run_trajectory(aut, stop, s, p, N, tmax):
+                                if cs == b:
+                                    want[p, t] = True
+                        assert np.array_equal(got, want), (name, aut.name, b, s, N)
+                        got = vector_eval(ever, {"N": np.array(N), "p": np.arange(N + 2)})
+                        assert np.array_equal(got, want.any(axis=1)), (name, aut.name, b, s, N)
+
+
+def _bound_vars(f, out):
+    if isinstance(f, P._Quant):
+        out.add(f.v)
+        _bound_vars(f.f, out)
+    elif isinstance(f, P.Not):
+        _bound_vars(f.f, out)
+    elif isinstance(f, P._Junction) and not f.qf:
+        for a in f.args:
+            _bound_vars(a, out)
+    return out
+
+
+def test_each_run_canonical_is_eliminated_once(monkeypatch):
+    """One extraction of trio hands every Run canonical to eliminate once.
+
+    A canonical's chain times are fresh ``_t`` names of its own, so an
+    eliminate input that binds one of them redoes that canonical's
+    elimination, whatever was substituted into it.
+    """
+    canonicals, inputs = {}, []
+    run_canonical, eliminate_ = C._run_canonical, C.eliminate
+
+    def recording_canonical(*args):
+        out = run_canonical(*args)
+        canonicals[id(out)] = out
+        return out
+
+    def recording_eliminate(f, *args, **kwargs):
+        inputs.append(f)
+        return eliminate_(f, *args, **kwargs)
+
+    monkeypatch.setattr(C, "_run_canonical", recording_canonical)
+    monkeypatch.setattr(C, "eliminate", recording_eliminate)
+    C.recognized_set(load_fixture("trio"))
+    assert canonicals
+    bound = [_bound_vars(f, set()) for f in inputs]
+    chains = 0
+    for c in canonicals.values():
+        assert sum(f is c for f in inputs) == 1
+        chain = {v for v in _bound_vars(c, set()) if v.startswith("_t")}
+        if chain:
+            chains += 1
+            assert sum(bool(chain & vs) for vs in bound) == 1
+    assert chains
