@@ -124,9 +124,9 @@ def cmd_analyze(args) -> int:
     report = {"automata": [], "bounds": asdict(bounds)}
     for aut in system.automata:
         states = {}
+        n_takeoff = aut.hops.nmin
         for s in sorted(aut.states):
             prof = dynamics.basic_sequence(aut, s)
-            n_takeoff = dynamics.min_sufficient_length(aut)
             entry = {
                 "sequence": list(prof.sequence),
                 "lambdas": list(prof.lambdas),
@@ -198,8 +198,8 @@ def _dump_stage(system, stage: str) -> None:
         if kind == "reach":
             pf = construction.reach_formula(aut, frozenset(), s, s2)
         else:
-            caps = construction._run_caps(system, bounds_profile(system))
-            pf = construction.run_formula(aut, frozenset(), s, s2, caps[i - 1])
+            cap = construction._run_caps(system)
+            pf = construction.run_formula(aut, frozenset(), s, s2, cap)
         print(f"[{stage}] {presburger.to_sexpr(pf.formula)}")
         return
     if kind in ("frontier", "accept"):
@@ -208,7 +208,7 @@ def _dump_stage(system, stage: str) -> None:
         k = _stage_int(stage, parts[1])
         if not 0 <= k <= system.message_bound:
             raise ValidationError(f"stage {stage}: no such phase layer")
-        for fr in construction.phase_frontiers(system, bounds_profile(system), k):
+        for fr in construction.phase_frontiers(system, k):
             if fr.messages_spent != k:
                 continue
             if kind == "frontier":

@@ -54,14 +54,13 @@ from functools import wraps
 from math import gcd
 
 from . import dynamics, sim
-from .model import BoundsProfile, MultiSystem, bounds_profile, validate_system
+from .model import bounds_profile, validate_system
 from .presburger import (
     FALSE,
     TRUE,
     Formula,
     Term,
     UltimatelyPeriodicSet,
-    _fresh_var,
     _window,
     eliminate,
     eq,
@@ -133,10 +132,11 @@ class PhaseFrontier:
 
 
 # The memo tables of the open scope, if any: the name of each memoized
-# helper maps to a dict from its positional arguments to its result.  The
-# public builders keep their signatures and call one another through their
-# module bindings, so the helpers find the tables here instead of taking
-# them as an argument.
+# helper maps to a dict from its positional arguments to its result, and
+# "_fresh_var" to the variable names given out so far.  The public builders
+# keep their signatures and call one another through their module
+# bindings, so the helpers find the tables here instead of taking them as
+# an argument.
 _active = None
 
 
@@ -150,7 +150,9 @@ def scope():
     same system so that they share Reach/Run canonicals and phase traces.
     Each memoized helper is a pure function of its arguments, so a hit
     returns what recomputing would, apart from the fresh variable names a
-    rebuilt formula would get.
+    rebuilt formula would get.  Fresh names are numbered from 0 in each
+    scope, so what a builder prints does not depend on what ran before it
+    in the process.
     """
     global _active
     if _active is not None:
@@ -174,21 +176,35 @@ def _scoped(fn):
     return in_scope
 
 
+def _table(name):
+    """The table ``name`` of the open scope."""
+    if _active is None:
+        raise RuntimeError(f"construction.{name} needs an open construction.scope()")
+    return _active[name]
+
+
 def _per_scope(fn):
     """Memoize ``fn`` on its positional arguments in the open scope."""
     name = fn.__name__
 
     @wraps(fn)
     def memoized(*args):
-        if _active is None:
-            raise RuntimeError(f"construction.{name} needs an open construction.scope()")
-        table = _active[name]
+        table = _table(name)
         out = table.get(args)
         if out is None:
             out = table[args] = fn(*args)
         return out
 
     return memoized
+
+
+def _fresh_var(tag: str) -> str:
+    """``_<tag><n>``, a name the open scope has not given out before; n
+    counts the names given out in the scope, from 0."""
+    used = _table("_fresh_var")
+    n = len(used)
+    used[n] = f"_{tag}{n}"
+    return used[n]
 
 
 # ---------------------------------------------------------------------------
@@ -203,14 +219,6 @@ def _pip_names(n):
     return tuple(f"pip{i + 1}" for i in range(n))
 
 
-def _first_stop_index(prof, stop):
-    """First index >= 1 of a stop state in the basic sequence, else None."""
-    for i in range(1, prof.k + 1):
-        if prof.sequence[i] in stop:
-            return i
-    return None
-
-
 def _interior_expr(aut, stop, s, s2, P, PP, Tm, Nv):
     """Reach from (s, P) staying interior at all times 1..T-1.
 
@@ -218,15 +226,18 @@ def _interior_expr(aut, stop, s, s2, P, PP, Tm, Nv):
     position PP is unconstrained, so first contact with an endmarker may
     only happen at time T.  Stop states are forbidden at times 1..T-1.
     """
-    prof = dynamics.basic_sequence(aut, s)
-    seq, lam = prof.sequence, prof.lambdas
-    ell, k, L, c = prof.loop_entry, prof.k, prof.cycle_length, prof.net_cycle_displacement
-    i0 = _first_stop_index(prof, stop)
+    hops = aut.hops
+    seq, lam, ell, c = hops.inner[hops.index[s]][:4]
+    k = len(seq) - 1
+    L = k - ell
+    t2 = hops.index[s2]
+    # The first index >= 1 of a stop state in the basic sequence, if any.
+    i0 = next((i for i in range(1, k + 1) if hops.names[seq[i]] in stop), None)
     jmax = i0 if i0 is not None else k - 1
 
     disjuncts = []
     for j in range(jmax + 1):
-        if seq[j] == s2:
+        if seq[j] == t2:
             body = [eq(Tm - j), eq(PP - P - lam[j])]
             for i in range(1, j):
                 body.append(ge(P + lam[i], 1))
@@ -242,7 +253,7 @@ def _interior_expr(aut, stop, s, s2, P, PP, Tm, Nv):
             prefix_guards.append(ge(P + lam[i], 1))
             prefix_guards.append(le(P + lam[i], Nv))
         for r in range(L):
-            if seq[ell + r] != s2:
+            if seq[ell + r] != t2:
                 continue
             h = var(_fresh_var("h"))
             body = [
@@ -622,13 +633,15 @@ def _broadcast_by_expr(aut, s, K, P, Bound, Nv):
 # The phase formula and frontier advancement
 
 
-def _phase_expr(system, sigma, sigma2, I, bounds, pos_terms, pos2_vars, Nv, caps):
+def _phase_expr(system, sigma, sigma2, I, pos_terms, pos2_vars, Nv):
+    K = bounds_profile(system).K
+    cap = _run_caps(system)
     T = _fresh_var("T")
     Tv = var(T)
     parts = []
     for i, aut in enumerate(system.automata):
         if i in I:
-            parts.append(_race_expr(aut, sigma[i], bounds.K, pos_terms[i], Tv, Nv))
+            parts.append(_race_expr(aut, sigma[i], K, pos_terms[i], Tv, Nv))
         else:
             # Slower racers are allowed: they must broadcast strictly later
             # than T (or never), matching the simulator's argmin winners.
@@ -636,14 +649,14 @@ def _phase_expr(system, sigma, sigma2, I, bounds, pos_terms, pos2_vars, Nv, caps
             later = exists(
                 ti,
                 land(
-                    _race_expr(aut, sigma[i], bounds.K, pos_terms[i], var(ti), Nv),
+                    _race_expr(aut, sigma[i], K, pos_terms[i], var(ti), Nv),
                     ge(var(ti), Tv + 1),
                 ),
             )
-            parts.append(lor(_mute_expr(aut, sigma[i], bounds.K, pos_terms[i], Nv), later))
+            parts.append(lor(_mute_expr(aut, sigma[i], K, pos_terms[i], Nv), later))
     for i, aut in enumerate(system.automata):
         parts.append(
-            _run(aut, frozenset(), sigma[i], sigma2[i], caps[i], pos_terms[i], pos2_vars[i], Tv)
+            _run(aut, frozenset(), sigma[i], sigma2[i], cap, pos_terms[i], pos2_vars[i], Tv)
         )
     return exists(T, land(*parts))
 
@@ -660,7 +673,7 @@ def _check_theta(system, sigma2, I):
 
 
 @_scoped
-def phase_formula(system, sigma, sigma2, I, bounds) -> ParamFormula:
+def phase_formula(system, sigma, sigma2, I) -> ParamFormula:
     """The displayed phase formula: racers in I broadcast simultaneously at
     the minimum time T, everyone else is mute or strictly later, and every
     automaton is advanced by an unrestricted run over T."""
@@ -671,33 +684,31 @@ def phase_formula(system, sigma, sigma2, I, bounds) -> ParamFormula:
     Nv = var("N")
     pos = [var(x) for x in _pi_names(n)]
     pos2 = [var(x) for x in _pip_names(n)]
-    caps = _run_caps(system, bounds)
-    f = _phase_expr(system, sigma, tuple(sigma2), I, bounds, pos, pos2, Nv, caps)
+    f = _phase_expr(system, sigma, tuple(sigma2), I, pos, pos2, Nv)
     return ParamFormula(f, ("N",) + _pi_names(n) + _pip_names(n))
 
 
-def _run_caps(system, bounds):
-    """Per-automaton traversal caps for the phase runs.
+def _run_caps(system):
+    """The traversal cap of every run in a phase, one for all automata.
 
     The analysis cap is G*K; the realized number of traversals inside one
-    phase is measured on the sampled lengths and padded, keeping formulas
-    small without touching the hard ceiling.
+    phase, by any automaton, is measured on the sampled lengths and padded,
+    keeping formulas small without touching the hard ceiling.
     """
+    bounds = bounds_profile(system)
     ceiling = max(bounds.G, 1) * bounds.K
-    measured = _measured_crossings(system)
-    return tuple(min(ceiling, max(measured, 1) + 2) for _ in system.automata)
+    return min(ceiling, max(_measured_crossings(system), 1) + 2)
 
 
-def _sample(system, bounds):
-    """Run the sampling that decides what an advance builds, and return the
-    run caps: the crossing count first, then the trace of every sampled
-    length, in that order.  Both are memoized in the open scope; running
-    them up front fixes which HeadFellOff is raised first, whether or not
-    anything is built afterwards."""
-    caps = _run_caps(system, bounds)
+def _sample(system):
+    """Run the sampling that decides what an advance builds: the crossing
+    count first, then the trace of every sampled length, in that order.
+    Both are memoized in the open scope; running them up front fixes which
+    HeadFellOff is raised first, whether or not anything is built
+    afterwards."""
+    _measured_crossings(system)
     for N in _sample_lengths(system):
         _phase_trace(system, N)
-    return caps
 
 
 @_per_scope
@@ -705,8 +716,8 @@ def _sample_lengths(system):
     nmin = dynamics.min_sufficient_length(system)
     period = 1
     for aut in system.automata:
-        for q in aut.states:
-            c = abs(dynamics.basic_sequence(aut, q).net_cycle_displacement)
+        for inner in aut.hops.inner:
+            c = abs(inner.c)
             if c:
                 period = period * c // gcd(period, c)
     return tuple(range(0, max(320, nmin + 30 * period + 60) + 1))
@@ -888,7 +899,7 @@ def _realized_branches(system, frontier):
 
 
 @_scoped
-def advance_frontier(system, frontier: PhaseFrontier, bounds) -> list:
+def advance_frontier(system, frontier: PhaseFrontier) -> list:
     """All satisfiable one-phase successors of a frontier.
 
     Returns [((I, sigma'), PhaseFrontier), ...].  A non-initial frontier sits
@@ -902,7 +913,7 @@ def advance_frontier(system, frontier: PhaseFrontier, bounds) -> list:
     Nv = var("N")
     pos = [var(x) for x in _pi_names(n)]
     pos2 = [var(x) for x in _pip_names(n)]
-    caps = _sample(system, bounds)
+    _sample(system)
     initial = frontier.messages_spent == 0
 
     graphs: dict = {}
@@ -919,9 +930,7 @@ def advance_frontier(system, frontier: PhaseFrontier, bounds) -> list:
         body = land(
             frontier.position_graph.formula,
             guard,
-            _phase_expr(
-                system, start_states, sigma2, I, bounds, start_terms, pos2, Nv, caps
-            ),
+            _phase_expr(system, start_states, sigma2, I, start_terms, pos2, Nv),
         )
         g = eliminate(exists(list(_pi_names(n)), body))
         key = (I, sigma2)
@@ -961,7 +970,7 @@ def advance_frontier(system, frontier: PhaseFrontier, bounds) -> list:
     return renamed
 
 
-def phase_frontiers(system, bounds, depth, live=None):
+def phase_frontiers(system, depth, live=None):
     """Every frontier reachable with at most ``depth`` messages, breadth first.
 
     A frontier is advanced only after the caller has taken it, so work the
@@ -995,9 +1004,9 @@ def phase_frontiers(system, bounds, depth, live=None):
             if k == depth:
                 continue
             if alive:
-                nxt.extend(f for _, f in advance_frontier(system, fr, bounds))
+                nxt.extend(f for _, f in advance_frontier(system, fr))
             elif not k:
-                _sample(system, bounds)
+                _sample(system)
         layer = nxt
 
 
@@ -1015,8 +1024,8 @@ def accept_formula(system, frontier: PhaseFrontier) -> Formula:
     aut1 = system.automata[0]
     if not aut1.finals:
         return FALSE
-    bounds = bounds_profile(system)
-    caps = _run_caps(system, bounds)
+    K = bounds_profile(system).K
+    cap = _run_caps(system)
     n = system.n
     Nv = var("N")
     pos = [var(x) for x in _pi_names(n)]
@@ -1026,7 +1035,7 @@ def accept_formula(system, frontier: PhaseFrontier) -> Formula:
     ta = _fresh_var("T")
     final_hit = lor(
         *[
-            _run(aut1, frozenset(), frontier.sigma[0], fstate, caps[0], pos[0], Nv + 1, var(ta))
+            _run(aut1, frozenset(), frontier.sigma[0], fstate, cap, pos[0], Nv + 1, var(ta))
             for fstate in sorted(aut1.finals)
         ]
     )
@@ -1036,11 +1045,7 @@ def accept_formula(system, frontier: PhaseFrontier) -> Formula:
         branches.append(exists(ta, final_hit))
     elif initial:
         guards = [
-            lnot(
-                _broadcast_by_expr(
-                    aut, frontier.sigma[i], bounds.K, pos[i], var(ta), Nv
-                )
-            )
+            lnot(_broadcast_by_expr(aut, frontier.sigma[i], K, pos[i], var(ta), Nv))
             for i, aut in enumerate(system.automata)
         ]
         branches.append(exists(ta, land(final_hit, *guards)))
@@ -1064,7 +1069,7 @@ def accept_formula(system, frontier: PhaseFrontier) -> Formula:
                 if cond is None:
                     cond = silent[i, pattern[i]] = lnot(
                         _broadcast_by_expr(
-                            aut, start_states[i], bounds.K, start_terms[i], var(ta) - 1, Nv
+                            aut, start_states[i], K, start_terms[i], var(ta) - 1, Nv
                         )
                     )
                 conds.append(cond)
@@ -1089,13 +1094,10 @@ def recognized_set(system) -> UltimatelyPeriodicSet:
     automaton 1 starts in such a state builds no formula at all.
     """
     system = validate_system(system)
-    bounds = bounds_profile(system)
     nmin = dynamics.min_sufficient_length(system)
     m = system.message_bound
     live = dynamics.live_states(system.automata[0])
-    parts = [
-        accept_formula(system, fr) for fr in phase_frontiers(system, bounds, m, live)
-    ]
+    parts = [accept_formula(system, fr) for fr in phase_frontiers(system, m, live)]
     phi = land(lor(*parts), ge(var("N"), nmin))
     ups = solution_set(phi, "N")
     width = max(ups.threshold, nmin)

@@ -3,14 +3,16 @@
 Inside the tape every step reads the same unary letter, so the state
 sequence from any state is eventually periodic ("basic sequence") and the
 head displacement is a fixed profile over that sequence.  :class:`Hops`
-turns the basic sequences into one automaton's walk from endmarker to
-endmarker in closed form.  The simulator's sampling kernel and
-:func:`sim.accepts` walk with it, and :func:`takeoff` reads a launch off
-it: one endmarker step and at most one hop, because on a^N with N >= 1 a
-launch ends at its first endmarker contact.  The rest of what the formula
-construction needs about one automaton -- net cycle displacement,
-amplitude, traversal slope -- is derived here too, and so is
-:func:`live_states`, the states from which an automaton can still accept.
+is the one home of the per-automaton constants: it walks the basic
+sequences once, holds each state's sequence, displacements, loop entry
+and net cycle displacement, and derives the sufficient length N_min and
+the traversal slope G from them.  It also turns the basic sequences into
+the automaton's walk from endmarker to endmarker in closed form.  The
+simulator's sampling kernel and :func:`sim.accepts` walk with it, and
+:func:`takeoff` reads a launch off it: one endmarker step and at most one
+hop, because on a^N with N >= 1 a launch ends at its first endmarker
+contact.  :func:`live_states` gives the states from which an automaton can
+still accept.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ __all__ = [
     "live_states",
     "takeoff",
     "min_sufficient_length",
-    "traversal_slope",
 ]
 
 
@@ -123,8 +124,15 @@ class Hops:
     step reads the inner letter, so the walk from an interior (s, p) is the
     basic sequence of s (``inner[s]``): i steps later it is in the
     sequence's i-th state at p + lambda_i, both extended past the first
-    repeat lap by lap.  ``nmin`` is the automaton's sufficient input
-    length (:func:`min_sufficient_length`).
+    repeat lap by lap.
+
+    The constants of the silent-phase analysis come from the same walk:
+    ``nmin`` is the sufficient input length, one above the largest state
+    amplitude, and ``slope`` is the traversal slope G: every inner traversal
+    from an endmarker takes at most G*N + G steps.  A drifting state needs
+    at most ceil(k/|c|) cycles of length <= k per net unit of progress, and
+    a state with a motionless cycle never traverses, so G is 0 when no
+    state drifts.
     """
 
     def __init__(self, automaton: Automaton):
@@ -137,12 +145,14 @@ class Hops:
             for s in names
         ]
         self.inner = []
-        amplitude = 0
+        amplitude = slope = 0
         for s in names:
             prof = basic_sequence(automaton, s)
-            amplitude = max(amplitude, prof.amplitude)
             seq, lam = tuple(index[q] for q in prof.sequence), prof.lambdas
             k, ell, c = prof.k, prof.loop_entry, prof.net_cycle_displacement
+            amplitude = max(amplitude, prof.amplitude)
+            if c:
+                slope = max(slope, -(-k // abs(c)) * k)
             reach = {}
             for i in range(k, 0, -1):
                 reach[lam[i]] = i
@@ -153,6 +163,7 @@ class Hops:
             first = next((i for i, q in enumerate(seq[:-1]) if self.loud[q]), None)
             self.inner.append(_Inner(seq, lam, ell, c, first, reach, exits))
         self.nmin = 1 + amplitude
+        self.slope = slope
 
     def after(self, s, p, i):
         """State and position i steps after (s, p), none of them on an endmarker."""
@@ -357,24 +368,6 @@ def takeoff(automaton: Automaton, state: str, end: str, N: int):
 
 
 def min_sufficient_length(system) -> int:
-    """Smallest N strictly above every state amplitude in the system
-    (an automaton's own is :attr:`Hops.nmin`)."""
-    automata = system.automata if hasattr(system, "automata") else (system,)
-    return max(aut.hops.nmin for aut in automata)
-
-
-def traversal_slope(automaton: Automaton) -> int:
-    """G with every inner traversal from an endmarker taking <= G*N + G steps.
-
-    For a drifting state the head needs at most ceil(k/|c|) cycles per net
-    unit of progress, each of length <= k; states with motionless cycles
-    never traverse.  Returns 0 when no state drifts.
-    """
-    best = 0
-    for s in sorted(automaton.states):
-        prof = basic_sequence(automaton, s)
-        c = prof.net_cycle_displacement
-        if c != 0:
-            k = prof.k
-            best = max(best, -(-k // abs(c)) * k)
-    return best
+    """Smallest N strictly above every state amplitude in the system (one
+    automaton's own is :attr:`Hops.nmin`)."""
+    return max(aut.hops.nmin for aut in system.automata)

@@ -228,15 +228,12 @@ def validate_system(raw) -> MultiSystem:
 
 
 def bounds_profile(system: MultiSystem) -> BoundsProfile:
-    """Phase constants: K = 2 * max state count, N_min = max amplitude, G = max slope."""
-    from . import dynamics
-
-    system = validate_system(system)
-    k = 2 * max(len(a.states) for a in system.automata)
-    amp = 0
-    slope = 0
-    for aut in system.automata:
-        for s in sorted(aut.states):
-            amp = max(amp, dynamics.basic_sequence(aut, s).amplitude)
-        slope = max(slope, dynamics.traversal_slope(aut))
-    return BoundsProfile(K=k, G=slope, N_min=amp)
+    """Phase constants read off each automaton's :class:`dynamics.Hops`:
+    K = 2 * max state count, G = max traversal slope and N_min = max state
+    amplitude, one below :func:`dynamics.min_sufficient_length`."""
+    hops = [a.hops for a in validate_system(system).automata]
+    return BoundsProfile(
+        K=2 * max(len(h.names) for h in hops),
+        G=max(h.slope for h in hops),
+        N_min=max(h.nmin for h in hops) - 1,
+    )

@@ -34,8 +34,9 @@ passes down.  The tables live exactly as long as that call (a raised
 :class:`BudgetExceeded` drops them too); nothing is cached across calls, so
 a result never depends on what ran earlier in the process.  The formula
 builders of :mod:`multiauto.construction` follow the same pattern one level
-up: their memo tables live for one extraction scope
-(``construction.scope``), opened by the outermost builder call.
+up: their memo tables and the numbering of their fresh variable names live
+for one extraction scope (``construction.scope``), opened by the outermost
+builder call.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 import math
 import os
 from functools import reduce
-from itertools import count
 
 __all__ = [
     "Term",
@@ -781,13 +781,6 @@ def _atoms_on(f: Formula, v: str, out: list) -> None:
     elif isinstance(f, _Junction):
         for a in f.args:
             _atoms_on(a, v, out)
-
-
-_fresh = count()
-
-
-def _fresh_var(tag: str) -> str:
-    return f"_{tag}{next(_fresh)}"
 
 
 def _cooper_one(v: str, f: Formula, budget: int) -> Formula:

@@ -4,11 +4,12 @@ The reach/run oracles replay one automaton's trajectory step by step and
 record exactly which (state, position, time) triples are realized under each
 predicate's side conditions; the formulas are then required to agree.
 ``phase_trace`` and ``measured_crossings`` are the step-by-step references
-for the phase pipeline's sampling kernel, and ``accepts`` is the one for
-``sim.accepts``.
+for the phase pipeline's sampling kernel, ``accepts`` is the one for
+``sim.accepts``, and ``traversal_slope`` recomputes ``Hops.slope`` from the
+basic sequences.
 """
 
-from multiauto import sim
+from multiauto import dynamics, sim
 
 
 def reach_trajectory(aut, stop, s, p, N, tmax):
@@ -151,3 +152,20 @@ def accepts(system, N):
             return False
         seen.add((s, p))
         s, p = sim._step_one(aut, s, p, N)
+
+
+def traversal_slope(automaton):
+    """G with every inner traversal from an endmarker taking <= G*N + G steps.
+
+    For a drifting state the head needs at most ceil(k/|c|) cycles per net
+    unit of progress, each of length <= k; states with motionless cycles
+    never traverse.  Returns 0 when no state drifts.
+    """
+    best = 0
+    for s in sorted(automaton.states):
+        prof = dynamics.basic_sequence(automaton, s)
+        c = prof.net_cycle_displacement
+        if c != 0:
+            k = prof.k
+            best = max(best, -(-k // abs(c)) * k)
+    return best

@@ -25,7 +25,6 @@ import pytest
 
 from multiauto import cli, construction as C, dynamics, sim
 from multiauto import presburger as P
-from multiauto.model import bounds_profile
 from multiauto.presburger import eliminate, evaluate, exists, vector_eval
 
 from conftest import (
@@ -96,7 +95,7 @@ def test_criterion_2_canonical_ultimately_periodic(systems, fixture_ups):
 def test_criterion_3_takeoff_return_bound(systems):
     violations = []
     for aut in unique_automata(systems):
-        n = dynamics.min_sufficient_length(aut)
+        n = aut.hops.nmin
         for s in sorted(aut.states):
             k = dynamics.basic_sequence(aut, s).k
             for side in ("L", "R"):
@@ -185,7 +184,6 @@ def test_criterion_5_run_determinism(systems):
 
 def test_criterion_6_phase_branch_uniqueness(systems):
     for name, system in systems.items():
-        bounds = bounds_profile(system)
         nmin = dynamics.min_sufficient_length(system)
         samples = sorted(set(range(nmin, 201, 7)) | {nmin, 200})
         pis = [f"pi{i}" for i in range(1, system.n + 1)]
@@ -196,7 +194,7 @@ def test_criterion_6_phase_branch_uniqueness(systems):
                 nxt = []
                 for fr in layer:
                     reachable = eliminate(exists(pis, fr.position_graph.formula))
-                    branches = C.advance_frontier(system, fr, bounds)
+                    branches = C.advance_frontier(system, fr)
                     projections = [
                         eliminate(exists(pis, child.position_graph.formula))
                         for _theta, child in branches

@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from multiauto import dynamics, sim
+from multiauto import cli, construction as C, dynamics, sim
 from multiauto.model import Automaton, validate_system
 
-from conftest import falloff_spec, load_fixture, unique_automata
+from conftest import FIXTURE_NAMES, falloff_spec, load_fixture, unique_automata
+from oracles import traversal_slope
 
 
 def test_walker_basic_sequence():
@@ -37,7 +39,7 @@ def test_drift3_basic_sequence():
 
 def test_walker_takeoff():
     aut = load_fixture("walker").automata[0]
-    n = dynamics.min_sufficient_length(aut)
+    n = aut.hops.nmin
     assert isinstance(dynamics.takeoff(aut, "w", "L", n), dynamics.Traverse)
     out = dynamics.takeoff(aut, "w", "R", n)
     assert isinstance(out, dynamics.Return) and out.T == 1
@@ -45,14 +47,14 @@ def test_walker_takeoff():
 
 def test_pingpong_takeoff_oscillates():
     aut = load_fixture("pingpong").automata[0]
-    n = dynamics.min_sufficient_length(aut)
+    n = aut.hops.nmin
     out = dynamics.takeoff(aut, "r", "L", n)
     assert isinstance(out, dynamics.Oscillate)
 
 
 def test_takeoff_falloff():
     aut = validate_system(falloff_spec()).automata[0]
-    n = dynamics.min_sufficient_length(aut)
+    n = aut.hops.nmin
     assert dynamics.takeoff(aut, "w", "L", n) == dynamics.FallOff(T=1)
 
 
@@ -85,9 +87,9 @@ def test_takeoff_landing_matches_replay(systems):
         _random_automaton(rng.randrange(10**6), rng.randint(1, 6), outward=True)
         for _ in range(300)
     ]
-    cases = [(aut, dynamics.min_sufficient_length(aut)) for aut in unique_automata(systems)]
+    cases = [(aut, aut.hops.nmin) for aut in unique_automata(systems)]
     for aut in random_automata:
-        n = dynamics.min_sufficient_length(aut)
+        n = aut.hops.nmin
         cases += [(aut, n), (aut, 2 * n + 1)]
     kinds = set()
     for aut, n in cases:
@@ -107,7 +109,7 @@ def test_takeoff_rejects_short_input():
 
 def test_takeoff_classification_is_length_independent():
     for aut in unique_automata({"x": load_fixture("rebounder"), "y": load_fixture("drift3")}):
-        n = dynamics.min_sufficient_length(aut)
+        n = aut.hops.nmin
         for s in sorted(aut.states):
             for side in ("L", "R"):
                 a = dynamics.takeoff(aut, s, side, n)
@@ -147,16 +149,49 @@ def test_basic_sequence_shape(seed, k):
         assert len(set(prof.sequence[:-1])) == len(prof.sequence) - 1
         assert len(prof.sequence) <= k + 1
         assert prof.lambdas[0] == 0
-        assert all(abs(a - b) == abs(a - b) <= 1 for a, b in zip(prof.lambdas, prof.lambdas[1:]))
+        assert all(abs(a - b) <= 1 for a, b in zip(prof.lambdas, prof.lambdas[1:]))
         assert prof.amplitude == max(prof.lambdas) - min(prof.lambdas)
         assert prof.net_cycle_displacement == prof.lambdas[-1] - prof.lambdas[prof.loop_entry]
 
 
 def test_traversal_slope_zero_without_drift():
     aut = load_fixture("pingpong").automata[0]
-    assert dynamics.traversal_slope(aut) == 0
+    assert aut.hops.slope == 0
 
 
 def test_traversal_slope_positive_for_drifters():
-    assert dynamics.traversal_slope(load_fixture("walker").automata[0]) >= 1
-    assert dynamics.traversal_slope(load_fixture("drift3").automata[0]) >= 1
+    assert load_fixture("walker").automata[0].hops.slope >= 1
+    assert load_fixture("drift3").automata[0].hops.slope >= 1
+
+
+def test_hops_constants_match_basic_sequences(systems):
+    # Hops derives N_min and G in its one walk over the basic sequences;
+    # recompute both per state on every fixture automaton and on random
+    # automata.
+    rng = random.Random(5)
+    automata = unique_automata(systems) + [
+        _random_automaton(rng.randrange(10**6), rng.randint(1, 8)) for _ in range(200)
+    ]
+    for aut in automata:
+        amplitudes = [dynamics.basic_sequence(aut, s).amplitude for s in aut.states]
+        assert aut.hops.nmin == 1 + max(amplitudes), aut.name
+        assert aut.hops.slope == traversal_slope(aut), aut.name
+
+
+def test_extraction_builds_each_basic_sequence_once(monkeypatch):
+    # Hops is the one reader of the basic sequences on the extraction path:
+    # one recognized_set walks each (automaton, state) at most once.
+    calls = Counter()
+    basic_sequence = dynamics.basic_sequence
+
+    def counted(aut, s):
+        calls[id(aut), s] += 1
+        return basic_sequence(aut, s)
+
+    monkeypatch.setattr(dynamics, "basic_sequence", counted)
+    rng = random.Random(20240817)
+    fuzz = [cli.generate_system(rng, 4, 3, 3) for _ in range(8)]
+    for system in [load_fixture(name) for name in FIXTURE_NAMES] + fuzz:
+        calls.clear()
+        C.recognized_set(system)
+        assert max(calls.values(), default=0) <= 1, sorted(calls.items())

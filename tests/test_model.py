@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from multiauto.dynamics import min_sufficient_length
 from multiauto.model import (
     Automaton,
     BadMove,
@@ -127,6 +128,14 @@ def test_nmin_at_most_max_state_count():
         system = load_fixture(name)
         bounds = bounds_profile(system)
         assert bounds.N_min <= max(len(a.states) for a in system.automata), name
+
+
+def test_nmin_is_one_below_the_sufficient_length():
+    # analyze prints N_min, the largest amplitude; inputs must be strictly
+    # longer, so the sufficient length is one more.
+    for name in FIXTURE_NAMES:
+        system = load_fixture(name)
+        assert bounds_profile(system).N_min + 1 == min_sufficient_length(system), name
 
 
 def test_fixtures_all_validate(systems):

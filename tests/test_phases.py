@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from multiauto import construction as C, sim
-from multiauto.model import bounds_profile
 from multiauto.presburger import eliminate, evaluate, exists, vector_eval
 
 from conftest import FIXTURE_NAMES, load_fixture
@@ -17,7 +16,7 @@ def _layers_by_messages(system):
     m = system.message_bound
     layers = [[] for _ in range(m + 1)]
     with C.scope():
-        for fr in C.phase_frontiers(system, bounds_profile(system), m):
+        for fr in C.phase_frontiers(system, m):
             layers[fr.messages_spent].append(fr)
     return layers
 
@@ -30,13 +29,13 @@ def test_phase_frontiers_advance_each_frontier_after_it_is_taken(monkeypatch):
     log = []
     advance = C.advance_frontier
 
-    def logged_advance(system, fr, bounds):
+    def logged_advance(system, fr):
         log.append(("advance", id(fr)))
-        return advance(system, fr, bounds)
+        return advance(system, fr)
 
     monkeypatch.setattr(C, "advance_frontier", logged_advance)
     expected = []
-    for fr in C.phase_frontiers(system, bounds_profile(system), m):
+    for fr in C.phase_frontiers(system, m):
         log.append(("take", id(fr)))
         expected.append(("take", id(fr)))
         if fr.messages_spent < m:
@@ -58,9 +57,7 @@ def test_initial_frontier_pins_heads_to_zero():
 def test_racer2_first_dispatch_is_a2_alone():
     # A2 sits in a broadcasting state at time 0; only I={A2} is realizable.
     system = load_fixture("racer2")
-    branches = C.advance_frontier(
-        system, C.initial_frontier(system), bounds_profile(system)
-    )
+    branches = C.advance_frontier(system, C.initial_frontier(system))
     assert branches
     for (I, _sigma2), _fr in branches:
         assert I == frozenset({1})
@@ -104,20 +101,18 @@ def test_frontier_graphs_are_functional():
 
 def test_phase_formula_checks_theta():
     system = load_fixture("racer2")
-    bounds = bounds_profile(system)
     with pytest.raises(ValueError):
         # I must be a nonempty subset of broadcasting-capable indices.
-        C.phase_formula(system, ("e", "z1"), ("e", "z1"), frozenset(), bounds)
+        C.phase_formula(system, ("e", "z1"), ("e", "z1"), frozenset())
 
 
 def test_advance_requires_remaining_messages():
     system = load_fixture("walker")
-    bounds = bounds_profile(system)
     layers = _layers_by_messages(system)
     final = layers[-1][0]
     assert final.messages_spent == system.message_bound
     with pytest.raises(ValueError):
-        C.advance_frontier(system, final, bounds)
+        C.advance_frontier(system, final)
 
 
 def test_accept_formula_walker():

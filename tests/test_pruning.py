@@ -13,7 +13,7 @@ import random
 import pytest
 
 from multiauto import cli, construction as C, dynamics, sim
-from multiauto.model import bounds_profile, validate_system
+from multiauto.model import validate_system
 from multiauto.presburger import UltimatelyPeriodicSet, ge, land, lor, solution_set, var
 
 from conftest import FIXTURE_NAMES, load_fixture
@@ -49,7 +49,7 @@ def _check(system):
     with C.scope():
         every = [
             (fr, C.accept_formula(system, fr))
-            for fr in C.phase_frontiers(system, bounds_profile(system), m)
+            for fr in C.phase_frontiers(system, m)
         ]
         pruned = C.recognized_set(system)
     skipped = [f for fr, f in every if not _kept(system, live, fr)]

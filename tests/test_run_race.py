@@ -10,7 +10,7 @@ from oracles import first_broadcast_time, run_trajectory
 
 
 def _nmin(aut):
-    return dynamics.min_sufficient_length(aut)
+    return aut.hops.nmin
 
 
 def test_run_signature_and_time_zero():

@@ -83,3 +83,8 @@ def test_scope_closes_on_an_exception():
 def test_memoized_helper_needs_a_scope():
     with pytest.raises(RuntimeError, match="needs an open construction.scope"):
         C._sample_lengths(load_fixture("walker"))
+
+
+def test_fresh_names_need_a_scope():
+    with pytest.raises(RuntimeError, match="needs an open construction.scope"):
+        C._fresh_var("t")
