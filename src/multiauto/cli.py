@@ -5,10 +5,12 @@ Spec files are JSON documents with top-level fields ``version`` (1),
 ``initial``, ``finals``, ``broadcasting`` states and a ``delta`` table of
 ``{state, symbol, next, move}`` entries where ``symbol`` is ``"a"`` for the
 interior letter, ``"L"`` for the left endmarker and ``"R"`` for the right
-endmarker, and ``move`` is -1, 0 or 1.  Unknown fields are rejected.
+endmarker, and ``move`` is -1, 0 or 1; a move from an endmarker must keep
+the head on the tape (0 or 1 on ``"L"``, -1 or 0 on ``"R"``).  Unknown
+fields are rejected.
 
 Exit codes are a stable contract: 0 accept/OK, 1 reject/mismatch, 2 input
-error (including an automaton whose head falls off the tape), 3
+error (including an endmarker move off the tape), 3
 quantifier-elimination budget exhausted, 141 (128 + SIGPIPE) when
 the reader of standard output went away, as after ``| head``.  All
 randomness is seeded; no command reads wall-clock time or OS entropy.
@@ -25,6 +27,7 @@ from dataclasses import asdict
 
 from . import construction, dynamics, presburger, sim
 from .model import (
+    MOVES,
     Automaton,
     MultiSystem,
     ValidationError,
@@ -263,8 +266,8 @@ def cmd_verify(args) -> int:
 def generate_system(
     rng: random.Random, max_states: int = 4, max_automata: int = 3, max_messages: int = 3
 ) -> MultiSystem:
-    """One pseudo-random valid system.  Endmarker moves always point inward
-    (or stay), so heads can never fall off the tape."""
+    """One pseudo-random valid system.  Endmarker moves point inward or
+    stay, as validation requires."""
     n = rng.randint(1, max_automata)
     automata = []
     for i in range(1, n + 1):
@@ -283,9 +286,9 @@ def generate_system(
                 initial=states[0],
                 finals=finals,
                 broadcasting=broadcasting,
-                delta_inner=table((-1, 0, 1)),
-                delta_left=table((0, 1)),
-                delta_right=table((-1, 0)),
+                delta_inner=table(MOVES["a"]),
+                delta_left=table(MOVES["L"]),
+                delta_right=table(MOVES["R"]),
             )
         )
     return MultiSystem(
@@ -468,7 +471,7 @@ def main(argv=None) -> int:
         finally:
             os.close(null)
         return EXIT_PIPE
-    except (OSError, ValidationError, sim.HeadFellOff) as exc:
+    except (OSError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -3,7 +3,7 @@
 The pipeline mirrors the silent-phase analysis: ``reach_formula`` describes
 endmarker-free runs exactly; ``run_formula`` stitches reaches through the
 endmarkers, following each launch from an endmarker as
-``dynamics.takeoff`` classifies it (rebound, crossing, trap or fall-off) and
+``dynamics.takeoff`` classifies it (rebound, crossing or trap) and
 capping the number of traversals by K; races pick the earliest broadcasting
 state; the phase formula advances every automaton to the next broadcast;
 ``phase_frontiers`` walks the frontiers reachable with at most M messages
@@ -285,10 +285,6 @@ def _endmarker_start_expr(aut, stop, s, s2, side, PP, Tm, Nv):
     t0 = land(eq(Tm), eq(PP - start_pos)) if s2 == s else FALSE
     table = aut.delta_left if side == "L" else aut.delta_right
     t, d = table[s]
-    inward = 1 if side == "L" else -1
-    if d == -inward:
-        # Steps off the tape: no configuration is reachable beyond T=0.
-        return t0
     if d == 0:
         step = land(eq(Tm - 1), eq(PP - start_pos)) if s2 == t else FALSE
         return lor(t0, step)
@@ -490,7 +486,7 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
         if u in stop:
             return
         out = _launch(aut, u, side)
-        if isinstance(out, (dynamics.Oscillate, dynamics.FallOff)):
+        if isinstance(out, dynamics.Oscillate):
             return
         if isinstance(out, dynamics.Return):
             nxt = (out.state, side)
@@ -700,17 +696,6 @@ def _run_caps(system):
     return min(ceiling, max(_measured_crossings(system), 1) + 2)
 
 
-def _sample(system):
-    """Run the sampling that decides what an advance builds: the crossing
-    count first, then the trace of every sampled length, in that order.
-    Both are memoized in the open scope; running them up front fixes which
-    HeadFellOff is raised first, whether or not anything is built
-    afterwards."""
-    _measured_crossings(system)
-    for N in _sample_lengths(system):
-        _phase_trace(system, N)
-
-
 @_per_scope
 def _sample_lengths(system):
     nmin = dynamics.min_sufficient_length(system)
@@ -748,8 +733,7 @@ def _measured_crossings(system):
     inside one phase.  The walk comes from :meth:`dynamics.Hops.walk`, so
     only the endmarker visits are computed, and once it cycles the visits
     of every later lap are counted by :func:`_most_crossings` without
-    being listed.  HeadFellOff is raised when a head leaves the tape before
-    the horizon, even after the message bound is spent.
+    being listed.
     """
     best = 0
     lengths = _sample_lengths(system)
@@ -759,8 +743,6 @@ def _measured_crossings(system):
             hops = aut.hops
             horizon = (times[-1] if times else 0) + (N + 2) * (len(aut.states) + 1)
             marks, end = hops.walk(hops.index[aut.initial], 0, 0, N, False)
-            if end[0] == "fall" and end[1] < horizon:
-                raise sim._fell_off(aut, end[2], N)
             visits = [(t, p) for t, _, p in marks if not 0 < p <= N]
             loop = None
             if end[0] == "cycle":
@@ -840,19 +822,15 @@ def _pattern_guard(pattern, pos, Nv):
 
 def _stepped(system, sigma, pattern, Nv, pos):
     """Apply one synchronous step under an endmarker pattern; returns
-    (states, position terms) or None when a head would fall off."""
+    (states, position terms)."""
     states, terms = [], []
     for i, aut in enumerate(system.automata):
         sym = pattern[i]
         if sym == "L":
             t, d = aut.delta_left[sigma[i]]
-            if d < 0:
-                return None
             terms.append(Term(d))
         elif sym == "R":
             t, d = aut.delta_right[sigma[i]]
-            if d > 0:
-                return None
             terms.append(Nv + 1 + d)
         else:
             t, d = aut.delta_inner[sigma[i]]
@@ -913,7 +891,6 @@ def advance_frontier(system, frontier: PhaseFrontier) -> list:
     Nv = var("N")
     pos = [var(x) for x in _pi_names(n)]
     pos2 = [var(x) for x in _pip_names(n)]
-    _sample(system)
     initial = frontier.messages_spent == 0
 
     graphs: dict = {}
@@ -922,10 +899,7 @@ def advance_frontier(system, frontier: PhaseFrontier) -> list:
             start_states, start_terms = frontier.sigma, [Term(0)] * n
             guard = TRUE
         else:
-            stepped = _stepped(system, frontier.sigma, pattern, Nv, pos)
-            if stepped is None:
-                continue
-            start_states, start_terms = stepped
+            start_states, start_terms = _stepped(system, frontier.sigma, pattern, Nv, pos)
             guard = _pattern_guard(pattern, pos, Nv)
         body = land(
             frontier.position_graph.formula,
@@ -988,10 +962,7 @@ def phase_frontiers(system, depth, live=None):
     may itself be the accepting configuration, which only this frontier's
     acceptance formula covers (the phase before it requires silence up to
     and including the accepting time).  The pruning is exact: every
-    acceptance formula it skips is unsatisfiable.  When the initial
-    frontier is not advanced, the sampling its advance would have run still
-    runs (:func:`_sample`), so a head falling off the tape raises as it
-    would without the pruning.
+    acceptance formula it skips is unsatisfiable.
     """
     layer = [initial_frontier(system)]
     finals = system.automata[0].finals
@@ -1005,8 +976,6 @@ def phase_frontiers(system, depth, live=None):
                 continue
             if alive:
                 nxt.extend(f for _, f in advance_frontier(system, fr))
-            elif not k:
-                _sample(system)
         layer = nxt
 
 
@@ -1054,10 +1023,7 @@ def accept_formula(system, frontier: PhaseFrontier) -> Formula:
         # guard is built once per (i, pattern[i]) and shared by the patterns.
         silent: dict = {}
         for pattern in _patterns(n):
-            stepped = _stepped(system, frontier.sigma, pattern, Nv, pos)
-            if stepped is None:
-                continue
-            start_states, start_terms = stepped
+            start_states, start_terms = _stepped(system, frontier.sigma, pattern, Nv, pos)
             guard = _pattern_guard(pattern, pos, Nv)
             if guard is FALSE:
                 continue

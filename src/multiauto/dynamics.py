@@ -29,7 +29,6 @@ __all__ = [
     "Return",
     "Oscillate",
     "Traverse",
-    "FallOff",
     "InputTooShort",
     "basic_sequence",
     "Hops",
@@ -184,7 +183,7 @@ class Hops:
         None.  T, state and position are None when the head never arrives:
         the cycle displacement is 0 and the first lap stays inside [1, N].
         With b also None the walk is trapped: it never broadcasts and never
-        leaves the tape.
+        reaches an endmarker.
 
         Moves are -1, 0 or +1, so the first step out of [1, N] lands on an
         endmarker: an inner move cannot leave the tape.
@@ -214,15 +213,13 @@ class Hops:
 
         - ``("loud", t1)``: only with ``to_loud``, the first broadcasting
           state, at time t1;
-        - ``("fall", t1, q)``: the step leaving the endmarker at time t1
-          moves the head to q, off the tape;
         - ``("cycle", t0, t1)``: the endmarker visit at t1 repeats the
           (state, side) of the one at t0, so the walk repeats with period
           t1 - t0 forever;
         - ``("trap",)``: the head never reaches an endmarker again.
 
-        With ``to_loud`` a fall, a cycle or a trap means that no state up
-        to it broadcasts, and so (for a cycle or a trap) none ever will.
+        With ``to_loud`` a cycle or a trap means that no state up to it
+        broadcasts, and so none ever will.
         """
         marks = []
         seen = {}
@@ -246,13 +243,11 @@ class Hops:
             marks.append((t, s, p))
             s, d = self.ends[s][p == right]
             p += d
-            if not 0 <= p <= right:
-                return marks, ("fall", t, p)
             t += 1
 
     def at(self, marks, end, u):
         """The (state, position) at time u of a walk from :meth:`walk`; u
-        is at or after its first mark, and not after a loud or fall end."""
+        is at or after its first mark, and not after a loud end."""
         if end[0] == "cycle" and u >= end[1]:
             u = end[1] + (u - end[1]) % (end[2] - end[1])
         t, s, p = marks[bisect_right(marks, u, key=_time) - 1]
@@ -322,25 +317,18 @@ class Traverse:
     T: int
 
 
-@dataclass(frozen=True)
-class FallOff:
-    """The head leaves the tape at step T (an ill-designed automaton)."""
-
-    T: int
-
-
 def takeoff(automaton: Automaton, state: str, end: str, N: int):
     """Classify the launch leaving ``end`` ("L" or "R") in ``state`` on a^N.
 
     Requires N >= the sufficient input length of the automaton, so the
     kind of outcome is independent of N, and so is the whole of a Return;
     Oscillate.p and the fields of Traverse may depend on N.  Returns Return,
-    Oscillate, Traverse or FallOff.
+    Oscillate or Traverse.
 
     The launch is read off the automaton's :class:`Hops`: one endmarker
     step, then at most one :meth:`Hops.hop`.  One hop is enough.  A stay
-    returns at once and a step outward falls off; since N >= 1, a step
-    inward lands inside the tape, and the launch ends at its first
+    returns at once; any other endmarker move points inward and, since
+    N >= 1, lands inside the tape, and the launch ends at its first
     endmarker contact, which is the hop's arrival.  A hop without arrival
     has cycle displacement 0: the configurations at basic-sequence indices
     0 .. k - 1 differ in state, and index k repeats the position and state
@@ -357,8 +345,6 @@ def takeoff(automaton: Automaton, state: str, end: str, N: int):
     if not d:
         return Return(state=hops.names[s], T=1)
     p = (N + 1 if right else 0) + d
-    if not 0 < p <= N:
-        return FallOff(T=1)
     T, s2, p2, _ = hops.hop(s, p, N)
     if T is None:
         seq, lam, ell = hops.inner[s][:3]

@@ -3,7 +3,9 @@
 State identifiers are strings namespaced per automaton (``"A1.q0"``), so
 disjointness across the system is a purely syntactic check.  The transition
 function is split into three total maps: one for the unary inner letter and
-one per endmarker.  All types are immutable after validation.
+one per endmarker.  A move from an endmarker never leaves the tape: the left
+endmarker allows 0 and +1, the right one 0 and -1, so every head stays on
+{0..N+1} on every input.  All types are immutable after validation.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ __all__ = [
     "bounds_profile",
 ]
 
-MOVES = (-1, 0, 1)
+# The head moves allowed on each symbol: an endmarker move keeps the head on
+# the tape.
+MOVES = {"a": (-1, 0, 1), "L": (0, 1), "R": (-1, 0)}
 
 
 class ValidationError(Exception):
@@ -40,7 +44,7 @@ class DuplicateStateId(ValidationError):
 
 
 class BadMove(ValidationError):
-    """A head move outside {-1, 0, +1}."""
+    """A head move outside {-1, 0, +1}, or one off the tape from an endmarker."""
 
 
 class BadBound(ValidationError):
@@ -114,7 +118,7 @@ class Automaton:
                     raise ValidationError(
                         f"{self.name}: transition ({s}, {label}) targets unknown state {nxt!r}"
                     )
-                if mv not in MOVES:
+                if mv not in MOVES[label]:
                     raise BadMove(f"{self.name}: move {mv!r} for ({s}, {label})")
             for s in table:
                 if s not in self.states:
@@ -142,6 +146,13 @@ class MultiSystem:
         return len(self.automata)
 
     def validate(self) -> "MultiSystem":
+        """Check the model invariants, once per instance: a system is not
+        changed after validation, so a repeated call returns at once."""
+        self._checked
+        return self
+
+    @cached_property
+    def _checked(self) -> bool:
         if self.n < 1:
             raise ValidationError("a system needs at least one automaton")
         if self.message_bound < 1:
@@ -157,7 +168,7 @@ class MultiSystem:
                         f"state id {s!r} appears in both {seen[s]} and {aut.name}"
                     )
                 seen[s] = aut.name
-        return self
+        return True
 
 
 @dataclass(frozen=True)
@@ -191,7 +202,7 @@ def _automaton_from_raw(raw: dict) -> Automaton:
         if sym not in tables:
             raise ValidationError(f"{name}: unknown symbol {sym!r} (expected a, L or R)")
         mv = entry.get("move")
-        if mv not in MOVES:
+        if mv not in MOVES[sym]:
             raise BadMove(f"{name}: move {mv!r} for ({entry.get('state')}, {sym})")
         tables[sym][entry["state"]] = (entry["next"], mv)
     return Automaton(
@@ -209,7 +220,8 @@ def _automaton_from_raw(raw: dict) -> Automaton:
 def validate_system(raw) -> MultiSystem:
     """Validate a raw description (or re-validate a MultiSystem) into a MultiSystem.
 
-    Accepts either an already-built :class:`MultiSystem` (idempotent) or a
+    Accepts either an already-built :class:`MultiSystem` (idempotent, and a
+    no-op once the instance has been validated) or a
     dict with keys ``version``, ``automata`` and ``message_bound`` as produced
     by the CLI spec-file parser.
     """

@@ -4,8 +4,9 @@ The tape is {0..N+1} with endmarkers at 0 and N+1.  All automata step
 simultaneously; any subset of them sitting in broadcasting states emits one
 message for the whole step, counted against the message bound.  The system
 accepts when automaton 1 is in a final state scanning the right endmarker.
-Every simulation either accepts or revisits a global configuration, so runs
-always terminate.
+Validation keeps every head on the tape (an endmarker move never points
+outward), so a step needs no bounds check.  Every simulation either
+accepts or revisits a global configuration, so runs always terminate.
 """
 
 from __future__ import annotations
@@ -20,17 +21,12 @@ __all__ = [
     "RejectedLoop",
     "RejectedDead",
     "Trace",
-    "HeadFellOff",
     "global_step",
     "broadcast_events",
     "run",
     "accepts",
     "trace_log",
 ]
-
-
-class HeadFellOff(Exception):
-    """A transition moved a head outside {0..N+1}: the automaton is ill-designed."""
 
 
 @dataclass(frozen=True)
@@ -79,14 +75,7 @@ def _step_one(aut, s, p, N):
         nxt, mv = aut.delta_right[s]
     else:
         nxt, mv = aut.delta_inner[s]
-    q = p + mv
-    if q < 0 or q > N + 1:
-        raise _fell_off(aut, q, N)
-    return nxt, q
-
-
-def _fell_off(aut, q, N):
-    return HeadFellOff(f"{aut.name}: head moved to {q} on a tape of length {N}")
+    return nxt, p + mv
 
 
 def global_step(system: MultiSystem, config: GlobalConfiguration, N: int):
@@ -150,21 +139,15 @@ def accepts(system: MultiSystem, N: int) -> bool:
     endmarker visit in closed form (:meth:`dynamics.Hops.walk`), and every
     arrival on the right endmarker is such a visit, so a^N is accepted iff
     one of the visits before the walk ends sits on N + 1 in a final state.
-    The walk ends in a cycle of endmarker visits, in a trap inside the tape
-    (both reject: nothing new is visited), or by falling off, which raises
-    HeadFellOff with :func:`_step_one`'s message unless an accepting visit
-    came first.  The cost is a few operations per endmarker visit, not one
-    per step.
+    The walk ends in a cycle of endmarker visits or in a trap inside the
+    tape; both reject, since nothing new is visited.  The cost is a few
+    operations per endmarker visit, not one per step.
     """
     system = validate_system(system)
     aut = system.automata[0]
     hops = aut.hops
-    marks, end = hops.walk(hops.index[aut.initial], 0, 0, N, False)
-    if any(p == N + 1 and hops.names[s] in aut.finals for _, s, p in marks):
-        return True
-    if end[0] == "fall":
-        raise _fell_off(aut, end[2], N)
-    return False
+    marks, _ = hops.walk(hops.index[aut.initial], 0, 0, N, False)
+    return any(p == N + 1 and hops.names[s] in aut.finals for _, s, p in marks)
 
 
 def broadcast_events(system: MultiSystem, N: int) -> tuple:
@@ -188,17 +171,10 @@ def broadcast_events(system: MultiSystem, N: int) -> tuple:
     sequence stays inside the tape with cycle displacement 0 and no state
     of the sequence broadcasts.  A settled walk repeats forever what it did
     since the first visit of the repeated pair (or since the trapped lap
-    began), and none of that broadcast or left the tape, so it admits no
-    later broadcast and no fall-off.  Once every automaton has settled the
-    run has no event left.  No patience cap remains: each stretch ends in
-    a message, a fall-off or the settled stop, so the run takes at most
-    ``message_bound`` stretches.
-
-    HeadFellOff is raised with :func:`_step_one`'s message for the head
-    that leaves the tape first, the lowest index among heads leaving at the
-    same step; an inner move cannot leave the tape, so this is always an
-    endmarker step.  A fall-off at a broadcasting step comes from
-    :func:`global_step`, which steps the automata in index order.
+    began), and none of that broadcast, so it admits no later broadcast.
+    Once every automaton has settled the run has no event left.  No
+    patience cap remains: each stretch ends in a message or in the settled
+    stop, so the run takes at most ``message_bound`` stretches.
     """
     automata = system.automata
     hops = [a.hops for a in automata]
@@ -213,14 +189,6 @@ def broadcast_events(system: MultiSystem, N: int) -> tuple:
         for i, s, p in starts:
             walks[i] = hops[i].walk(s, p, t + 1, N, True)
         t = min((end[1] for _, end in walks if end[0] == "loud"), default=None)
-        falls = [
-            (end[1], i, end[2])
-            for i, (_, end) in enumerate(walks)
-            if end[0] == "fall" and (t is None or end[1] < t)
-        ]
-        if falls:
-            _, i, q = min(falls)
-            raise _fell_off(automata[i], q, N)
         if t is None:
             break
         states, pi = zip(*[h.at(marks, end, t) for h, (marks, end) in zip(hops, walks)])

@@ -39,8 +39,8 @@ def systems():
 
 
 def falloff_spec():
-    """A spec that validates although its head falls off the tape: in w on
-    the left endmarker it moves to x and one cell further left."""
+    """A spec that validation rejects with BadMove: in w on the left
+    endmarker it moves to x and one cell further left, off the tape."""
     delta = [
         ("w", "L", "x", -1),
         ("w", "a", "w", 1),

@@ -26,10 +26,7 @@ def reach_trajectory(aut, stop, s, p, N, tmax):
             break
         if t > 1 and cs in stop:
             break
-        try:
-            cs, cp = sim._step_one(aut, cs, cp, N)
-        except sim.HeadFellOff:
-            break
+        cs, cp = sim._step_one(aut, cs, cp, N)
         realized.append((cs, cp, t))
     return realized
 
@@ -45,10 +42,7 @@ def run_trajectory(aut, stop, s, p, N, tmax):
     for t in range(1, tmax + 1):
         if t > 1 and cs in stop:
             break
-        try:
-            cs, cp = sim._step_one(aut, cs, cp, N)
-        except sim.HeadFellOff:
-            break
+        cs, cp = sim._step_one(aut, cs, cp, N)
         realized.append((cs, cp, t))
     return realized
 
@@ -59,10 +53,7 @@ def first_broadcast_time(aut, s, p, N, tmax):
     for t in range(tmax + 1):
         if cs in aut.broadcasting:
             return t
-        try:
-            cs, cp = sim._step_one(aut, cs, cp, N)
-        except sim.HeadFellOff:
-            return None
+        cs, cp = sim._step_one(aut, cs, cp, N)
     return None
 
 

@@ -19,13 +19,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.fixture
-def falloff_path(tmp_path):
-    path = tmp_path / "falloff.spec"
-    path.write_text(json.dumps(falloff_spec()))
-    return path
-
-
 # ---------------------------------------------------------------------------
 # spec files
 
@@ -84,19 +77,59 @@ def test_simulate_missing_file_exit_two(capsys):
     assert code == 2 and err
 
 
-@pytest.mark.parametrize("argv", [("simulate", "--n", "3"), ("extract",)])
-def test_head_falling_off_is_an_input_error(capsys, falloff_path, argv):
+def _walk_off_spec():
+    """Automaton 1 sweeps right and accepts at t = N + 1; automaton 2
+    broadcasts once, walks right and would step off the right endmarker at
+    t = N + 2."""
+
+    def automaton(name, finals, broadcasting, delta):
+        return {
+            "name": name,
+            "states": sorted({s for s, *_ in delta}),
+            "initial": delta[0][0],
+            "finals": finals,
+            "broadcasting": broadcasting,
+            "delta": [
+                {"state": s, "symbol": sym, "next": nxt, "move": mv}
+                for s, sym, nxt, mv in delta
+            ],
+        }
+
+    sweeper = automaton("A1", ["f"], [], [("f", "L", "f", 1), ("f", "a", "f", 1), ("f", "R", "f", 0)])
+    walker = automaton("A2", [], ["b"], [
+        ("b", "L", "w", 1), ("b", "a", "w", 1), ("b", "R", "w", 0),
+        ("w", "L", "w", 1), ("w", "a", "w", 1), ("w", "R", "w", 1),
+    ])
+    return {"version": 1, "automata": [sweeper, walker], "message_bound": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--n", "3"),
+        ("extract",),
+        ("analyze",),
+        ("verify",),
+        ("diagram", "--n", "3", "--output", os.devnull),
+    ],
+)
+def test_head_falling_off_is_an_input_error(capsys, tmp_path, argv):
+    # An endmarker move off the tape is rejected when the spec is loaded,
+    # by every command, whether or not the run would ever take it.
     command, *rest = argv
-    code, _, err = run_cli(capsys, command, falloff_path, *rest)
-    assert code == 2
-    assert err.startswith("error: A1: head moved to -1")
-    assert len(err.splitlines()) == 1
+    for spec, error in (
+        (falloff_spec(), "error: A1: move -1 for (w, L)\n"),
+        (_walk_off_spec(), "error: A2: move 1 for (w, R)\n"),
+    ):
+        path = tmp_path / "off.spec"
+        path.write_text(json.dumps(spec))
+        assert run_cli(capsys, command, path, *rest) == (2, "", error), spec
 
 
 def _dead_falloff_specs():
-    """Specs whose automaton 1 can never accept while a head falls off, so
-    the extraction prunes every phase: the falling automaton is automaton 1
-    itself, or a second one that only the sampling runs."""
+    """Specs whose automaton 1 can never accept while an endmarker move
+    points off the tape, so the extraction would prune every phase: the
+    move is automaton 1's own, or a second automaton's."""
     alone = falloff_spec()
     alone["automata"][0]["finals"] = []
     behind = falloff_spec()
@@ -110,8 +143,8 @@ def _dead_falloff_specs():
         "delta": [{"state": "d", "symbol": sym, "next": "d", "move": 0} for sym in "LaR"],
     })
     return {
-        "no_finals": (alone, "error: A1: head moved to -1 on a tape of length 0\n"),
-        "dead_first": (behind, "error: A2: head moved to -1 on a tape of length 0\n"),
+        "no_finals": (alone, "error: A1: move -1 for (w, L)\n"),
+        "dead_first": (behind, "error: A2: move -1 for (w, L)\n"),
     }
 
 
@@ -138,19 +171,6 @@ def test_analyze_walker(capsys):
     assert w["amplitude"] == 1
     assert w["takeoff"]["L"]["outcome"] == "Traverse"
     assert report["bounds"]["K"] == 2
-
-
-def test_analyze_reports_falloff(capsys, falloff_path):
-    code, out, _ = run_cli(capsys, "analyze", falloff_path)
-    assert code == 0
-    states = json.loads(out)["automata"][0]["states"]
-    assert states["w"]["takeoff"]["L"] == {"n": 2, "outcome": "FallOff", "T": 1}
-    assert states["w"]["takeoff"]["R"] == {
-        "n": 2, "outcome": "Return", "state": "w", "T": 1
-    }
-    assert states["x"]["takeoff"]["L"] == {
-        "n": 2, "outcome": "Traverse", "state": "x", "T": 3
-    }
 
 
 def test_analyze_drift3(capsys):

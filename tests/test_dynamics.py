@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from multiauto import cli, construction as C, dynamics, sim
-from multiauto.model import Automaton, validate_system
+from multiauto.model import Automaton
 
-from conftest import FIXTURE_NAMES, falloff_spec, load_fixture, unique_automata
+from conftest import FIXTURE_NAMES, load_fixture, unique_automata
 from oracles import traversal_slope
 
 
@@ -52,24 +52,15 @@ def test_pingpong_takeoff_oscillates():
     assert isinstance(out, dynamics.Oscillate)
 
 
-def test_takeoff_falloff():
-    aut = validate_system(falloff_spec()).automata[0]
-    n = aut.hops.nmin
-    assert dynamics.takeoff(aut, "w", "L", n) == dynamics.FallOff(T=1)
-
-
 def _replay_launch(aut, s, side, n):
-    """The launch by the simulator's own step: its first endmarker contact,
-    its first repeated interior configuration or its step off the tape."""
+    """The launch by the simulator's own step: its first endmarker contact
+    or its first repeated interior configuration."""
     start = 0 if side == "L" else n + 1
     q, p = s, start
     seen = {}
     # n * |Q| interior configurations: one more step repeats one.
     for t in range(1, n * len(aut.states) + 2):
-        try:
-            q, p = sim._step_one(aut, q, p, n)
-        except sim.HeadFellOff:
-            return dynamics.FallOff(t)
+        q, p = sim._step_one(aut, q, p, n)
         if p in (0, n + 1):
             return (dynamics.Return if p == start else dynamics.Traverse)(q, t)
         if (q, p) in seen:
@@ -80,12 +71,11 @@ def _replay_launch(aut, s, side, n):
 
 def test_takeoff_landing_matches_replay(systems):
     # Every launch of the fixtures at N_min, and of seeded random automata
-    # whose endmarker moves may point off the tape at N_min and
-    # 2 * N_min + 1, against a replay with the simulator's own step.
+    # at N_min and 2 * N_min + 1, against a replay with the simulator's own
+    # step.
     rng = random.Random(11)
     random_automata = [
-        _random_automaton(rng.randrange(10**6), rng.randint(1, 6), outward=True)
-        for _ in range(300)
+        _random_automaton(rng.randrange(10**6), rng.randint(1, 6)) for _ in range(300)
     ]
     cases = [(aut, aut.hops.nmin) for aut in unique_automata(systems)]
     for aut in random_automata:
@@ -98,7 +88,7 @@ def test_takeoff_landing_matches_replay(systems):
                 out = dynamics.takeoff(aut, s, side, n)
                 assert out == _replay_launch(aut, s, side, n), (aut.name, s, side, n)
                 kinds.add(type(out))
-    assert kinds == {dynamics.Return, dynamics.Traverse, dynamics.Oscillate, dynamics.FallOff}
+    assert kinds == {dynamics.Return, dynamics.Traverse, dynamics.Oscillate}
 
 
 def test_takeoff_rejects_short_input():
@@ -117,8 +107,8 @@ def test_takeoff_classification_is_length_independent():
                 assert type(a) is type(b), (aut.name, s, side)
 
 
-def _random_automaton(seed, k, outward=False):
-    """k states; with ``outward`` the endmarker moves may leave the tape."""
+def _random_automaton(seed, k):
+    """k states with random transitions."""
     rng = random.Random(seed)
     states = [f"q{i}" for i in range(k)]
 
@@ -132,8 +122,8 @@ def _random_automaton(seed, k, outward=False):
         finals=frozenset(),
         broadcasting=frozenset(),
         delta_inner=tbl((-1, 0, 1)),
-        delta_left=tbl((-1, 0, 1) if outward else (0, 1)),
-        delta_right=tbl((-1, 0, 1) if outward else (-1, 0)),
+        delta_left=tbl((0, 1)),
+        delta_right=tbl((-1, 0)),
     )
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from multiauto import construction, sim
 from multiauto.dynamics import min_sufficient_length
 from multiauto.model import (
     Automaton,
@@ -77,14 +78,48 @@ def test_bad_move_rejected():
         validate_system(raw)
 
 
-def test_outward_endmarker_move_fails_at_runtime():
-    from multiauto import sim
+def test_outward_endmarker_move_rejected():
+    # A left-endmarker move of -1 or a right-endmarker move of +1 would take
+    # the head off the tape, in a spec file and in a hand-built system alike.
+    for index, side, move in ((0, "L", -1), (2, "R", 1)):
+        message = rf"A1: move {move} for \(w, {side}\)"
+        raw = walker_raw()
+        raw["automata"][0]["delta"][index]["move"] = move
+        with pytest.raises(BadMove, match=message):
+            validate_system(raw)
+        ends = {"L": {"w": ("w", 1)}, "R": {"w": ("w", 0)}}
+        ends[side] = {"w": ("w", move)}
+        aut = Automaton(
+            name="A1",
+            states=frozenset({"w"}),
+            initial="w",
+            finals=frozenset({"w"}),
+            broadcasting=frozenset(),
+            delta_inner={"w": ("w", 1)},
+            delta_left=ends["L"],
+            delta_right=ends["R"],
+        )
+        with pytest.raises(BadMove, match=message):
+            MultiSystem((aut,), 1).validate()
 
-    raw = walker_raw()
-    raw["automata"][0]["delta"][0]["move"] = -1  # left marker moving left
-    system = validate_system(raw)
-    with pytest.raises(sim.HeadFellOff):
-        sim.run(system, 3)
+
+def test_systems_are_validated_once(monkeypatch):
+    # A system runs its checks on its first validate() only: one extraction
+    # and 300 acceptance queries walk each automaton's tables once.
+    loaded = load_fixture("racer2")
+    system = MultiSystem(loaded.automata, loaded.message_bound)
+    calls = []
+    check = Automaton.validate
+
+    def counted(aut):
+        calls.append(aut.name)
+        return check(aut)
+
+    monkeypatch.setattr(Automaton, "validate", counted)
+    construction.recognized_set(system)
+    for n in range(300):
+        sim.accepts(system, n)
+    assert sorted(calls) == sorted(a.name for a in system.automata)
 
 
 def test_message_bound_at_least_one():

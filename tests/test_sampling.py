@@ -15,7 +15,7 @@ from multiauto import cli, construction as C, sim
 from multiauto.model import validate_system
 
 import oracles
-from conftest import FIXTURE_NAMES, falloff_spec, load_fixture
+from conftest import FIXTURE_NAMES, load_fixture
 
 # The criterion-1 fuzz batch; its first systems include both slow-tailed
 # runs (message bound never spent) and runs that spend it at once.
@@ -52,13 +52,6 @@ def _sweeper():
     return validate_system({"version": 1, "automata": [automaton], "message_bound": 3})
 
 
-def _outcome(trace, system, N):
-    try:
-        return trace(system, N)
-    except sim.HeadFellOff as exc:
-        return ("HeadFellOff", str(exc))
-
-
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_kernel_matches_reference_on_fixtures(name):
     system = load_fixture(name)
@@ -88,73 +81,6 @@ def test_kernel_matches_reference_on_fuzz_slice():
             assert sim.broadcast_events(system, N) == want, (i, N)
             events += len(want)
     assert events > 1000
-
-
-@pytest.mark.parametrize("loud", [False, True])
-def test_kernel_head_fell_off_like_reference(loud):
-    # The head falls off on a quiet step, or (loud) on a broadcasting step
-    # that global_step takes.
-    raw = falloff_spec()
-    if loud:
-        raw["automata"][0]["broadcasting"] = ["w"]
-    system = validate_system(raw)
-    for N in range(6):
-        want = _outcome(oracles.phase_trace, system, N)
-        assert want[0] == "HeadFellOff"
-        assert _outcome(sim.broadcast_events, system, N) == want
-
-
-def _falls_after_broadcasts(message_bound):
-    """A second automaton broadcasts at every step while the first walks
-    right, bounces and falls off the left endmarker."""
-    raw = falloff_spec()
-    walker = raw["automata"][0]
-    walker["delta"] = [
-        {"state": "w", "symbol": "L", "next": "w", "move": 1},
-        {"state": "w", "symbol": "a", "next": "w", "move": 1},
-        {"state": "w", "symbol": "R", "next": "x", "move": -1},
-        {"state": "x", "symbol": "L", "next": "x", "move": -1},
-        {"state": "x", "symbol": "a", "next": "x", "move": -1},
-        {"state": "x", "symbol": "R", "next": "x", "move": 0},
-    ]
-    shouter = {
-        "name": "A2",
-        "states": ["s"],
-        "initial": "s",
-        "finals": [],
-        "broadcasting": ["s"],
-        "delta": [
-            {"state": "s", "symbol": sym, "next": "s", "move": mv}
-            for sym, mv in (("L", 0), ("a", 0), ("R", 0))
-        ],
-    }
-    raw["automata"].append(shouter)
-    raw["message_bound"] = message_bound
-    return validate_system(raw)
-
-
-def test_kernel_head_fell_off_after_broadcasts():
-    system = _falls_after_broadcasts(50)
-    for N in range(12):
-        want = _outcome(oracles.phase_trace, system, N)
-        assert want[0] == "HeadFellOff"
-        assert _outcome(sim.broadcast_events, system, N) == want
-
-
-def test_crossings_head_fell_off_after_the_bound_is_spent():
-    # The kernel stops after two messages, before the walker falls; the
-    # crossing walk runs on to its horizon and must fall like the reference.
-    system = _falls_after_broadcasts(2)
-    with C.scope():
-        lengths = C._sample_lengths(system)
-        for N in lengths:
-            assert len(sim.broadcast_events(system, N)) == 2, N
-        with pytest.raises(sim.HeadFellOff) as got:
-            C._measured_crossings(system)
-    assert _outcome(oracles.measured_crossings, system, lengths) == (
-        "HeadFellOff",
-        str(got.value),
-    )
 
 
 def test_measured_crossings_match_step_one_resimulation():
@@ -231,8 +157,8 @@ def test_patience_is_exact():
     # The reference stops after `patience` quiet steps.  That is exact:
     # an automaton walking alone repeats a (state, position) pair within
     # (N + 2)·q steps, after which it settles (broadcast_events' docstring),
-    # so no broadcast and no head falling off comes later.  Waiting twice
-    # as long must find nothing new.
+    # so no broadcast comes later.  Waiting twice as long must find nothing
+    # new.
     systems = [load_fixture(name) for name in FIXTURE_NAMES] + _fuzz_slice()
     for system in systems:
         with C.scope():
