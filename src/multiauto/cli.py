@@ -240,15 +240,6 @@ def cmd_verify(args) -> int:
     _check_at_least(args, 0, "n_max")
     system = load_spec(args.spec)
     ups = construction.recognized_set(system)
-    if args.corrupt:
-        # Test hook: flip the membership parity so the harness provably
-        # detects disagreement (exercises the mismatch path end to end).
-        ups = presburger.UltimatelyPeriodicSet(
-            threshold=ups.threshold,
-            period=ups.period,
-            low=ups.low,
-            residues=frozenset(range(ups.period)) - ups.residues,
-        )
     n = verify_against_simulator(system, ups, args.n_max)
     if n is None:
         print(f"OK {args.n_max + 1}")
@@ -433,7 +424,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="compare the extracted set to the simulator")
     p.add_argument("spec")
     p.add_argument("--n-max", type=int, default=300)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("fuzz", help="verify pseudo-random systems")

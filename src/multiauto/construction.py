@@ -24,12 +24,12 @@ All formulas are exact descriptions of the simulator for sufficiently long
 inputs; the recognized set patches the short inputs by direct simulation.
 
 Which branches get built is decided by sampling: ``_phase_trace`` records
-the broadcast events of the run on each sampled length, and
-``_measured_crossings`` counts the traversals inside each phase.  Neither
-steps a quiet stretch: ``sim.broadcast_events`` and the crossing count walk
-each automaton from endmarker to endmarker in closed form
-(``dynamics.Hops``), and every broadcasting step, and so every message
-rule, is left to ``sim.global_step``.
+the broadcast events of the run on each sampled length.  It steps no quiet
+stretch: ``sim.broadcast_events`` walks each automaton from endmarker to
+endmarker in closed form (``dynamics.Hops``), and every broadcasting step,
+and so every message rule, is left to ``sim.global_step``.  How far a run
+unrolls is not sampled: every run is capped at the analysis bound K
+(``_run_caps`` gives the argument).
 
 Reach/Run canonicals, the Run canonicals with their quantifiers eliminated
 and the two projections of those (occupied at time T, ever occupied),
@@ -46,7 +46,6 @@ in one process therefore keeps no table of an earlier system alive.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -630,8 +629,7 @@ def _broadcast_by_expr(aut, s, K, P, Bound, Nv):
 
 
 def _phase_expr(system, sigma, sigma2, I, pos_terms, pos2_vars, Nv):
-    K = bounds_profile(system).K
-    cap = _run_caps(system)
+    K = _run_caps(system)
     T = _fresh_var("T")
     Tv = var(T)
     parts = []
@@ -652,7 +650,7 @@ def _phase_expr(system, sigma, sigma2, I, pos_terms, pos2_vars, Nv):
             parts.append(lor(_mute_expr(aut, sigma[i], K, pos_terms[i], Nv), later))
     for i, aut in enumerate(system.automata):
         parts.append(
-            _run(aut, frozenset(), sigma[i], sigma2[i], cap, pos_terms[i], pos2_vars[i], Tv)
+            _run(aut, frozenset(), sigma[i], sigma2[i], K, pos_terms[i], pos2_vars[i], Tv)
         )
     return exists(T, land(*parts))
 
@@ -685,15 +683,37 @@ def phase_formula(system, sigma, sigma2, I) -> ParamFormula:
 
 
 def _run_caps(system):
-    """The traversal cap of every run in a phase, one for all automata.
+    """The traversal cap of every run the construction builds, one for all
+    automata: K, twice the largest state count (:func:`bounds_profile`).
 
-    The analysis cap is G*K; the realized number of traversals inside one
-    phase, by any automaton, is measured on the sampled lengths and padded,
-    keeping formulas small without touching the hard ceiling.
+    :func:`_run_expr` unrolls a chain through at most K traversals (side
+    changes between consecutive endmarker visits), so a run with more is
+    left out.  No run the construction asks about needs more, on any N:
+
+    - A walk repeats no endmarker (state, side) pair before its first
+      occupancy of a stop state or its first accepting visit: after a
+      repeat it only repeats itself, and that occupancy or visit would
+      have come a lap earlier.  An automaton with q states has 2q <= K
+      pairs, so up to either event it makes at most K visits and fewer
+      than K traversals.  Races, mute and the silence guards stop at a
+      broadcasting state.  An acceptance formula asks whether some
+      accepting time exists, and silence up to a later accepting time
+      implies silence up to the first one, so the first one is enough.
+    - A phase that ends at a broadcast lasts until the first time T,
+      counted from the phase's start, at which a racer r with q_r states
+      is in a broadcasting state.  Its configurations (state, position) at
+      times 0..T are pairwise distinct, since a repeat would bring the
+      broadcast earlier, and there are q_r(N + 2) of them, so
+      T < q_r(N + 2).  A traversal takes at least N + 1 steps and the
+      traversals of one walk do not overlap, so every automaton makes at
+      most T / (N + 1) < q_r(N + 2) / (N + 1) <= 2q_r <= K traversals
+      during the phase.
+
+    Only an acceptance run reaches into the last phase, the one after the
+    message bound is spent, where no broadcast ends the phase and a
+    sweeper crosses the tape without end.
     """
-    bounds = bounds_profile(system)
-    ceiling = max(bounds.G, 1) * bounds.K
-    return min(ceiling, max(_measured_crossings(system), 1) + 2)
+    return bounds_profile(system).K
 
 
 @_per_scope
@@ -720,77 +740,6 @@ def _phase_trace(system, N):
     goes through :func:`sim.global_step`.
     """
     return sim.broadcast_events(system, N)
-
-
-@_per_scope
-def _measured_crossings(system):
-    """Max endmarker-to-endmarker traversals by any automaton inside one
-    phase, over the sampled lengths.
-
-    Each automaton's walk is followed alone from time 1 up to a horizon of
-    (N + 2)(q + 1) steps past the last event, q being its state count, and
-    a traversal is a pair of consecutive endmarker visits on opposite sides
-    inside one phase.  The walk comes from :meth:`dynamics.Hops.walk`, so
-    only the endmarker visits are computed, and once it cycles the visits
-    of every later lap are counted by :func:`_most_crossings` without
-    being listed.
-    """
-    best = 0
-    lengths = _sample_lengths(system)
-    for N in lengths[:: max(1, len(lengths) // 80)]:
-        times = [t for t, _, _ in _phase_trace(system, N)]
-        for aut in system.automata:
-            hops = aut.hops
-            horizon = (times[-1] if times else 0) + (N + 2) * (len(aut.states) + 1)
-            marks, end = hops.walk(hops.index[aut.initial], 0, 0, N, False)
-            visits = [(t, p) for t, _, p in marks if not 0 < p <= N]
-            loop = None
-            if end[0] == "cycle":
-                loop = [t for t, _ in visits].index(end[1])
-                visits.append((end[2], visits[loop][1]))
-            # The phases: visits after event e_i up to e_{i+1} inclusive.
-            phases = zip([1] + [e + 1 for e in times], times + [horizon])
-            best = max(best, _most_crossings(visits, loop, phases))
-    return best
-
-
-def _most_crossings(visits, loop, windows):
-    """The most side changes between consecutive endmarker visits that lie
-    in one window [a, b], over the windows.
-
-    ``visits`` lists (time, side) pairs in time order.  When ``loop`` is an
-    index, the last visit repeats ``visits[loop]`` one period later and the
-    visits between them repeat forever; otherwise the list is complete.
-    """
-    times = [t for t, _ in visits]
-    changes = [0]
-    for (_, a), (_, b) in zip(visits, visits[1:]):
-        changes.append(changes[-1] + (a != b))
-    if loop is not None:
-        last = len(visits) - 1
-        period, size = times[last] - times[loop], last - loop
-        per_lap = changes[last] - changes[loop]
-
-    def first(a):
-        """Index of the first visit at time a or later."""
-        if loop is None or a <= times[-1]:
-            return bisect_left(times, a)
-        laps = (a - times[loop]) // period
-        return bisect_left(times, a - laps * period, loop) + laps * size
-
-    def changes_to(j):
-        """Side changes between consecutive visits up to visit j."""
-        if loop is None or j < len(changes):
-            return changes[j]
-        laps, i = divmod(j - loop, size)
-        return changes[loop + i] + laps * per_lap
-
-    best = 0
-    for a, b in windows:
-        i, j = first(a), first(b + 1) - 1
-        if j > i:
-            best = max(best, changes_to(j) - changes_to(i))
-    return best
 
 
 def initial_frontier(system) -> PhaseFrontier:
@@ -993,8 +942,7 @@ def accept_formula(system, frontier: PhaseFrontier) -> Formula:
     aut1 = system.automata[0]
     if not aut1.finals:
         return FALSE
-    K = bounds_profile(system).K
-    cap = _run_caps(system)
+    K = _run_caps(system)
     n = system.n
     Nv = var("N")
     pos = [var(x) for x in _pi_names(n)]
@@ -1004,7 +952,7 @@ def accept_formula(system, frontier: PhaseFrontier) -> Formula:
     ta = _fresh_var("T")
     final_hit = lor(
         *[
-            _run(aut1, frozenset(), frontier.sigma[0], fstate, cap, pos[0], Nv + 1, var(ta))
+            _run(aut1, frozenset(), frontier.sigma[0], fstate, K, pos[0], Nv + 1, var(ta))
             for fstate in sorted(aut1.finals)
         ]
     )

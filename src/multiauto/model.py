@@ -110,7 +110,7 @@ class Automaton:
             ("L", self.delta_left),
             ("R", self.delta_right),
         ):
-            for s in self.states:
+            for s in sorted(self.states):
                 if s not in table:
                     raise MissingTransition(f"{self.name}: no transition for ({s}, {label})")
                 nxt, mv = table[s]
@@ -128,18 +128,18 @@ class Automaton:
 
 @dataclass(frozen=True)
 class MultiSystem:
-    """An ordered tuple of automata plus the message bound M; acceptor is index 1."""
+    """An ordered tuple of automata plus the message bound M; automaton 1
+    is the acceptor."""
 
     automata: tuple
     message_bound: int
-    acceptor_index: int = 1
 
     def __hash__(self):
         return self._hash
 
     @cached_property
     def _hash(self):
-        return hash((self.automata, self.message_bound, self.acceptor_index))
+        return hash((self.automata, self.message_bound))
 
     @property
     def n(self) -> int:
@@ -157,12 +157,10 @@ class MultiSystem:
             raise ValidationError("a system needs at least one automaton")
         if self.message_bound < 1:
             raise BadBound(f"message bound must be >= 1, got {self.message_bound}")
-        if self.acceptor_index != 1:
-            raise ValidationError("the acceptor is fixed to automaton 1")
         seen: dict = {}
         for aut in self.automata:
             aut.validate()
-            for s in aut.states:
+            for s in sorted(aut.states):
                 if s in seen:
                     raise DuplicateStateId(
                         f"state id {s!r} appears in both {seen[s]} and {aut.name}"
@@ -175,10 +173,22 @@ class MultiSystem:
 class BoundsProfile:
     """Constants of the silent-phase analysis.
 
-    K caps the traversal count of any phase, N_min is the largest state
-    amplitude (inputs must be strictly longer to be "sufficiently large"),
-    and G bounds the per-length slope of a traversal's duration.  The phase
-    horizon is always derived as G*K*N, never stored.
+    K is twice the largest state count: the number of endmarker (state,
+    side) pairs of the largest automaton.  A walk visits no pair twice
+    before its first broadcast or its first accepting visit, so it makes
+    at most K endmarker visits before either.  Inside a phase that ends at
+    a broadcast, which lasts fewer than (K/2)(N + 2) steps, every automaton
+    makes fewer than K traversals; ``construction._run_caps`` gives the
+    argument.  K caps no traversal count in the last phase, which no
+    broadcast ends: once the message bound is spent, a sweeper crosses the
+    tape without end.
+
+    N_min is the largest state amplitude (inputs must be strictly longer
+    to be "sufficiently large").  G bounds the per-length slope of a
+    traversal's duration: on a^N with N > N_min a traversal launched from
+    an endmarker takes at most G*N + G steps, so the traversals of one
+    automaton inside a phase that ends at a broadcast take at most
+    G*K*(N + 1) steps together.
     """
 
     K: int

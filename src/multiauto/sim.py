@@ -19,7 +19,6 @@ __all__ = [
     "GlobalConfiguration",
     "Accepted",
     "RejectedLoop",
-    "RejectedDead",
     "Trace",
     "global_step",
     "broadcast_events",
@@ -45,11 +44,6 @@ class Accepted:
 
 @dataclass(frozen=True)
 class RejectedLoop:
-    time: int
-
-
-@dataclass(frozen=True)
-class RejectedDead:
     time: int
 
 

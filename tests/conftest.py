@@ -38,6 +38,22 @@ def systems():
     return {name: load_fixture(name) for name in FIXTURE_NAMES}
 
 
+def spec_automaton(name, finals, broadcasting, delta):
+    """The spec entry of one automaton from (state, symbol, next, move)
+    rows; the first row's state is the initial one."""
+    return {
+        "name": name,
+        "states": sorted({s for s, *_ in delta}),
+        "initial": delta[0][0],
+        "finals": finals,
+        "broadcasting": broadcasting,
+        "delta": [
+            {"state": s, "symbol": sym, "next": nxt, "move": mv}
+            for s, sym, nxt, mv in delta
+        ],
+    }
+
+
 def falloff_spec():
     """A spec that validation rejects with BadMove: in w on the left
     endmarker it moves to x and one cell further left, off the tape."""
@@ -49,18 +65,7 @@ def falloff_spec():
         ("x", "a", "x", 1),
         ("x", "R", "x", 0),
     ]
-    automaton = {
-        "name": "A1",
-        "states": ["w", "x"],
-        "initial": "w",
-        "finals": ["x"],
-        "broadcasting": [],
-        "delta": [
-            {"state": s, "symbol": sym, "next": nxt, "move": mv}
-            for s, sym, nxt, mv in delta
-        ],
-    }
-    return {"version": 1, "automata": [automaton], "message_bound": 1}
+    return {"version": 1, "automata": [spec_automaton("A1", ["x"], [], delta)], "message_bound": 1}
 
 
 def unique_automata(systems):

@@ -3,8 +3,8 @@
 The reach/run oracles replay one automaton's trajectory step by step and
 record exactly which (state, position, time) triples are realized under each
 predicate's side conditions; the formulas are then required to agree.
-``phase_trace`` and ``measured_crossings`` are the step-by-step references
-for the phase pipeline's sampling kernel, ``accepts`` is the one for
+``phase_trace`` is the step-by-step reference for the phase pipeline's
+sampling kernel ``sim.broadcast_events``, ``accepts`` is the one for
 ``sim.accepts``, and ``traversal_slope`` recomputes ``Hops.slope`` from the
 basic sequences.
 """
@@ -100,34 +100,6 @@ def phase_trace(system, N, stretch=1):
         config = nxt
         t += 1
     return tuple(events)
-
-
-def measured_crossings(system, lengths):
-    """Reference for ``construction._measured_crossings`` over the given
-    sampled lengths: each automaton re-simulated alone with ``_step_one``."""
-    best = 0
-    for N in lengths[:: max(1, len(lengths) // 80)]:
-        events = phase_trace(system, N)
-        times = [t for t, _, _ in events]
-        for aut in system.automata:
-            s, p = aut.initial, 0
-            crossings = 0
-            ci = 0
-            last_end = None
-            horizon = (times[-1] if times else 0) + (N + 2) * (len(aut.states) + 1)
-            for t in range(1, horizon + 1):
-                s, p = sim._step_one(aut, s, p, N)
-                while ci < len(times) and t > times[ci]:
-                    ci += 1
-                    crossings = 0
-                    last_end = None
-                if p == 0 or p == N + 1:
-                    end = "L" if p == 0 else "R"
-                    if last_end is not None and end != last_end:
-                        crossings += 1
-                        best = max(best, crossings)
-                    last_end = end
-    return best
 
 
 def accepts(system, N):

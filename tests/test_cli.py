@@ -2,13 +2,14 @@ import json
 import os
 import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
 
-from multiauto import cli
+from multiauto import cli, construction, presburger
 
-from conftest import FIXTURE_NAMES, falloff_spec, fixture_path, load_fixture
+from conftest import FIXTURE_NAMES, falloff_spec, fixture_path, load_fixture, spec_automaton
 
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
@@ -77,26 +78,49 @@ def test_simulate_missing_file_exit_two(capsys):
     assert code == 2 and err
 
 
+def _many_faults_specs():
+    """Two specs with several faults each: four states that all lack their
+    inner transition, and two automata that share two state ids."""
+
+    def automaton(name, states, symbols):
+        return spec_automaton(name, [], [], [(s, sym, s, 0) for s in states for sym in symbols])
+
+    missing = [automaton("A1", ["A1.p", "A1.q", "A1.r", "A1.s"], "LR")]
+    shared = [automaton(name, ["A.x", "A.y", name + ".z"], "LaR") for name in ("A1", "A2")]
+    return {
+        "missing": (missing, "error: A1: no transition for (A1.p, a)\n"),
+        "shared": (shared, "error: state id 'A.x' appears in both A1 and A2\n"),
+    }
+
+
+@pytest.mark.parametrize("case", ["missing", "shared"])
+def test_input_error_does_not_depend_on_the_hash_seed(tmp_path, case):
+    # Validation walks the states in sorted order, so a spec with several
+    # faults reports the same one under every PYTHONHASHSEED.
+    automata, error = _many_faults_specs()[case]
+    spec = tmp_path / f"{case}.spec"
+    spec.write_text(json.dumps({"version": 1, "automata": automata, "message_bound": 1}))
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    errors = set()
+    for seed in range(6):
+        proc = subprocess.run(
+            [sys.executable, "-m", "multiauto.cli", "analyze", str(spec)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)},
+            check=False,
+        )
+        assert proc.returncode == 2, proc.stderr
+        errors.add(proc.stderr)
+    assert errors == {error}
+
+
 def _walk_off_spec():
     """Automaton 1 sweeps right and accepts at t = N + 1; automaton 2
     broadcasts once, walks right and would step off the right endmarker at
     t = N + 2."""
-
-    def automaton(name, finals, broadcasting, delta):
-        return {
-            "name": name,
-            "states": sorted({s for s, *_ in delta}),
-            "initial": delta[0][0],
-            "finals": finals,
-            "broadcasting": broadcasting,
-            "delta": [
-                {"state": s, "symbol": sym, "next": nxt, "move": mv}
-                for s, sym, nxt, mv in delta
-            ],
-        }
-
-    sweeper = automaton("A1", ["f"], [], [("f", "L", "f", 1), ("f", "a", "f", 1), ("f", "R", "f", 0)])
-    walker = automaton("A2", [], ["b"], [
+    sweeper = spec_automaton("A1", ["f"], [], [("f", "L", "f", 1), ("f", "a", "f", 1), ("f", "R", "f", 0)])
+    walker = spec_automaton("A2", [], ["b"], [
         ("b", "L", "w", 1), ("b", "a", "w", 1), ("b", "R", "w", 0),
         ("w", "L", "w", 1), ("w", "a", "w", 1), ("w", "R", "w", 1),
     ])
@@ -314,10 +338,22 @@ def test_verify_ok(capsys):
     assert out.strip() == "OK 121"
 
 
-def test_verify_corrupted_ups_reports_first_mismatch(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", fixture_path("even"), "--n-max", "60", "--corrupt"
-    )
+def test_verify_corrupted_ups_reports_first_mismatch(capsys, monkeypatch):
+    # Complement the extracted set, so the harness must detect the
+    # disagreement at the first length it checks.
+    extract = construction.recognized_set
+
+    def complemented(system):
+        ups = extract(system)
+        return presburger.UltimatelyPeriodicSet(
+            threshold=ups.threshold,
+            period=ups.period,
+            low=[not bit for bit in ups.low],
+            residues=frozenset(range(ups.period)) - ups.residues,
+        )
+
+    monkeypatch.setattr(construction, "recognized_set", complemented)
+    code, out, _ = run_cli(capsys, "verify", fixture_path("even"), "--n-max", "60")
     assert code == 1
     assert out.startswith("MISMATCH N=0 ")
 

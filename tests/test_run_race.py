@@ -1,11 +1,15 @@
+import json
+import random
+
 import numpy as np
 import pytest
 
-from multiauto import construction as C, dynamics, presburger as P, sim
-from multiauto.model import bounds_profile
+from multiauto import cli, construction as C, dynamics, presburger as P, sim
+from multiauto.model import bounds_profile, validate_system
 from multiauto.presburger import eliminate, evaluate, vector_eval
 
-from conftest import load_fixture
+import oracles
+from conftest import ROOT, load_fixture, spec_automaton
 from oracles import first_broadcast_time, run_trajectory
 
 
@@ -200,3 +204,100 @@ def test_each_run_canonical_is_eliminated_once(monkeypatch):
             chains += 1
             assert sum(bool(chain & vs) for vs in bound) == 1
     assert chains
+
+
+# ---------------------------------------------------------------------------
+# The run cap: the analysis bound K, not a sample
+
+
+def test_run_cap_and_run_dump_simulate_nothing(capsys, monkeypatch):
+    def no_simulation(*args):
+        raise AssertionError("the run cap must not simulate")
+
+    monkeypatch.setattr(sim, "broadcast_events", no_simulation)
+    system = load_fixture("rebounder")
+    assert C._run_caps(system) == bounds_profile(system).K
+    with C.scope():
+        cli._dump_stage(system, "run:1:f1:f2")
+    golden = (ROOT / "tests" / "data" / "golden" / "rebounder-reach-run.txt").read_text()
+    assert capsys.readouterr().out == golden.splitlines(keepends=True)[0]
+
+
+def _crawler_and_sweeper(q):
+    """Automaton 1 crawls right at speed 1/q, then broadcasts and accepts
+    on the right endmarker at t = qN + 2.  Automaton 2 sweeps back and
+    forth without end: every launch of it is a traversal, so its run chain
+    never closes, and only the cap stops the unrolling."""
+    xs = [f"A1.x{i}" for i in range(q)]
+    crawler = spec_automaton("A1", ["A1.f"], ["A1.f"], [
+        row
+        for i, x in enumerate(xs)
+        for row in (
+            (x, "L", xs[0], 1),
+            (x, "a", xs[i + 1], 0) if i + 1 < q else (x, "a", xs[0], 1),
+            (x, "R", "A1.f", 0),
+        )
+    ] + [("A1.f", "L", "A1.f", 0), ("A1.f", "a", "A1.f", 0), ("A1.f", "R", "A1.f", 0)])
+    sweeper = spec_automaton("A2", [], [], [
+        ("A2.r", "L", "A2.r", 1), ("A2.r", "a", "A2.r", 1), ("A2.r", "R", "A2.l", -1),
+        ("A2.l", "L", "A2.r", 1), ("A2.l", "a", "A2.l", -1), ("A2.l", "R", "A2.l", -1),
+    ])
+    return {"version": 1, "automata": [crawler, sweeper], "message_bound": 1}
+
+
+def test_verify_holds_where_the_cap_cuts_the_chain(capsys, tmp_path):
+    spec = _crawler_and_sweeper(4)
+    system = validate_system(spec)
+    sweeper = system.automata[1]
+    K = C._run_caps(system)
+    for s in sorted(sweeper.states):
+        for side in ("L", "R"):
+            launch = dynamics.takeoff(sweeper, s, side, 2 * sweeper.hops.nmin)
+            assert isinstance(launch, dynamics.Traverse), (s, side)
+    with C.scope():
+        capped = C.run_formula(sweeper, frozenset(), "A2.r", "A2.r", K).formula
+    with C.scope():
+        longer = C.run_formula(sweeper, frozenset(), "A2.r", "A2.r", K + 1).formula
+    assert capped != longer
+    path = tmp_path / "sweeper.spec"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["verify", str(path), "--n-max", "300"]) == 0
+    assert capsys.readouterr().out == "OK 301\n"
+
+
+def test_phase_traversals_stay_below_the_run_cap():
+    """The argument of ``_run_caps`` step by step, for every N < 40, on
+    random systems and on crawlers of speed 1/q beside a sweeper: a phase
+    that ends at a broadcast lasts T < q_r(N + 2) steps, where q_r is a
+    racer's state count, and each traversal inside it takes N + 1 steps or
+    more, so every automaton makes fewer than K."""
+    rng = random.Random(5)
+    systems = [cli.generate_system(rng, 4, 3, 3) for _ in range(60)]
+    systems += [validate_system(_crawler_and_sweeper(q)) for q in range(1, 5)]
+    most = 0
+    for system in systems:
+        K = C._run_caps(system)
+        for N in range(40):
+            events = oracles.phase_trace(system, N)
+            if not events:
+                continue
+            ends = [t for t, _, _ in events]
+            starts = [0] + [t + 1 for t in ends[:-1]]
+            walks = []
+            for aut in system.automata:
+                s, p = aut.initial, 0
+                walk = [p]
+                for _ in range(ends[-1]):
+                    s, p = sim._step_one(aut, s, p, N)
+                    walk.append(p)
+                walks.append(walk)
+            for a, b, (_, racers, _) in zip(starts, ends, events):
+                q_r = min(len(system.automata[i].states) for i in racers)
+                assert b - a < q_r * (N + 2)
+                for walk in walks:
+                    sides = [p == 0 for p in walk[a : b + 1] if p in (0, N + 1)]
+                    crossings = sum(x != y for x, y in zip(sides, sides[1:]))
+                    assert crossings * (N + 1) <= b - a
+                    assert crossings < K
+                    most = max(most, crossings)
+    assert most >= 3
