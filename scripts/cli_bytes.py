@@ -30,9 +30,15 @@ with ``--against``, which writes nothing and compares two written trees:
 
 It fails on any byte difference outside ``[frontier:k ...]`` and
 ``[accept:k ...]`` lines.  For each pair of such lines that differ it
-parses both s-expressions and requires them to agree, by ``vector_eval``,
-for every N < 40 with every other free variable (a head position) over
-0..N+1.
+parses both s-expressions and prints two verdicts, and fails unless both
+hold:
+
+- ``N<40``: the two agree, by ``vector_eval``, for every N < 40 with every
+  other free variable (a head position) over 0..N+1;
+- ``all N``: they agree for every N, proved by eliminating
+  ``exists N, pi. N >= 0 and 0 <= pi_i <= N+1 and (old xor new)`` to
+  ``false``.  A quantifier elimination over its budget prints
+  ``undecided``.
 """
 
 import argparse
@@ -146,7 +152,7 @@ def parse_sexpr(text):
     return out
 
 
-def _equivalent(f, g):
+def _equivalent_below(f, g):
     """f and g agree for every N < AGAINST_N with every other free variable
     over 0..N+1."""
     import numpy as np
@@ -162,6 +168,23 @@ def _equivalent(f, g):
         if not np.array_equal(vector_eval(f, env), vector_eval(g, env)):
             return False
     return True
+
+
+def _equivalent_all(f, g):
+    """"equivalent" if f and g agree for every N with every other free
+    variable over 0..N+1, "NOT equivalent" if not, "undecided" if the
+    quantifier elimination exceeds its budget."""
+    from multiauto import presburger as P
+
+    n = P.var("N")
+    names = sorted((f.fv | g.fv) - {"N"})
+    ranges = [P.land(P.ge(P.var(v), 0), P.le(P.var(v), n + 1)) for v in names]
+    differ = P.lor(P.land(f, P.lnot(g)), P.land(P.lnot(f), g))
+    try:
+        witness = P.eliminate(P.exists(["N"] + names, P.land(P.ge(n, 0), *ranges, differ)))
+    except P.BudgetExceeded:
+        return "undecided"
+    return "equivalent" if witness is P.FALSE else "NOT equivalent"
 
 
 def _formula_line(line):
@@ -195,12 +218,15 @@ def against(new, old):
             if not (fx and fy and fx[0] == fy[0]):
                 print(f"{rel}:{i}: differs outside a formula line")
                 bad += 1
-            elif _equivalent(parse_sexpr(fx[1]), parse_sexpr(fy[1])):
-                print(f"{rel}:{i}: {fx[0]}] differs, equivalent")
-                same += 1
             else:
-                print(f"{rel}:{i}: {fx[0]}] NOT equivalent")
-                bad += 1
+                f, g = parse_sexpr(fx[1]), parse_sexpr(fy[1])
+                below = "equivalent" if _equivalent_below(f, g) else "NOT equivalent"
+                every = _equivalent_all(f, g)
+                print(f"{rel}:{i}: {fx[0]}] differs, N<{AGAINST_N}: {below}, all N: {every}")
+                if below == every == "equivalent":
+                    same += 1
+                else:
+                    bad += 1
     print(f"{len(files)} files, {same} equivalent formula lines, {bad} differences")
     return bad
 

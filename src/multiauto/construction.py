@@ -4,8 +4,10 @@ The pipeline mirrors the silent-phase analysis: ``reach_formula`` describes
 endmarker-free runs exactly; ``run_formula`` stitches reaches through the
 endmarkers, following each launch from an endmarker as
 ``dynamics.takeoff`` classifies it (rebound, crossing or trap) and
-capping the number of traversals by K; races pick the earliest broadcasting
-state; the phase formula advances every automaton to the next broadcast;
+capping the number of traversals by K; a race is a run that stops at every
+broadcasting state, so the time it reaches one is the first broadcast, and
+every "no broadcast yet" guard negates a race bounded in time; the phase
+formula advances every automaton to the next broadcast;
 ``phase_frontiers`` walks the frontiers reachable with at most M messages
 breadth first; and ``recognized_set`` ORs their acceptance formulas into a
 single one-variable formula that is lowered to an ultimately periodic set.
@@ -305,12 +307,9 @@ def _reach_expr(aut, stop, s, s2, P, PP, Tm, Nv):
     """Reach from (s, P) to (s2, PP) in exactly T steps, interior en route."""
     branches = []
     # p = 0
-    if P.coeffs == () and P.const != 0:
-        pass
-    else:
-        g = eq(P)
-        if g is not FALSE:
-            branches.append(land(g, _endmarker_start_expr(aut, stop, s, s2, "L", PP, Tm, Nv)))
+    g = eq(P)
+    if g is not FALSE:
+        branches.append(land(g, _endmarker_start_expr(aut, stop, s, s2, "L", PP, Tm, Nv)))
     # p = N + 1
     g = eq(P - Nv - 1)
     if g is not FALSE:
@@ -370,11 +369,12 @@ def _side_pos(side, Nv):
 
 
 @_per_scope
-def _edge_n_constraint(aut, stop, u, side, v, cross):
-    """The N-projection of one endmarker-to-endmarker segment (for pruning)."""
+def _edge_n_constraint(aut, stop, u, side, v):
+    """The N-projection of one crossing from ``side`` to the far endmarker
+    (for pruning)."""
     Nv = var("N")
     here = _side_pos(side, Nv)
-    there = _side_pos("R" if side == "L" else "L", Nv) if cross else here
+    there = _side_pos("R" if side == "L" else "L", Nv)
     t = _fresh_var("t")
     f = exists(t, _reach(aut, stop, u, v, here, there, var(t)))
     return eliminate(f)
@@ -390,7 +390,7 @@ def _n_sat(f) -> bool:
 def _crossing_targets(aut, stop, u, side):
     out = []
     for v in sorted(aut.states):
-        if _edge_n_constraint(aut, frozenset(stop), u, side, v, True) is not FALSE:
+        if _edge_n_constraint(aut, frozenset(stop), u, side, v) is not FALSE:
             out.append(v)
     return out
 
@@ -404,6 +404,10 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
     Deterministic rebound cycles are closed with a periodic disjunct instead
     of being unrolled; crossing cycles are unrolled up to the traversal cap.
     Run0 (no endmarker contact) is the plain reach.
+
+    A chain stops growing at its K-th traversal, and that cap alone cuts
+    crossing cycles: a chain re-enters a crossing landing only by a
+    traversal, so it has fewer repeated landings than traversals.
 
     The chain machinery relies on length-independent launch behaviour, which
     only holds for sufficiently long inputs, so every chain disjunct carries
@@ -479,7 +483,7 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
             names = [x.coeffs[0][0] for x in used] + [tb.coeffs[0][0], h.coeffs[0][0]]
             disjuncts.append(exists(names, land(*parts)))
 
-    def extend(path, tvars, nconstraints, crossings, laps):
+    def extend(path, tvars, nconstraints, crossings):
         u, side = path[-1]
         emit_stop(path, tvars)
         if u in stop:
@@ -498,7 +502,7 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
                         emit_loop(path, tvars, idx, period)
                         return
             tv = var(_fresh_var("t"))
-            extend(path + [nxt], tvars + [tv], nconstraints, crossings, laps)
+            extend(path + [nxt], tvars + [tv], nconstraints, crossings)
             return
         # crossing
         if crossings >= K:
@@ -506,20 +510,12 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
         far = "R" if side == "L" else "L"
         for v in _crossing_targets(aut, stop, u, side):
             nxt = (v, far)
-            cons = _edge_n_constraint(aut, stop, u, side, v, True)
+            cons = _edge_n_constraint(aut, stop, u, side, v)
             acc = land(*nconstraints, cons)
             if acc is FALSE or not _n_sat(acc):
                 continue
-            if nxt in path and laps >= K:
-                continue
             tv = var(_fresh_var("t"))
-            extend(
-                path + [nxt],
-                tvars + [tv],
-                nconstraints + [cons],
-                crossings + 1,
-                laps + (1 if nxt in path else 0),
-            )
+            extend(path + [nxt], tvars + [tv], nconstraints + [cons], crossings + 1)
 
     for v in sorted(aut.states):
         for side in ("L", "R"):
@@ -527,7 +523,7 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
             if first is FALSE:
                 continue
             tv = var(_fresh_var("t"))
-            extend([(v, side)], [tv], [], 0, 0)
+            extend([(v, side)], [tv], [], 0)
     return lor(*disjuncts)
 
 
@@ -565,9 +561,10 @@ def _run(aut, stop, s, s2, K, P, PP, Tm):
 
 
 def _occupied(aut, b, s, K, P, Tm):
-    """The broadcasting state b is occupied at time Tm from (s, P), with
-    b stopping the run."""
-    return substitute(_occupancy_qf(aut, frozenset({b}), s, b, K), {"p": P, "T": Tm})
+    """The broadcasting state b is occupied at time Tm from (s, P), and no
+    broadcasting state is occupied at times 1..Tm-1: every one stops the
+    run."""
+    return substitute(_occupancy_qf(aut, aut.broadcasting, s, b, K), {"p": P, "T": Tm})
 
 
 @_scoped
@@ -583,28 +580,27 @@ def run_formula(aut, stop, s, s2, K) -> ParamFormula:
 # Race and Mute
 
 
-def _race_expr(aut, s, K, P, Tm, Nv):
-    B = sorted(aut.broadcasting)
-    picks = [_occupied(aut, b, s, K, P, Tm) for b in B]
-    minimality = []
-    for c in B:
-        tc = _fresh_var("t")
-        minimality.append(
-            lnot(exists(tc, land(_occupied(aut, c, s, K, P, var(tc)), le(var(tc), Tm - 1))))
-        )
-    return land(lor(*picks), *minimality)
+def _race_expr(aut, s, K, P, Tm):
+    """Tm is the first time a broadcasting state is occupied from (s, P).
+
+    A run forbids its stop states at times 1..T-1 only, so a broadcasting
+    start is the time-0 case."""
+    if s in aut.broadcasting:
+        return eq(Tm)
+    return lor(*[_occupied(aut, b, s, K, P, Tm) for b in sorted(aut.broadcasting)])
 
 
 @_scoped
 def race_formula(aut, s, K) -> ParamFormula:
-    """T is the earliest time a broadcasting state is occupied from (s, p)."""
-    return ParamFormula(_race_expr(aut, s, K, var("p"), var("T"), var("N")), ("N", "p", "T"))
+    """T is the earliest time a broadcasting state is occupied from (s, p):
+    a run that stops at every broadcasting state reaches one at time T."""
+    return ParamFormula(_race_expr(aut, s, K, var("p"), var("T")), ("N", "p", "T"))
 
 
-def _mute_expr(aut, s, K, P, Nv):
+def _mute_expr(aut, s, K, P):
     parts = []
     for b in sorted(aut.broadcasting):
-        ever = _ever_qf(aut, frozenset({b}), s, b, K)
+        ever = _ever_qf(aut, aut.broadcasting, s, b, K)
         parts.append(lnot(substitute(ever, {"p": P})))
     return land(*parts)
 
@@ -612,42 +608,31 @@ def _mute_expr(aut, s, K, P, Nv):
 @_scoped
 def mute_formula(aut, s, K) -> ParamFormula:
     """No broadcasting state is ever reachable from (s, p)."""
-    return ParamFormula(_mute_expr(aut, s, K, var("p"), var("N")), ("N", "p"))
+    return ParamFormula(_mute_expr(aut, s, K, var("p")), ("N", "p"))
 
 
-def _broadcast_by_expr(aut, s, K, P, Bound, Nv):
-    """Some broadcasting state is occupied at a time <= Bound from (s, P)."""
-    parts = []
-    for b in sorted(aut.broadcasting):
-        tb = _fresh_var("t")
-        parts.append(exists(tb, land(_occupied(aut, b, s, K, P, var(tb)), le(var(tb), Bound))))
-    return lor(*parts)
+def _broadcast_by_expr(aut, s, K, P, Bound):
+    """Some broadcasting state is occupied at a time <= Bound from (s, P):
+    the race ends by then."""
+    t = _fresh_var("t")
+    return exists(t, land(_race_expr(aut, s, K, P, var(t)), le(var(t), Bound)))
 
 
 # ---------------------------------------------------------------------------
 # The phase formula and frontier advancement
 
 
-def _phase_expr(system, sigma, sigma2, I, pos_terms, pos2_vars, Nv):
+def _phase_expr(system, sigma, sigma2, I, pos_terms, pos2_vars):
     K = _run_caps(system)
     T = _fresh_var("T")
     Tv = var(T)
     parts = []
     for i, aut in enumerate(system.automata):
         if i in I:
-            parts.append(_race_expr(aut, sigma[i], K, pos_terms[i], Tv, Nv))
+            parts.append(_race_expr(aut, sigma[i], K, pos_terms[i], Tv))
         else:
-            # Slower racers are allowed: they must broadcast strictly later
-            # than T (or never), matching the simulator's argmin winners.
-            ti = _fresh_var("T")
-            later = exists(
-                ti,
-                land(
-                    _race_expr(aut, sigma[i], K, pos_terms[i], var(ti), Nv),
-                    ge(var(ti), Tv + 1),
-                ),
-            )
-            parts.append(lor(_mute_expr(aut, sigma[i], K, pos_terms[i], Nv), later))
+            # The simulator's argmin losers: no broadcast by T.
+            parts.append(lnot(_broadcast_by_expr(aut, sigma[i], K, pos_terms[i], Tv)))
     for i, aut in enumerate(system.automata):
         parts.append(
             _run(aut, frozenset(), sigma[i], sigma2[i], K, pos_terms[i], pos2_vars[i], Tv)
@@ -670,15 +655,18 @@ def _check_theta(system, sigma2, I):
 def phase_formula(system, sigma, sigma2, I) -> ParamFormula:
     """The displayed phase formula: racers in I broadcast simultaneously at
     the minimum time T, everyone else is mute or strictly later, and every
-    automaton is advanced by an unrestricted run over T."""
+    automaton is advanced by an unrestricted run over T.
+
+    A racer's run stops at every broadcasting state, so it reaches one
+    first at T; "mute or strictly later" is built as its negation, no
+    broadcast by T, since a first broadcast time is unique."""
     system = validate_system(system)
     I = frozenset(I)
     _check_theta(system, sigma2, I)
     n = system.n
-    Nv = var("N")
     pos = [var(x) for x in _pi_names(n)]
     pos2 = [var(x) for x in _pip_names(n)]
-    f = _phase_expr(system, sigma, tuple(sigma2), I, pos, pos2, Nv)
+    f = _phase_expr(system, sigma, tuple(sigma2), I, pos, pos2)
     return ParamFormula(f, ("N",) + _pi_names(n) + _pip_names(n))
 
 
@@ -695,10 +683,11 @@ def _run_caps(system):
       repeat it only repeats itself, and that occupancy or visit would
       have come a lap earlier.  An automaton with q states has 2q <= K
       pairs, so up to either event it makes at most K visits and fewer
-      than K traversals.  Races, mute and the silence guards stop at a
-      broadcasting state.  An acceptance formula asks whether some
-      accepting time exists, and silence up to a later accepting time
-      implies silence up to the first one, so the first one is enough.
+      than K traversals, whatever the stop set.  Races, mute and the
+      silence guards stop at every broadcasting state.  An acceptance
+      formula asks whether some accepting time exists, and silence up to
+      a later accepting time implies silence up to the first one, so the
+      first one is enough.
     - A phase that ends at a broadcast lasts until the first time T,
       counted from the phase's start, at which a racer r with q_r states
       is in a broadcasting state.  Its configurations (state, position) at
@@ -853,7 +842,7 @@ def advance_frontier(system, frontier: PhaseFrontier) -> list:
         body = land(
             frontier.position_graph.formula,
             guard,
-            _phase_expr(system, start_states, sigma2, I, start_terms, pos2, Nv),
+            _phase_expr(system, start_states, sigma2, I, start_terms, pos2),
         )
         g = eliminate(exists(list(_pi_names(n)), body))
         key = (I, sigma2)
@@ -962,7 +951,7 @@ def accept_formula(system, frontier: PhaseFrontier) -> Formula:
         branches.append(exists(ta, final_hit))
     elif initial:
         guards = [
-            lnot(_broadcast_by_expr(aut, frontier.sigma[i], K, pos[i], var(ta), Nv))
+            lnot(_broadcast_by_expr(aut, frontier.sigma[i], K, pos[i], var(ta)))
             for i, aut in enumerate(system.automata)
         ]
         branches.append(exists(ta, land(final_hit, *guards)))
@@ -982,9 +971,7 @@ def accept_formula(system, frontier: PhaseFrontier) -> Formula:
                 cond = silent.get((i, pattern[i]))
                 if cond is None:
                     cond = silent[i, pattern[i]] = lnot(
-                        _broadcast_by_expr(
-                            aut, start_states[i], K, start_terms[i], var(ta) - 1, Nv
-                        )
+                        _broadcast_by_expr(aut, start_states[i], K, start_terms[i], var(ta) - 1)
                     )
                 conds.append(cond)
             branches.append(land(guard, exists(ta, land(final_hit, *conds))))
@@ -1019,6 +1006,4 @@ def recognized_set(system) -> UltimatelyPeriodicSet:
         sim.accepts(system, n) if n < nmin else ups.member(n)
         for n in range(width + max(ups.period, 1))
     ]
-    return UltimatelyPeriodicSet.from_bits(
-        bits, width, max(ups.period, 1)
-    ).canonical()
+    return UltimatelyPeriodicSet.from_bits(bits, width, max(ups.period, 1))

@@ -1186,13 +1186,11 @@ def _window(g: Formula, v: str):
     return threshold, period
 
 
-def solution_set(
-    f: Formula, free_var: str, budget: int = None
-) -> UltimatelyPeriodicSet:
+def solution_set(f: Formula, free_var: str) -> UltimatelyPeriodicSet:
     """Solutions in the naturals of a one-free-variable formula, canonicalized."""
     if not f.fv <= {free_var}:
         raise ValueError(f"unexpected free variables: {sorted(f.fv - {free_var})}")
-    g = eliminate(land(f, ge(var(free_var), 0)), budget)
+    g = eliminate(land(f, ge(var(free_var), 0)))
     threshold, period = _window(g, free_var)
     bits = [evaluate(g, {free_var: n}) for n in range(threshold + period)]
     return UltimatelyPeriodicSet.from_bits(bits, threshold, period)

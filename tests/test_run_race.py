@@ -9,7 +9,7 @@ from multiauto.model import bounds_profile, validate_system
 from multiauto.presburger import eliminate, evaluate, vector_eval
 
 import oracles
-from conftest import ROOT, load_fixture, spec_automaton
+from conftest import FIXTURE_NAMES, ROOT, load_fixture, spec_automaton
 from oracles import first_broadcast_time, run_trajectory
 
 
@@ -60,18 +60,77 @@ def test_run_matches_trajectory_with_stops():
                 assert np.array_equal(got, want), (s, s2, N)
 
 
+def _fuzz_zero():
+    """Fuzz system 0 of seed 20240817: its automaton 1 has two broadcasting
+    states, which no fixture automaton has."""
+    return cli.generate_system(random.Random(20240817), 4, 3, 3)
+
+
+def _race_starts():
+    """(automaton, start state, K) for every distinct automaton of the
+    fixtures and of fuzz system 0."""
+    seen = set()
+    for system in [load_fixture(name) for name in FIXTURE_NAMES] + [_fuzz_zero()]:
+        K = bounds_profile(system).K
+        for aut in system.automata:
+            if (aut, K) not in seen:
+                seen.add((aut, K))
+                for s in sorted(aut.states):
+                    yield aut, s, K
+
+
+def _grid(f, N, tmax):
+    """f over p in 0..N+1 (axis 0) and T in 0..tmax (axis 1)."""
+    return vector_eval(
+        f,
+        {"N": np.array(N), "p": np.arange(N + 2)[:, None], "T": np.arange(tmax + 1)[None, :]},
+    )
+
+
 def test_race_first_broadcast_times():
-    system = load_fixture("slowracer")
-    for aut, start in zip(system.automata, ("w", "c0")):
-        g = eliminate(C.race_formula(aut, start, 6).formula)
-        for n in range(_nmin(aut), _nmin(aut) + 6):
-            t_first = first_broadcast_time(aut, start, 0, n, 300)
-            for t in range(t_first + 3):
-                assert evaluate(g, {"N": n, "p": 0, "T": t}) == (t == t_first), (
-                    aut.name,
-                    n,
-                    t,
-                )
+    """The race holds exactly at the first broadcast time, for every
+    automaton, every start state (broadcasting ones included) and every
+    start position."""
+    for aut, s, K in _race_starts():
+        g = eliminate(C.race_formula(aut, s, K).formula)
+        for N in range(_nmin(aut), _nmin(aut) + 4):
+            # A first broadcast comes before a configuration repeats.
+            tmax = len(aut.states) * (N + 2)
+            want = np.zeros((N + 2, tmax + 1), dtype=bool)
+            for p in range(N + 2):
+                t_first = first_broadcast_time(aut, s, p, N, tmax)
+                if t_first is not None:
+                    want[p, t_first] = True
+            assert np.array_equal(_grid(g, N, tmax), want), (aut.name, s, N)
+
+
+def test_no_broadcast_by_T_is_the_displayed_non_racer_clause():
+    """not (race by T) is mute or a race strictly after T, on a grid."""
+    p, T, ti = P.var("p"), P.var("T"), P.var("ti")
+    for aut, s, K in _race_starts():
+        with C.scope():
+            silent = P.lnot(C._broadcast_by_expr(aut, s, K, p, T))
+            later = P.exists("ti", P.land(C._race_expr(aut, s, K, p, ti), P.ge(ti, T + 1)))
+            displayed = P.lor(C._mute_expr(aut, s, K, p), later)
+            silent, displayed = eliminate(silent), eliminate(displayed)
+        for N in range(_nmin(aut), _nmin(aut) + 4):
+            tmax = len(aut.states) * (N + 2) + 2
+            assert np.array_equal(_grid(silent, N, tmax), _grid(displayed, N, tmax)), (
+                aut.name,
+                s,
+                N,
+            )
+
+
+def test_races_stop_at_every_broadcasting_state():
+    """Every occupancy a race builds stops at all of its automaton's
+    broadcasting states, not at the occupied one alone."""
+    with C.scope() as tables:
+        C.recognized_set(_fuzz_zero())
+        keys = list(tables["_occupancy_qf"])
+    assert any(len(aut.broadcasting) > 1 for aut, *_ in keys)
+    for aut, stop, *_ in keys:
+        assert stop == aut.broadcasting
 
 
 def test_mute_formula():
@@ -125,15 +184,15 @@ def test_unstable_launch_raises(monkeypatch, first, second):
 
 
 def test_occupancy_and_ever_projections_match_trajectory():
-    """exists pp. Run and exists T, pp. Run with a broadcasting stop state,
-    against the replayed run, for every start position and T <= 80."""
+    """exists pp. Run and exists T, pp. Run stopping at every broadcasting
+    state, against the replayed run, for every start position and T <= 80."""
     tmax = 80
     for name in ("crosser2", "racer2", "slowracer"):
         system = load_fixture(name)
         K = bounds_profile(system).K
         for aut in system.automata:
-            for b in sorted(aut.broadcasting):
-                stop = frozenset({b})
+            stop = aut.broadcasting
+            for b in sorted(stop):
                 for s in sorted(aut.states):
                     with C.scope():
                         occ = C._occupancy_qf(aut, stop, s, b, K)
