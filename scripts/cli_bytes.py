@@ -33,8 +33,9 @@ It fails on any byte difference outside ``[frontier:k ...]`` and
 parses both s-expressions and prints two verdicts, and fails unless both
 hold:
 
-- ``N<40``: the two agree, by ``vector_eval``, for every N < 40 with every
-  other free variable (a head position) over 0..N+1;
+- ``N<40``: the two agree, by ``vector_eval`` (``tests/oracles.py``, which
+  needs numpy), for every N < 40 with every other free variable (a head
+  position) over 0..N+1;
 - ``all N``: they agree for every N, proved by eliminating
   ``exists N, pi. N >= 0 and 0 <= pi_i <= N+1 and (old xor new)`` to
   ``false``.  A quantifier elimination over its budget prints
@@ -156,7 +157,7 @@ def _equivalent_below(f, g):
     """f and g agree for every N < AGAINST_N with every other free variable
     over 0..N+1."""
     import numpy as np
-    from multiauto.presburger import vector_eval
+    from oracles import vector_eval
 
     names = sorted((f.fv | g.fv) - {"N"})
     for n in range(AGAINST_N):
@@ -258,6 +259,7 @@ def main(argv=None):
         run_one(*args.one)
         return 0
     if args.against:
+        sys.path.insert(0, str(HERE.parents[1] / "tests"))
         return 1 if against(args.outdir, args.against) else 0
 
     from multiauto import cli

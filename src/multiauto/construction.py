@@ -34,15 +34,15 @@ unrolls is not sampled: every run is capped at the analysis bound K
 (``_run_caps`` gives the argument).
 
 Reach/Run canonicals, the Run canonicals with their quantifiers eliminated
-and the two projections of those (occupied at time T, ever occupied),
-launch classifications, segment constraints and the sampling results are
-memoized per extraction, not per process.  Every use of a Run substitutes
-its terms into the eliminated form, so Cooper sees each Run canonical once
-per extraction, and the ``run``/``reach`` dumps still print the raw
-canonicals.  The outermost public builder call (or an explicit
-:func:`scope`) owns the memo tables, nested calls reuse them, and the
-tables are dropped when that call returns or raises.  A batch of systems
-in one process therefore keeps no table of an earlier system alive.
+and their projection to occupancy at time T, launch classifications,
+segment constraints and the sampling results are memoized per extraction,
+not per process.  Every use of a Run substitutes its terms into the
+eliminated form, so Cooper sees each Run canonical once per extraction,
+and the ``run``/``reach`` dumps still print the raw canonicals.  The
+outermost public builder call (or an explicit :func:`scope`) owns the memo
+tables, nested calls reuse them, and the tables are dropped when that call
+returns or raises.  A batch of systems in one process therefore keeps no
+table of an earlier system alive.
 """
 
 from __future__ import annotations
@@ -81,12 +81,10 @@ from .presburger import (
 __all__ = [
     "ParamFormula",
     "PhaseFrontier",
-    "UnstableLaunch",
     "scope",
     "reach_formula",
     "run_formula",
     "race_formula",
-    "mute_formula",
     "phase_formula",
     "initial_frontier",
     "advance_frontier",
@@ -94,11 +92,6 @@ __all__ = [
     "accept_formula",
     "recognized_set",
 ]
-
-
-class UnstableLaunch(Exception):
-    """A launch classification differs between two witness lengths, so the
-    rebound-chain construction's length-independence premise fails."""
 
 
 @dataclass(frozen=True)
@@ -341,23 +334,31 @@ def reach_formula(aut, stop, s, s2) -> ParamFormula:
 
 
 # ---------------------------------------------------------------------------
-# Launch classification at a witness length (rebound chains are N-independent)
+# Launch classification (rebound chains are N-independent)
 
 
 @_per_scope
 def _launch(aut, state, side):
-    """Length-independent launch classification, checked at two witnesses.
+    """The launch from ``side`` in ``state`` on every N >= N_min.
 
-    A Return must agree in full; any other outcome only in kind, because
-    Oscillate.p and Traverse.T grow with N.
+    ``dynamics.takeoff`` classifies it on a^N_min.  A Return holds in full
+    on every longer input, and any other outcome in kind, which is all
+    :func:`_run_expr` reads of a crossing or a trap:
+
+    - A stay returns at once.  An inward endmarker move lands next to the
+      endmarker, and the hop from there follows the basic sequence of the
+      landing state (say from the left; the right mirrors it).
+    - The first lap of that sequence (indices 0 .. k) moves the head at
+      most the state's amplitude, and N >= N_min = 1 + amplitude, so it
+      cannot reach the far endmarker.  Whether and when it touches the near
+      one does not depend on N.
+    - Past the first lap every position is a first-lap position plus whole
+      laps of net displacement c.  With c > 0 the head never comes back and
+      traverses, with c = 0 it oscillates, and with c < 0 it never reaches
+      the far endmarker and returns at a time fixed by its one-cell
+      distance to the near one.
     """
-    nw = 2 * aut.hops.nmin
-    out = dynamics.takeoff(aut, state, side, nw)
-    out2 = dynamics.takeoff(aut, state, side, nw + 1)
-    stable = out == out2 if isinstance(out, dynamics.Return) else type(out) is type(out2)
-    if not stable:
-        raise UnstableLaunch(f"unstable launch for ({state}, {side}): {out} vs {out2}")
-    return out
+    return dynamics.takeoff(aut, state, side, aut.hops.nmin)
 
 
 # ---------------------------------------------------------------------------
@@ -549,12 +550,6 @@ def _occupancy_qf(aut, stop, s, s2, K):
     return eliminate(exists("pp", _run_qf(aut, stop, s, s2, K)))
 
 
-@_per_scope
-def _ever_qf(aut, stop, s, s2, K):
-    """exists T, pp. Run: s2 is ever occupied from (s, p)."""
-    return eliminate(exists(["T", "pp"], _run_qf(aut, stop, s, s2, K)))
-
-
 def _run(aut, stop, s, s2, K, P, PP, Tm):
     f = _run_qf(aut, frozenset(stop), s, s2, K)
     return substitute(f, {"p": P, "pp": PP, "T": Tm})
@@ -577,7 +572,7 @@ def run_formula(aut, stop, s, s2, K) -> ParamFormula:
 
 
 # ---------------------------------------------------------------------------
-# Race and Mute
+# Race: the first broadcast
 
 
 def _race_expr(aut, s, K, P, Tm):
@@ -595,20 +590,6 @@ def race_formula(aut, s, K) -> ParamFormula:
     """T is the earliest time a broadcasting state is occupied from (s, p):
     a run that stops at every broadcasting state reaches one at time T."""
     return ParamFormula(_race_expr(aut, s, K, var("p"), var("T")), ("N", "p", "T"))
-
-
-def _mute_expr(aut, s, K, P):
-    parts = []
-    for b in sorted(aut.broadcasting):
-        ever = _ever_qf(aut, aut.broadcasting, s, b, K)
-        parts.append(lnot(substitute(ever, {"p": P})))
-    return land(*parts)
-
-
-@_scoped
-def mute_formula(aut, s, K) -> ParamFormula:
-    """No broadcasting state is ever reachable from (s, p)."""
-    return ParamFormula(_mute_expr(aut, s, K, var("p")), ("N", "p"))
 
 
 def _broadcast_by_expr(aut, s, K, P, Bound):
@@ -683,11 +664,11 @@ def _run_caps(system):
       repeat it only repeats itself, and that occupancy or visit would
       have come a lap earlier.  An automaton with q states has 2q <= K
       pairs, so up to either event it makes at most K visits and fewer
-      than K traversals, whatever the stop set.  Races, mute and the
-      silence guards stop at every broadcasting state.  An acceptance
-      formula asks whether some accepting time exists, and silence up to
-      a later accepting time implies silence up to the first one, so the
-      first one is enough.
+      than K traversals, whatever the stop set.  Races and the silence
+      guards stop at every broadcasting state.  An acceptance formula
+      asks whether some accepting time exists, and silence up to a later
+      accepting time implies silence up to the first one, so the first
+      one is enough.
     - A phase that ends at a broadcast lasts until the first time T,
       counted from the phase's start, at which a racer r with q_r states
       is in a broadcasting state.  Its configurations (state, position) at
@@ -848,6 +829,9 @@ def advance_frontier(system, frontier: PhaseFrontier) -> list:
         key = (I, sigma2)
         graphs[key] = lor(graphs.get(key, FALSE), g)
 
+    # Successor graphs are stated over pi' like the display; each is renamed
+    # to pi so that frontiers compose.
+    to_pi = {o: var(nn) for o, nn in zip(_pip_names(n), _pi_names(n))}
     out = []
     for (I, sigma2), g in sorted(
         graphs.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1])
@@ -860,26 +844,12 @@ def advance_frontier(system, frontier: PhaseFrontier) -> list:
                 (I, sigma2),
                 PhaseFrontier(
                     sigma=sigma2,
-                    position_graph=ParamFormula(g, ("N",) + _pip_names(n)),
+                    position_graph=ParamFormula(substitute(g, to_pi), ("N",) + _pi_names(n)),
                     messages_spent=frontier.messages_spent + 1,
                 ),
             )
         )
-    # Successor graphs are stated over pi' like the display; rename to pi so
-    # frontiers compose.
-    renamed = []
-    for theta, fr in out:
-        g = substitute(
-            fr.position_graph.formula,
-            {o: var(nn) for o, nn in zip(_pip_names(n), _pi_names(n))},
-        )
-        renamed.append(
-            (
-                theta,
-                PhaseFrontier(fr.sigma, ParamFormula(g, ("N",) + _pi_names(n)), fr.messages_spent),
-            )
-        )
-    return renamed
+    return out
 
 
 def phase_frontiers(system, depth, live=None):

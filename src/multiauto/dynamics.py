@@ -48,9 +48,9 @@ class BasicSequenceProfile:
 
     ``sequence`` lists states s_0 .. s_k where s_k = s_{loop_entry} is the
     first repeat; ``lambdas[i]`` is the head displacement after i inner
-    steps.  The cycle s_{loop_entry} .. s_{k-1} has length ``cycle_length``
-    and net displacement ``net_cycle_displacement``; ``amplitude`` is the
-    total sweep max(lambdas) - min(lambdas) over the whole sequence.
+    steps.  The cycle s_{loop_entry} .. s_{k-1} has net displacement
+    ``net_cycle_displacement``; ``amplitude`` is the total sweep
+    max(lambdas) - min(lambdas) over the whole sequence.
     """
 
     sequence: tuple
@@ -62,10 +62,6 @@ class BasicSequenceProfile:
     @property
     def k(self) -> int:
         return len(self.sequence) - 1
-
-    @property
-    def cycle_length(self) -> int:
-        return self.k - self.loop_entry
 
     @property
     def direction(self) -> str:

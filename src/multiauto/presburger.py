@@ -97,11 +97,6 @@ class BudgetExceeded(Exception):
 DEFAULT_BUDGET = 10**6
 
 
-def _resolve_budget(budget):
-    if budget is not None:
-        return budget
-    return int(os.environ.get("MULTIAUTO_QE_BUDGET", DEFAULT_BUDGET))
-
 EMPTY = frozenset()
 
 
@@ -1045,14 +1040,14 @@ def _elim_exists_nnf(v: str, f: Formula, memo: _Memo) -> Formula:
     return _cooper_one(v, f, budget)
 
 
-def eliminate(f: Formula, budget: int = None) -> Formula:
+def eliminate(f: Formula) -> Formula:
     """Equivalent quantifier-free formula (Cooper elimination, bottom-up).
 
-    ``budget`` caps intermediate formula size in AST nodes; when omitted it
-    comes from the MULTIAUTO_QE_BUDGET environment variable (default 10**6).
-    A quantifier-free ``f`` is returned as it is.
+    Intermediate formula size in AST nodes is capped by the budget that the
+    MULTIAUTO_QE_BUDGET environment variable sets at call time (default
+    10**6).  A quantifier-free ``f`` is returned as it is.
     """
-    return _eliminate(f, _Memo(_resolve_budget(budget)))
+    return _eliminate(f, _Memo(int(os.environ.get("MULTIAUTO_QE_BUDGET", DEFAULT_BUDGET))))
 
 
 def _eliminate(f: Formula, memo: _Memo) -> Formula:
@@ -1223,72 +1218,3 @@ def to_sexpr(f: Formula) -> str:
     if isinstance(f, Forall):
         return f"(forall {f.v} {to_sexpr(f.f)})"
     raise TypeError(f"not a formula: {f!r}")
-
-
-def vector_eval(f: Formula, env: dict):
-    """Evaluate a quantifier-free formula over numpy arrays.
-
-    ``env`` maps every free variable to an integer numpy array; the arrays
-    must be mutually broadcastable (lay a grid out as outer-product axes,
-    e.g. shapes ``(n,1,1)``, ``(1,m,1)``, ``(1,1,k)``).  Returns a boolean
-    array of the broadcast shape.  Atoms accumulate per-shape partial sums
-    and finish with one broadcast comparison, so the full integer grid is
-    never materialized -- this is what makes exhaustive grid checks cheap.
-    """
-    import numpy as np
-
-    cache: dict = {}
-
-    def term_parts(t: Term):
-        buckets: dict = {}
-        for v, c in t.coeffs:
-            arr = np.asarray(env[v])
-            key = arr.shape
-            buckets[key] = buckets.get(key, 0) + c * arr
-        return sorted(buckets.values(), key=lambda a: a.size)
-
-    def compare(t: Term, op):
-        parts = term_parts(t)
-        if not parts:
-            return np.bool_(op(t.const, 0))
-        left = parts[-1]
-        rhs = -t.const
-        for p in parts[:-1]:
-            rhs = rhs - p
-        return op(left, rhs)
-
-    def go(g: Formula):
-        out = cache.get(g)
-        if out is not None:
-            return out
-        if g is TRUE:
-            out = np.bool_(True)
-        elif g is FALSE:
-            out = np.bool_(False)
-        elif isinstance(g, Le):
-            out = compare(g.t, np.less_equal)
-        elif isinstance(g, Eq):
-            out = compare(g.t, np.equal)
-        elif isinstance(g, Dvd):
-            parts = term_parts(g.t)
-            total = g.t.const
-            for p in parts:
-                total = total + p
-            out = np.equal(np.mod(total, g.d), 0)
-        elif isinstance(g, Not):
-            out = np.logical_not(go(g.f))
-        elif isinstance(g, And):
-            out = go(g.args[0])
-            for a in g.args[1:]:
-                out = np.logical_and(out, go(a))
-        elif isinstance(g, Or):
-            out = go(g.args[0])
-            for a in g.args[1:]:
-                out = np.logical_or(out, go(a))
-        else:
-            raise ValueError(f"vector_eval needs a quantifier-free formula, got {g!r}")
-        cache[g] = out
-        return out
-
-    shape = np.broadcast_shapes(*(np.shape(a) for a in env.values()))
-    return np.broadcast_to(go(f), shape)

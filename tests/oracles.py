@@ -1,4 +1,4 @@
-"""Simulation-backed ground truth used by the formula tests.
+"""Simulation-backed ground truth and references used by the formula tests.
 
 The reach/run oracles replay one automaton's trajectory step by step and
 record exactly which (state, position, time) triples are realized under each
@@ -7,9 +7,35 @@ predicate's side conditions; the formulas are then required to agree.
 sampling kernel ``sim.broadcast_events``, ``accepts`` is the one for
 ``sim.accepts``, and ``traversal_slope`` recomputes ``Hops.slope`` from the
 basic sequences.
+
+``vector_eval`` evaluates a quantifier-free formula on a whole numpy grid
+at once; the grid tests compare formulas with the oracles through it.
+``mute_formula`` is the paper's Mute clause (no broadcasting state is ever
+occupied), the reference for the displayed non-racer clause that the
+construction builds as "no broadcast by T", and ``ever_qf`` is the
+projection of a Run it rests on.
 """
 
-from multiauto import dynamics, sim
+import numpy as np
+
+from multiauto import construction as C, dynamics, sim
+from multiauto.presburger import (
+    FALSE,
+    TRUE,
+    And,
+    Dvd,
+    Eq,
+    Le,
+    Not,
+    Or,
+    Term,
+    eliminate,
+    exists,
+    land,
+    lnot,
+    substitute,
+    var,
+)
 
 
 def reach_trajectory(aut, stop, s, p, N, tmax):
@@ -132,3 +158,92 @@ def traversal_slope(automaton):
             k = prof.k
             best = max(best, -(-k // abs(c)) * k)
     return best
+
+
+def ever_qf(aut, stop, s, s2, K):
+    """exists T, pp. Run: s2 is ever occupied from (s, p).  Needs an open
+    ``construction.scope()``."""
+    return eliminate(exists(["T", "pp"], C._run_qf(aut, stop, s, s2, K)))
+
+
+def mute_expr(aut, s, K, P):
+    """The paper's Mute: no broadcasting state is ever occupied from (s, P).
+    Needs an open ``construction.scope()``."""
+    parts = []
+    for b in sorted(aut.broadcasting):
+        ever = ever_qf(aut, aut.broadcasting, s, b, K)
+        parts.append(lnot(substitute(ever, {"p": P})))
+    return land(*parts)
+
+
+def mute_formula(aut, s, K):
+    """Mute from (s, p), over (N, p), in a scope of its own."""
+    with C.scope():
+        return mute_expr(aut, s, K, var("p"))
+
+
+def vector_eval(f, env):
+    """Evaluate a quantifier-free formula over numpy arrays.
+
+    ``env`` maps every free variable to an integer numpy array; the arrays
+    must be mutually broadcastable (lay a grid out as outer-product axes,
+    e.g. shapes ``(n,1,1)``, ``(1,m,1)``, ``(1,1,k)``).  Returns a boolean
+    array of the broadcast shape.  Atoms accumulate per-shape partial sums
+    and finish with one broadcast comparison, so the full integer grid is
+    never materialized -- this is what makes exhaustive grid checks cheap.
+    """
+    cache: dict = {}
+
+    def term_parts(t: Term):
+        buckets: dict = {}
+        for v, c in t.coeffs:
+            arr = np.asarray(env[v])
+            key = arr.shape
+            buckets[key] = buckets.get(key, 0) + c * arr
+        return sorted(buckets.values(), key=lambda a: a.size)
+
+    def compare(t: Term, op):
+        parts = term_parts(t)
+        if not parts:
+            return np.bool_(op(t.const, 0))
+        left = parts[-1]
+        rhs = -t.const
+        for p in parts[:-1]:
+            rhs = rhs - p
+        return op(left, rhs)
+
+    def go(g):
+        out = cache.get(g)
+        if out is not None:
+            return out
+        if g is TRUE:
+            out = np.bool_(True)
+        elif g is FALSE:
+            out = np.bool_(False)
+        elif isinstance(g, Le):
+            out = compare(g.t, np.less_equal)
+        elif isinstance(g, Eq):
+            out = compare(g.t, np.equal)
+        elif isinstance(g, Dvd):
+            parts = term_parts(g.t)
+            total = g.t.const
+            for p in parts:
+                total = total + p
+            out = np.equal(np.mod(total, g.d), 0)
+        elif isinstance(g, Not):
+            out = np.logical_not(go(g.f))
+        elif isinstance(g, And):
+            out = go(g.args[0])
+            for a in g.args[1:]:
+                out = np.logical_and(out, go(a))
+        elif isinstance(g, Or):
+            out = go(g.args[0])
+            for a in g.args[1:]:
+                out = np.logical_or(out, go(a))
+        else:
+            raise ValueError(f"vector_eval needs a quantifier-free formula, got {g!r}")
+        cache[g] = out
+        return out
+
+    shape = np.broadcast_shapes(*(np.shape(a) for a in env.values()))
+    return np.broadcast_to(go(f), shape)

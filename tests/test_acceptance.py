@@ -25,7 +25,7 @@ import pytest
 
 from multiauto import cli, construction as C, dynamics, sim
 from multiauto import presburger as P
-from multiauto.presburger import eliminate, evaluate, exists, vector_eval
+from multiauto.presburger import eliminate, evaluate, exists
 
 from conftest import (
     CRITERION7_BOUND,
@@ -36,7 +36,7 @@ from conftest import (
     load_fixture,
     unique_automata,
 )
-from oracles import NoStopWithinBudget, reach_trajectory, segment_run
+from oracles import NoStopWithinBudget, reach_trajectory, segment_run, vector_eval
 
 FUZZ_SEED = 20240817
 FUZZ_COUNT = 100

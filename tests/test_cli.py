@@ -466,3 +466,42 @@ def test_diagram_marks_broadcasts(capsys, tmp_path):
     out = tmp_path / "e.svg"
     run_cli(capsys, "diagram", fixture_path("even"), "--n", "4", "-o", out)
     assert "<circle" in out.read_text()
+
+
+# ---------------------------------------------------------------------------
+# dependencies
+
+
+def test_runs_without_numpy(capsys):
+    # numpy is a test extra: with it blocked, every command exits and prints
+    # as it does here.
+    spec = fixture_path("racer2")
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from multiauto import cli\n"
+        "raise SystemExit(cli.main(sys.argv[1:]))\n"
+    )
+    for argv in (
+        ["extract", spec],
+        ["verify", spec, "--n-max", "60"],
+        ["analyze", spec],
+        ["simulate", spec, "--n", "5"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *map(str, argv)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=False,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv), argv
+
+
+def test_pyproject_lists_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert project.get("dependencies", []) == []
+    assert "numpy" in project["optional-dependencies"]["test"]

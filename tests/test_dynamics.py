@@ -97,14 +97,31 @@ def test_takeoff_rejects_short_input():
         dynamics.takeoff(aut, "w", "L", 0)
 
 
-def test_takeoff_classification_is_length_independent():
-    for aut in unique_automata({"x": load_fixture("rebounder"), "y": load_fixture("drift3")}):
+def test_takeoff_classification_is_length_independent(systems):
+    # The construction classifies each launch once, on a^N_min, and relies
+    # on the answer for every longer input: a Return in full, any other
+    # outcome in kind.  Every fixture automaton and those of 200 random
+    # systems, for N_min .. N_min + 12.
+    rng = random.Random(7)
+    automata = unique_automata(systems)
+    for _ in range(200):
+        automata += cli.generate_system(rng, 8, 3, 3).automata
+    kinds = set()
+    for aut in automata:
         n = aut.hops.nmin
         for s in sorted(aut.states):
             for side in ("L", "R"):
                 a = dynamics.takeoff(aut, s, side, n)
-                b = dynamics.takeoff(aut, s, side, n + 7)
-                assert type(a) is type(b), (aut.name, s, side)
+                with C.scope():
+                    assert C._launch(aut, s, side) == a
+                kinds.add(type(a))
+                for m in range(n + 1, n + 13):
+                    b = dynamics.takeoff(aut, s, side, m)
+                    if isinstance(a, dynamics.Return):
+                        assert a == b, (aut.name, s, side, m)
+                    else:
+                        assert type(a) is type(b), (aut.name, s, side, m)
+    assert kinds == {dynamics.Return, dynamics.Traverse, dynamics.Oscillate}
 
 
 def _random_automaton(seed, k):

@@ -35,10 +35,10 @@ from multiauto.presburger import (
     substitute,
     to_sexpr,
     var,
-    vector_eval,
 )
 
 from conftest import FIXTURE_NAMES, ROOT, criterion7_formulas, fixture_path, load_fixture
+from oracles import vector_eval
 
 TESTS = pathlib.Path(__file__).resolve().parent
 
@@ -202,17 +202,22 @@ def test_cooper_auxiliary_variable_avoids_free_names():
         assert evaluate(g, {"_c": n}) == evaluate(f, {"_c": n}, domain_bound=20)
 
 
-def test_budget_exceeded():
+def test_budget_exceeded(monkeypatch):
     f = exists("x", le(var("x"), var("y")))
+    monkeypatch.setenv("MULTIAUTO_QE_BUDGET", "0")
     with pytest.raises(BudgetExceeded) as err:
-        eliminate(f, budget=0)
+        eliminate(f)
     assert err.value.stage
 
 
 def test_budget_env_override(monkeypatch):
+    # The budget is read at each call.
+    f = exists("x", le(var("x"), var("y")))
     monkeypatch.setenv("MULTIAUTO_QE_BUDGET", "0")
     with pytest.raises(BudgetExceeded):
-        eliminate(exists("x", le(var("x"), var("y"))))
+        eliminate(f)
+    monkeypatch.setenv("MULTIAUTO_QE_BUDGET", "100")
+    assert eliminate(f) == ge(var("y"), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +407,16 @@ def test_eliminate_returns_quantifier_free_input():
         assert eliminate(g) is g
 
 
-def test_budget_exceeded_leaves_no_state_behind():
+def test_budget_exceeded_leaves_no_state_behind(monkeypatch):
     # Formula 40 of the stream nests a forall under an exists; budget 200
     # fails on the outer result after the inner elimination filled the
     # memo tables.
     f, _ = next(itertools.islice(criterion7_formulas(41), 40, None))
+    monkeypatch.setenv("MULTIAUTO_QE_BUDGET", "200")
     with pytest.raises(BudgetExceeded) as err:
-        eliminate(f, budget=200)
+        eliminate(f)
     assert err.value.stage == "eliminate"
+    monkeypatch.delenv("MULTIAUTO_QE_BUDGET")
     again = to_sexpr(eliminate(f))
     code = (
         "import itertools\n"

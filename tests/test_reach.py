@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from multiauto import construction as C
-from multiauto.presburger import eliminate, evaluate, vector_eval
+from multiauto.presburger import eliminate, evaluate
 
 from conftest import load_fixture
-from oracles import reach_trajectory
+from oracles import reach_trajectory, vector_eval
 
 
 def _holds(pf, **point):

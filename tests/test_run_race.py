@@ -2,15 +2,21 @@ import json
 import random
 
 import numpy as np
-import pytest
 
 from multiauto import cli, construction as C, dynamics, presburger as P, sim
 from multiauto.model import bounds_profile, validate_system
-from multiauto.presburger import eliminate, evaluate, vector_eval
+from multiauto.presburger import eliminate, evaluate
 
 import oracles
 from conftest import FIXTURE_NAMES, ROOT, load_fixture, spec_automaton
-from oracles import first_broadcast_time, run_trajectory
+from oracles import (
+    ever_qf,
+    first_broadcast_time,
+    mute_expr,
+    mute_formula,
+    run_trajectory,
+    vector_eval,
+)
 
 
 def _nmin(aut):
@@ -111,7 +117,7 @@ def test_no_broadcast_by_T_is_the_displayed_non_racer_clause():
         with C.scope():
             silent = P.lnot(C._broadcast_by_expr(aut, s, K, p, T))
             later = P.exists("ti", P.land(C._race_expr(aut, s, K, p, ti), P.ge(ti, T + 1)))
-            displayed = P.lor(C._mute_expr(aut, s, K, p), later)
+            displayed = P.lor(mute_expr(aut, s, K, p), later)
             silent, displayed = eliminate(silent), eliminate(displayed)
         for N in range(_nmin(aut), _nmin(aut) + 4):
             tmax = len(aut.states) * (N + 2) + 2
@@ -136,13 +142,13 @@ def test_races_stop_at_every_broadcasting_state():
 def test_mute_formula():
     system = load_fixture("zigzag")
     aut = system.automata[0]
-    g = eliminate(C.mute_formula(aut, "f", 6).formula)
+    g = eliminate(mute_formula(aut, "f", 6))
     # No broadcasting states at all: mute everywhere.
     for n in (2, 7):
         assert evaluate(g, {"N": n, "p": 0})
 
     noisy = load_fixture("walker").automata[0]
-    g2 = eliminate(C.mute_formula(noisy, "w", 6).formula)
+    g2 = eliminate(mute_formula(noisy, "w", 6))
     assert not evaluate(g2, {"N": 5, "p": 0})
 
 
@@ -165,24 +171,6 @@ def test_run_deterministic_on_sample():
     assert total.max() <= 1
 
 
-@pytest.mark.parametrize(
-    "first, second",
-    [
-        # the rebound time grows with N
-        (dynamics.Return("w", 4), dynamics.Return("w", 5)),
-        # a crossing turns into a trap
-        (dynamics.Traverse("w", 4), dynamics.Oscillate(p=2, T1=1, T2=2)),
-    ],
-)
-def test_unstable_launch_raises(monkeypatch, first, second):
-    aut = load_fixture("walker").automata[0]
-    outcomes = iter([first, second])
-    monkeypatch.setattr(dynamics, "takeoff", lambda *args: next(outcomes))
-    # A scope of its own: no earlier classification is returned or kept.
-    with C.scope(), pytest.raises(C.UnstableLaunch):
-        C._launch(aut, "w", "L")
-
-
 def test_occupancy_and_ever_projections_match_trajectory():
     """exists pp. Run and exists T, pp. Run stopping at every broadcasting
     state, against the replayed run, for every start position and T <= 80."""
@@ -196,7 +184,7 @@ def test_occupancy_and_ever_projections_match_trajectory():
                 for s in sorted(aut.states):
                     with C.scope():
                         occ = C._occupancy_qf(aut, stop, s, b, K)
-                        ever = C._ever_qf(aut, stop, s, b, K)
+                        ever = ever_qf(aut, stop, s, b, K)
                     for N in range(_nmin(aut), _nmin(aut) + 7):
                         # A deterministic walk repeats a configuration within
                         # this many steps, so T <= tmax sees every first visit.
