@@ -55,8 +55,9 @@ def load_spec(path: str) -> MultiSystem:
             raise ValidationError(str(exc)) from exc
     if not isinstance(raw, dict):
         raise ValidationError("spec file must be a JSON object")
-    if raw.get("version") != SPEC_VERSION:
-        raise ValidationError(f"unsupported spec version {raw.get('version')!r}")
+    version = raw.get("version")
+    if isinstance(version, bool) or version != SPEC_VERSION:
+        raise ValidationError(f"unsupported spec version {version!r}")
     return validate_system(raw)
 
 

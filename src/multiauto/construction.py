@@ -84,8 +84,6 @@ __all__ = [
     "scope",
     "reach_formula",
     "run_formula",
-    "race_formula",
-    "phase_formula",
     "initial_frontier",
     "advance_frontier",
     "phase_frontiers",
@@ -585,13 +583,6 @@ def _race_expr(aut, s, K, P, Tm):
     return lor(*[_occupied(aut, b, s, K, P, Tm) for b in sorted(aut.broadcasting)])
 
 
-@_scoped
-def race_formula(aut, s, K) -> ParamFormula:
-    """T is the earliest time a broadcasting state is occupied from (s, p):
-    a run that stops at every broadcasting state reaches one at time T."""
-    return ParamFormula(_race_expr(aut, s, K, var("p"), var("T")), ("N", "p", "T"))
-
-
 def _broadcast_by_expr(aut, s, K, P, Bound):
     """Some broadcasting state is occupied at a time <= Bound from (s, P):
     the race ends by then."""
@@ -604,6 +595,13 @@ def _broadcast_by_expr(aut, s, K, P, Bound):
 
 
 def _phase_expr(system, sigma, sigma2, I, pos_terms, pos2_vars):
+    """The displayed phase formula: racers in I broadcast simultaneously at
+    the minimum time T, everyone else is mute or strictly later, and every
+    automaton is advanced by an unrestricted run over T.
+
+    A racer's run stops at every broadcasting state, so it reaches one
+    first at T; "mute or strictly later" is built as its negation, no
+    broadcast by T, since a first broadcast time is unique."""
     K = _run_caps(system)
     T = _fresh_var("T")
     Tv = var(T)
@@ -619,36 +617,6 @@ def _phase_expr(system, sigma, sigma2, I, pos_terms, pos2_vars):
             _run(aut, frozenset(), sigma[i], sigma2[i], K, pos_terms[i], pos2_vars[i], Tv)
         )
     return exists(T, land(*parts))
-
-
-def _check_theta(system, sigma2, I):
-    if not I or not set(I) <= set(range(system.n)):
-        raise ValueError(f"I must be a nonempty subset of automaton indices, got {I}")
-    for j, aut in enumerate(system.automata):
-        if (sigma2[j] in aut.broadcasting) != (j in I):
-            raise ValueError(
-                f"theta side condition violated at automaton {j + 1}: "
-                f"{sigma2[j]!r} broadcasting iff {j + 1} in I fails"
-            )
-
-
-@_scoped
-def phase_formula(system, sigma, sigma2, I) -> ParamFormula:
-    """The displayed phase formula: racers in I broadcast simultaneously at
-    the minimum time T, everyone else is mute or strictly later, and every
-    automaton is advanced by an unrestricted run over T.
-
-    A racer's run stops at every broadcasting state, so it reaches one
-    first at T; "mute or strictly later" is built as its negation, no
-    broadcast by T, since a first broadcast time is unique."""
-    system = validate_system(system)
-    I = frozenset(I)
-    _check_theta(system, sigma2, I)
-    n = system.n
-    pos = [var(x) for x in _pi_names(n)]
-    pos2 = [var(x) for x in _pip_names(n)]
-    f = _phase_expr(system, sigma, tuple(sigma2), I, pos, pos2)
-    return ParamFormula(f, ("N",) + _pi_names(n) + _pip_names(n))
 
 
 def _run_caps(system):

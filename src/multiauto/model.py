@@ -196,31 +196,55 @@ class BoundsProfile:
     N_min: int
 
 
+def _is_int(x) -> bool:
+    """An integer of a spec: JSON ``true`` and ``false`` are not numbers."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _listed(value, kind, what: str):
+    """``value`` if it is a list of ``kind`` (str or dict) items, else a
+    ValidationError saying that ``what`` must be one."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(x, kind) for x in value):
+        noun = "strings" if kind is str else "objects"
+        raise ValidationError(f"{what} must be a list of {noun}, got {value!r}")
+    return value
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _automaton_from_raw(raw: dict) -> Automaton:
     known = {"name", "states", "initial", "finals", "broadcasting", "delta"}
     extra = set(raw) - known
     if extra:
         raise ValidationError(f"unknown automaton fields: {sorted(extra)}")
-    name = raw.get("name", "A")
-    states = frozenset(raw.get("states", ()))
+    name = _string(raw.get("name", "A"), "automaton name")
+    states, finals, broadcasting = (
+        frozenset(_listed(raw.get(field, ()), str, f"{name}: {field}"))
+        for field in ("states", "finals", "broadcasting")
+    )
     tables: dict = {"a": {}, "L": {}, "R": {}}
-    for entry in raw.get("delta", ()):
+    for entry in _listed(raw.get("delta", ()), dict, f"{name}: delta"):
         extra = set(entry) - {"state", "symbol", "next", "move"}
         if extra:
             raise ValidationError(f"{name}: unknown delta fields: {sorted(extra)}")
         sym = entry.get("symbol")
-        if sym not in tables:
+        if not isinstance(sym, str) or sym not in tables:
             raise ValidationError(f"{name}: unknown symbol {sym!r} (expected a, L or R)")
         mv = entry.get("move")
-        if mv not in MOVES[sym]:
+        if not _is_int(mv) or mv not in MOVES[sym]:
             raise BadMove(f"{name}: move {mv!r} for ({entry.get('state')}, {sym})")
-        tables[sym][entry["state"]] = (entry["next"], mv)
+        state = _string(entry.get("state"), f"{name}: a delta state")
+        tables[sym][state] = (_string(entry.get("next"), f"{name}: a delta next state"), mv)
     return Automaton(
         name=name,
         states=states,
-        initial=raw.get("initial"),
-        finals=frozenset(raw.get("finals", ())),
-        broadcasting=frozenset(raw.get("broadcasting", ())),
+        initial=_string(raw.get("initial"), f"{name}: the initial state"),
+        finals=finals,
+        broadcasting=broadcasting,
         delta_inner=tables["a"],
         delta_left=tables["L"],
         delta_right=tables["R"],
@@ -233,7 +257,8 @@ def validate_system(raw) -> MultiSystem:
     Accepts either an already-built :class:`MultiSystem` (idempotent, and a
     no-op once the instance has been validated) or a
     dict with keys ``version``, ``automata`` and ``message_bound`` as produced
-    by the CLI spec-file parser.
+    by the CLI spec-file parser.  A field of the wrong JSON type is a
+    :class:`ValidationError` like any other fault of the description.
     """
     if isinstance(raw, MultiSystem):
         return raw.validate()
@@ -242,9 +267,10 @@ def validate_system(raw) -> MultiSystem:
     extra = set(raw) - {"version", "automata", "message_bound"}
     if extra:
         raise ValidationError(f"unknown top-level fields: {sorted(extra)}")
-    automata = tuple(_automaton_from_raw(a) for a in raw.get("automata", ()))
+    entries = _listed(raw.get("automata", ()), dict, "automata")
+    automata = tuple(_automaton_from_raw(a) for a in entries)
     bound = raw.get("message_bound", 0)
-    if not isinstance(bound, int) or bound < 1:
+    if not _is_int(bound) or bound < 1:
         raise BadBound(f"message bound must be an integer >= 1, got {bound!r}")
     return MultiSystem(automata=automata, message_bound=bound).validate()
 

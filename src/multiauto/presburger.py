@@ -20,12 +20,18 @@ and NNF conversion returns a normal node without rebuilding it.  ``Le`` and
 which :func:`simplify` looks up for every bound it tests, at the cost of
 one more tuple per atom.
 
-:func:`substitute` takes a mapping from variables to terms and replaces all
-of them in one pass, simultaneously: each atom is rebuilt once, from its
-fully substituted term, and an image is never substituted into again.  It
-avoids capture: a quantifier whose variable is free in an image that reaches
-its body is renamed to the first of ``w_1``, ``w_2``, ... free in neither,
-a name chosen locally rather than from a global counter.
+Every pass that rebuilds a formula with some atoms replaced is one call of
+``_rewrite``: a subtree that mentions none of the variables concerned comes
+back as the same object, the connectives above the others are rebuilt with
+the smart constructors, and each atom or quantifier below them goes to a
+leaf function.  :func:`substitute` is ``_rewrite`` with a leaf that rebuilds
+each atom once, from its fully substituted term, so all variables of the
+mapping are replaced simultaneously and an image is never substituted into
+again.  It avoids capture: a quantifier whose variable is free in an image
+that reaches its body is renamed to the first of ``w_1``, ``w_2``, ... free
+in neither, a name chosen locally rather than from a global counter.  The
+equality shortcut, Cooper's two atom passes and the projection to infinity
+of :func:`eliminate` are ``_rewrite`` calls with leaves of their own.
 
 One outermost :func:`eliminate` call computes each elimination of a
 quantified subformula, each ``exists v`` step of Cooper's method and each
@@ -59,7 +65,6 @@ __all__ = [
     "Exists",
     "Forall",
     "var",
-    "const",
     "le",
     "ge",
     "eq",
@@ -208,10 +213,6 @@ def var(name: str) -> Term:
     return Term(0, ((name, 1),))
 
 
-def const(k: int) -> Term:
-    return Term(k)
-
-
 # ---------------------------------------------------------------------------
 # Formula nodes
 
@@ -236,12 +237,15 @@ class _Leaf(Formula):
     qf = nnf = True
 
 
-class _Top(_Leaf):
-    __slots__ = ()
+class _Const(_Leaf):
+    """``true`` or ``false``: the two instances below, each equal only to itself."""
 
-    def __init__(self):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
         self.fv = EMPTY
-        self._h = hash("true")
+        self._h = hash(name)
 
     def __eq__(self, other):
         return other is self
@@ -249,21 +253,8 @@ class _Top(_Leaf):
     __hash__ = Formula.__hash__
 
 
-class _Bot(_Leaf):
-    __slots__ = ()
-
-    def __init__(self):
-        self.fv = EMPTY
-        self._h = hash("false")
-
-    def __eq__(self, other):
-        return other is self
-
-    __hash__ = Formula.__hash__
-
-
-TRUE = _Top()
-FALSE = _Bot()
+TRUE = _Const("true")
+FALSE = _Const("false")
 
 
 def _neg_coeffs(coeffs: tuple) -> tuple:
@@ -568,24 +559,24 @@ def lor(*fs) -> Formula:
     return Or(tuple(args))
 
 
-def exists(v, f: Formula) -> Formula:
+def _quantify(node, v, f: Formula) -> Formula:
+    """``node`` (Exists or Forall) over ``v``, or over each name of a list
+    ``v``, the first outermost; a variable not free in ``f`` binds nothing."""
     if isinstance(v, (list, tuple)):
         for name in reversed(v):
-            f = exists(name, f)
+            f = _quantify(node, name, f)
         return f
     if v not in f.fv:
         return f
-    return Exists(v, f)
+    return node(v, f)
+
+
+def exists(v, f: Formula) -> Formula:
+    return _quantify(Exists, v, f)
 
 
 def forall(v, f: Formula) -> Formula:
-    if isinstance(v, (list, tuple)):
-        for name in reversed(v):
-            f = forall(name, f)
-        return f
-    if v not in f.fv:
-        return f
-    return Forall(v, f)
+    return _quantify(Forall, v, f)
 
 
 def node_count(f: Formula) -> int:
@@ -607,23 +598,37 @@ def substitute(f: Formula, mapping: dict) -> Formula:
     return _subst(f, active)
 
 
-def _subst(f: Formula, mapping: dict) -> Formula:
-    if f.fv.isdisjoint(mapping):
+def _rewrite(f: Formula, leaf, names) -> Formula:
+    """``f`` with each atom or quantifier ``g`` that mentions one of ``names``
+    replaced by ``leaf(g)``.  The connectives above them are rebuilt with
+    ``lnot``/``land``/``lor``; a subtree free in none of ``names`` comes
+    back as the same object."""
+    if f.fv.isdisjoint(names):
         return f
-    if isinstance(f, Le):
-        return le(f.t.subst(mapping))
-    if isinstance(f, Eq):
-        return eq(f.t.subst(mapping))
-    if isinstance(f, Dvd):
-        return dvd(f.d, f.t.subst(mapping))
     if isinstance(f, Not):
-        return lnot(_subst(f.f, mapping))
+        return lnot(_rewrite(f.f, leaf, names))
     if isinstance(f, And):
-        return land(*[_subst(a, mapping) for a in f.args])
+        return land(*[_rewrite(a, leaf, names) for a in f.args])
     if isinstance(f, Or):
-        return lor(*[_subst(a, mapping) for a in f.args])
-    if isinstance(f, _Quant):
-        v, body = f.v, f.f
+        return lor(*[_rewrite(a, leaf, names) for a in f.args])
+    return leaf(f)
+
+
+def _atom(a: Formula, t: Term, scale: int = 1) -> Formula:
+    """An atom of ``a``'s kind over ``t``; a divisibility's modulus is
+    multiplied by ``scale``."""
+    if isinstance(a, Le):
+        return le(t)
+    if isinstance(a, Eq):
+        return eq(t)
+    return dvd(a.d * scale, t)
+
+
+def _subst(f: Formula, mapping: dict) -> Formula:
+    def leaf(g):
+        if not isinstance(g, _Quant):
+            return _atom(g, g.t.subst(mapping))
+        v, body = g.v, g.f
         inner = {w: t for w, t in mapping.items() if w != v and w in body.fv}
         if any(t.coeff(v) for t in inner.values()):
             # v would capture an image variable: rename it to the first w_i
@@ -637,8 +642,9 @@ def _subst(f: Formula, mapping: dict) -> Formula:
                 i += 1
             inner[v] = var(f"w_{i}")
             v = f"w_{i}"
-        return (exists if isinstance(f, Exists) else forall)(v, _subst(body, inner))
-    raise TypeError(f"not a formula: {f!r}")
+        return _quantify(type(g), v, _subst(body, inner))
+
+    return _rewrite(f, leaf, mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -667,20 +673,15 @@ def evaluate(f: Formula, asg: dict, domain_bound: int = 64) -> bool:
         return all(evaluate(a, asg, domain_bound) for a in f.args)
     if isinstance(f, Or):
         return any(evaluate(a, asg, domain_bound) for a in f.args)
-    if isinstance(f, Exists):
+    if isinstance(f, _Quant):
+        # Exists stops at the first witness, Forall at the first counterexample.
+        stop = isinstance(f, Exists)
         inner = dict(asg)
         for x in range(0, domain_bound + 1):
             inner[f.v] = x
-            if evaluate(f.f, inner, domain_bound):
-                return True
-        return False
-    if isinstance(f, Forall):
-        inner = dict(asg)
-        for x in range(0, domain_bound + 1):
-            inner[f.v] = x
-            if not evaluate(f.f, inner, domain_bound):
-                return False
-        return True
+            if evaluate(f.f, inner, domain_bound) == stop:
+                return stop
+        return not stop
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -728,42 +729,14 @@ def _eq_conjunct(f: Formula, v: str):
 
 
 def _subst_eq(f: Formula, v: str, a: int, rest: Term) -> Formula:
-    """Eliminate ``exists v`` given a conjunct ``a*v = rest`` with ``a > 0``."""
+    """Eliminate ``exists v`` from quantifier-free ``f`` given a conjunct
+    ``a*v = rest`` with ``a > 0``: each atom is scaled by ``a``, so ``a*v``
+    becomes ``rest``."""
 
-    def go(g: Formula) -> Formula:
-        if v not in g.fv:
-            return g
-        b = None
-        if isinstance(g, (Le, Eq, Dvd)):
-            b = g.t.coeff(v)
-            scaled = g.t.drop(v) * a + rest * b
-        if isinstance(g, Le):
-            return le(scaled)
-        if isinstance(g, Eq):
-            return eq(scaled)
-        if isinstance(g, Dvd):
-            return dvd(g.d * a, scaled)
-        if isinstance(g, Not):
-            return lnot(go(g.f))
-        if isinstance(g, And):
-            return land(*[go(x) for x in g.args])
-        if isinstance(g, Or):
-            return lor(*[go(x) for x in g.args])
-        raise TypeError(f"unexpected node under substitution: {g!r}")
+    def leaf(g):
+        return _atom(g, g.t.drop(v) * a + rest * g.t.coeff(v), a)
 
-    return land(dvd(a, rest), go(f))
-
-
-def _map_atoms(f: Formula, fn):
-    if isinstance(f, (Le, Eq, Dvd)):
-        return fn(f)
-    if isinstance(f, Not):
-        return lnot(_map_atoms(f.f, fn))
-    if isinstance(f, And):
-        return land(*[_map_atoms(a, fn) for a in f.args])
-    if isinstance(f, Or):
-        return lor(*[_map_atoms(a, fn) for a in f.args])
-    return f
+    return land(dvd(a, rest), _rewrite(f, leaf, (v,)))
 
 
 def _atoms_on(f: Formula, v: str, out: list) -> None:
@@ -786,7 +759,7 @@ def _cooper_one(v: str, f: Formula, budget: int) -> Formula:
             return land(Le(a.t), Le(-a.t))
         return a
 
-    f = _map_atoms(f, lower_eq)
+    f = _rewrite(f, lower_eq, (v,))
     if v not in f.fv:
         return f
     atoms: list = []
@@ -816,7 +789,7 @@ def _cooper_one(v: str, f: Formula, budget: int) -> Formula:
             return Eq(t)
         return Dvd(a.d * k, t)
 
-    body = land(_map_atoms(f, unit), dvd(m, uvar))
+    body = land(_rewrite(f, unit, (v,)), dvd(m, uvar))
     # u has coefficient +1 or -1 in every atom now: bounds[-1] holds each
     # lower bound b (b <= u), bounds[1] each upper bound b' (u <= b').
     bounds: dict = {-1: [], 1: []}
@@ -851,21 +824,15 @@ def _cooper_one(v: str, f: Formula, budget: int) -> Formula:
 
 
 def _at_inf(f: Formula, v: str, sign: int) -> Formula:
-    """``f`` with v taken to -infinity (sign -1) or +infinity (sign 1):
+    """NNF ``f`` with v taken to -infinity (sign -1) or +infinity (sign 1):
     every bound on v becomes a constant, congruences stay."""
-    if v not in f.fv:
-        return f
-    if isinstance(f, Le):
-        return TRUE if f.t.coeff(v) * sign < 0 else FALSE
-    if isinstance(f, Eq):
-        return FALSE
-    if isinstance(f, (Dvd, Not)):
-        return f
-    if isinstance(f, And):
-        return land(*[_at_inf(a, v, sign) for a in f.args])
-    if isinstance(f, Or):
-        return lor(*[_at_inf(a, v, sign) for a in f.args])
-    raise TypeError(f"unexpected node: {f!r}")
+
+    def leaf(a):
+        if isinstance(a, Le):
+            return TRUE if a.t.coeff(v) * sign < 0 else FALSE
+        return FALSE if isinstance(a, Eq) else a
+
+    return _rewrite(f, leaf, (v,))
 
 
 def _ctx_add(ctx, k, nk, c):
@@ -958,9 +925,7 @@ def simplify(f: Formula, _ctx=None) -> Formula:
     if isinstance(f, _Quant):
         sub = {k: c for k, c in ctx.items() if all(v != f.v for v, _ in k)}
         g = simplify(f.f, sub)
-        if g is f.f:
-            return f
-        return (exists if isinstance(f, Exists) else forall)(f.v, g)
+        return f if g is f.f else _quantify(type(f), f.v, g)
     return f
 
 
@@ -1010,23 +975,6 @@ def _elim_exists_nnf(v: str, f: Formula, memo: _Memo) -> Formula:
         outside = [a for a in f.args if v not in a.fv]
         if outside:
             return land(land(*outside), _elim_exists(v, land(*inside), memo))
-        if _eq_conjunct(f, v) is None:
-            # No pinning equality: distribute over the smallest disjunctive
-            # conjunct mentioning v, so elimination works branch by branch
-            # instead of handing Cooper one huge conjunction.
-            ors = [a for a in f.args if isinstance(a, Or) and v in a.fv]
-            if ors:
-                pick = min(ors, key=lambda a: len(a.args))
-                rest = [a for a in f.args if a is not pick]
-                parts = []
-                for arm in pick.args:
-                    g = memo.simplify(land(arm, *rest))
-                    parts.append(_elim_exists(v, g, memo))
-                out = memo.simplify(lor(*parts))
-                n = node_count(out)
-                if n > budget:
-                    raise BudgetExceeded("eliminate", n, budget)
-                return out
     eqa = _eq_conjunct(f, v)
     if eqa is not None:
         a = eqa.t.coeff(v)
@@ -1037,6 +985,23 @@ def _elim_exists_nnf(v: str, f: Formula, memo: _Memo) -> Formula:
             land(*[x for x in f.args if x is not eqa]) if isinstance(f, And) else TRUE
         )
         return _subst_eq(others, v, a, rest)
+    if isinstance(f, And):
+        # No pinning equality: distribute over the smallest disjunctive
+        # conjunct mentioning v, so elimination works branch by branch
+        # instead of handing Cooper one huge conjunction.
+        ors = [a for a in f.args if isinstance(a, Or) and v in a.fv]
+        if ors:
+            pick = min(ors, key=lambda a: len(a.args))
+            rest = [a for a in f.args if a is not pick]
+            parts = []
+            for arm in pick.args:
+                g = memo.simplify(land(arm, *rest))
+                parts.append(_elim_exists(v, g, memo))
+            out = memo.simplify(lor(*parts))
+            n = node_count(out)
+            if n > budget:
+                raise BudgetExceeded("eliminate", n, budget)
+            return out
     return _cooper_one(v, f, budget)
 
 
@@ -1197,10 +1162,8 @@ def solution_set(f: Formula, free_var: str) -> UltimatelyPeriodicSet:
 
 def to_sexpr(f: Formula) -> str:
     """Deterministic s-expression rendering, used by golden tests and the CLI."""
-    if f is TRUE:
-        return "true"
-    if f is FALSE:
-        return "false"
+    if isinstance(f, _Const):
+        return f.name
     if isinstance(f, Le):
         return f"(<= {f.t} 0)"
     if isinstance(f, Eq):

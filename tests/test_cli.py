@@ -279,6 +279,40 @@ def test_unparsable_spec_exit_two(capsys, tmp_path, old, new, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        pytest.param(("automata", 0, "delta", 0, "state"), ["e"], id="state-list"),
+        pytest.param(("automata", 0, "delta", 0, "next"), ["e"], id="next-list"),
+        pytest.param(("automata", 0, "delta", 0, "symbol"), ["L"], id="symbol-list"),
+        pytest.param(("automata", 0, "initial"), ["e"], id="initial-list"),
+        pytest.param(("automata", 0, "name"), ["A1"], id="name-list"),
+        pytest.param(("automata", 0, "states", 1), ["o"], id="states-entry-list"),
+        pytest.param(("automata", 0, "finals"), 5, id="finals-number"),
+        pytest.param(("automata", 0, "delta"), 5, id="delta-number"),
+        pytest.param(("automata",), 5, id="automata-number"),
+        pytest.param(("automata", 0, "delta", 0, "move"), 1.0, id="move-float"),
+        pytest.param(("automata", 0, "delta", 0, "move"), True, id="move-bool"),
+        pytest.param(("message_bound",), True, id="bound-bool"),
+        pytest.param(("version",), True, id="version-bool"),
+    ],
+)
+def test_mistyped_spec_field_exit_two(capsys, tmp_path, path, value):
+    # A value of the wrong JSON type is an input error, never a TypeError
+    # from deep inside, and true is not the number 1.
+    spec = json.loads(fixture_path("even").read_text())
+    *parents, last = path
+    node = spec
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    bad = tmp_path / "bad.spec"
+    bad.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "verify", bad)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_internal_value_error_is_not_an_input_error(monkeypatch):
     def broken(system):
         raise ValueError("internal bug")

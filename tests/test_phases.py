@@ -100,13 +100,6 @@ def test_frontier_graphs_are_functional():
                 assert counts.max() <= 1, (name, fr.messages_spent, fr.sigma)
 
 
-def test_phase_formula_checks_theta():
-    system = load_fixture("racer2")
-    with pytest.raises(ValueError):
-        # I must be a nonempty subset of broadcasting-capable indices.
-        C.phase_formula(system, ("e", "z1"), ("e", "z1"), frozenset())
-
-
 def test_advance_requires_remaining_messages():
     system = load_fixture("walker")
     layers = _layers_by_messages(system)

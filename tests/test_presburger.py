@@ -17,7 +17,6 @@ from multiauto.presburger import (
     Term,
     UltimatelyPeriodicSet,
     UnboundVariable,
-    const,
     dvd,
     eliminate,
     eq,
@@ -55,8 +54,8 @@ def test_term_algebra():
 
 
 def test_smart_constructors_fold_constants():
-    assert le(const(1), const(2)) is TRUE
-    assert le(const(3), const(2)) is FALSE
+    assert le(Term(1), Term(2)) is TRUE
+    assert le(Term(3), Term(2)) is FALSE
     assert land(TRUE, TRUE) is TRUE
     assert land(TRUE, FALSE) is FALSE
     assert lor(FALSE, FALSE) is FALSE
@@ -200,6 +199,47 @@ def test_cooper_auxiliary_variable_avoids_free_names():
     assert free_vars(g) == {"_c"}
     for n in range(12):
         assert evaluate(g, {"_c": n}) == evaluate(f, {"_c": n}, domain_bound=20)
+
+
+def test_equality_shortcut_scales_the_modulus():
+    # exists x (2x = y and 2 | x): the pinning equality turns 2 | x into
+    # 4 | 2x = y, so y must be a multiple of 4, not merely even.
+    f = exists("x", land(eq(2 * var("x"), var("y")), dvd(2, var("x"))))
+    g = eliminate(f)
+    assert [y for y in range(30) if evaluate(g, {"y": y})] == list(range(0, 30, 4))
+
+
+def _subtrees(f):
+    yield f
+    if isinstance(f, (P.Not, P.Exists, P.Forall)):
+        yield from _subtrees(f.f)
+    elif isinstance(f, (P.And, P.Or)):
+        for a in f.args:
+            yield from _subtrees(a)
+
+
+def test_rewrite_keeps_untouched_subtrees_identical():
+    # Substitution and Cooper's atom passes hand back every subtree that
+    # mentions none of the rewritten variables as the very same object.
+    x, y, z, w = var("x"), var("y"), var("z"), var("w")
+    free = lor(le(y, 5), lnot(dvd(3, y + z)))
+    quant = exists("w", land(le(w, y), dvd(2, w + x)))
+    f = land(le(x, y), le(3, x), eq(x + z, 2 * y), dvd(2, x + z), free, quant)
+    out = substitute(f, {"x": 2 * z})
+    kept = {id(g) for g in _subtrees(out)}
+    untouched = [g for g in _subtrees(f) if "x" not in g.fv]
+    assert len(untouched) == 5
+    for g in untouched:
+        assert substitute(g, {"x": 2 * z}) is g and id(g) in kept, to_sexpr(g)
+
+    qf = land(le(x, y), le(3, x), eq(x + z, 2 * y), dvd(2, x + z), free)
+    g = P._cooper_one("x", qf, P.DEFAULT_BUDGET)
+    arms = g.args if isinstance(g, P.Or) else (g,)
+    for arm in arms:
+        assert any(h is free for h in _subtrees(arm)), to_sexpr(arm)
+    for a, b in itertools.product(range(10), repeat=2):
+        asg = {"y": a, "z": b}
+        assert evaluate(g, asg) == evaluate(exists("x", qf), asg, domain_bound=30)
 
 
 def test_budget_exceeded(monkeypatch):

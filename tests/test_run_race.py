@@ -98,7 +98,8 @@ def test_race_first_broadcast_times():
     automaton, every start state (broadcasting ones included) and every
     start position."""
     for aut, s, K in _race_starts():
-        g = eliminate(C.race_formula(aut, s, K).formula)
+        with C.scope():
+            g = eliminate(C._race_expr(aut, s, K, P.var("p"), P.var("T")))
         for N in range(_nmin(aut), _nmin(aut) + 4):
             # A first broadcast comes before a configuration repeats.
             tmax = len(aut.states) * (N + 2)
