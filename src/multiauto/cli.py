@@ -56,7 +56,7 @@ def load_spec(path: str) -> MultiSystem:
     if not isinstance(raw, dict):
         raise ValidationError("spec file must be a JSON object")
     version = raw.get("version")
-    if isinstance(version, bool) or version != SPEC_VERSION:
+    if type(version) is not int or version != SPEC_VERSION:
         raise ValidationError(f"unsupported spec version {version!r}")
     return validate_system(raw)
 
@@ -162,10 +162,10 @@ def cmd_extract(args) -> int:
     system = load_spec(args.spec)
     # One scope for the dumps and the extraction: a reach dump reuses the
     # canonicals a run dump built, and the extraction reuses both.
-    with construction.scope():
-        for stage in args.dump_formula or ():
-            _dump_stage(system, stage)
-        ups = construction.recognized_set(system)
+    sc = construction.Scope()
+    for stage in args.dump_formula or ():
+        _dump_stage(sc, system, stage)
+    ups = construction.recognized_set(system, sc)
     print(str(ups))
     return EXIT_OK
 
@@ -177,8 +177,9 @@ def _stage_int(stage: str, text: str) -> int:
         raise ValidationError(f"stage {stage}: {text!r} is not an integer") from None
 
 
-def _dump_stage(system, stage: str) -> None:
-    """Print one intermediate ParamFormula as an s-expression.
+def _dump_stage(sc, system, stage: str) -> None:
+    """Print one intermediate ParamFormula as an s-expression, built in the
+    scope ``sc``.
 
     Stages: ``reach:<i>:<s>:<s'>`` (empty stop set), ``run:<i>:<s>:<s'>``,
     ``frontier:<k>`` (position graphs after k messages) and ``accept:<k>``.
@@ -200,10 +201,10 @@ def _dump_stage(system, stage: str) -> None:
                     f"stage {stage}: {aut.name} has no state {state!r}"
                 )
         if kind == "reach":
-            pf = construction.reach_formula(aut, frozenset(), s, s2)
+            pf = construction.reach_formula(sc, aut, frozenset(), s, s2)
         else:
             cap = construction._run_caps(system)
-            pf = construction.run_formula(aut, frozenset(), s, s2, cap)
+            pf = construction.run_formula(sc, aut, frozenset(), s, s2, cap)
         print(f"[{stage}] {presburger.to_sexpr(pf.formula)}")
         return
     if kind in ("frontier", "accept"):
@@ -212,13 +213,13 @@ def _dump_stage(system, stage: str) -> None:
         k = _stage_int(stage, parts[1])
         if not 0 <= k <= system.message_bound:
             raise ValidationError(f"stage {stage}: no such phase layer")
-        for fr in construction.phase_frontiers(system, k):
+        for fr in construction.phase_frontiers(sc, system, k):
             if fr.messages_spent != k:
                 continue
             if kind == "frontier":
                 body = fr.position_graph.formula
             else:
-                body = construction.accept_formula(system, fr)
+                body = construction.accept_formula(sc, system, fr)
             theta = ",".join(fr.sigma)
             print(f"[{stage} theta={theta}] {presburger.to_sexpr(body)}")
         return

@@ -34,22 +34,20 @@ unrolls is not sampled: every run is capped at the analysis bound K
 (``_run_caps`` gives the argument).
 
 Reach/Run canonicals, the Run canonicals with their quantifiers eliminated
-and their projection to occupancy at time T, launch classifications,
-segment constraints and the sampling results are memoized per extraction,
-not per process.  Every use of a Run substitutes its terms into the
-eliminated form, so Cooper sees each Run canonical once per extraction,
-and the ``run``/``reach`` dumps still print the raw canonicals.  The
-outermost public builder call (or an explicit :func:`scope`) owns the memo
-tables, nested calls reuse them, and the tables are dropped when that call
-returns or raises.  A batch of systems in one process therefore keeps no
-table of an earlier system alive.
+and their projection to occupancy at time T, segment constraints and the
+sampling results are memoized in a :class:`Scope`, one per extraction,
+which every builder takes as its first argument.  Every use of a Run
+substitutes its terms into the eliminated form, so Cooper sees each Run
+canonical once per extraction, and the ``run``/``reach`` dumps still print
+the raw canonicals.  Nothing is kept at module level: the tables go with
+their scope, so a batch of systems in one process keeps no table of an
+earlier system alive, and extractions in separate scopes share nothing.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import wraps
 from math import gcd
@@ -81,7 +79,7 @@ from .presburger import (
 __all__ = [
     "ParamFormula",
     "PhaseFrontier",
-    "scope",
+    "Scope",
     "reach_formula",
     "run_formula",
     "initial_frontier",
@@ -123,80 +121,41 @@ class PhaseFrontier:
 # Per-extraction memo scope
 
 
-# The memo tables of the open scope, if any: the name of each memoized
-# helper maps to a dict from its positional arguments to its result, and
-# "_fresh_var" to the variable names given out so far.  The public builders
-# keep their signatures and call one another through their module
-# bindings, so the helpers find the tables here instead of taking them as
-# an argument.
-_active = None
+class Scope:
+    """The memo tables and fresh-name numbering of one extraction.
 
-
-@contextmanager
-def scope():
-    """Open the memo tables of one extraction unless a scope is open.
-
-    The outermost scope owns the tables and drops them when it exits,
-    normally or by an exception; nested scopes reuse them.  Every public
-    builder runs in a scope; open one around several builder calls on the
-    same system so that they share Reach/Run canonicals and phase traces.
-    Each memoized helper is a pure function of its arguments, so a hit
-    returns what recomputing would, apart from the fresh variable names a
-    rebuilt formula would get.  Fresh names are numbered from 0 in each
-    scope, so what a builder prints does not depend on what ran before it
-    in the process.
+    ``tables`` maps the name of each memoized helper to a dict from its
+    arguments after the scope to its result.  Every memoized helper is a
+    pure function of those arguments, so a hit returns what recomputing
+    would, apart from the fresh variable names a rebuilt formula would get.
+    Pass one scope to several builder calls on the same system so that they
+    share Reach/Run canonicals and phase traces.
     """
-    global _active
-    if _active is not None:
-        yield _active
-        return
-    _active = defaultdict(dict)
-    try:
-        yield _active
-    finally:
-        _active = None
 
+    def __init__(self):
+        self.tables = defaultdict(dict)
+        self._count = itertools.count()
 
-def _scoped(fn):
-    """Run ``fn`` in a scope."""
-
-    @wraps(fn)
-    def in_scope(*args, **kwargs):
-        with scope():
-            return fn(*args, **kwargs)
-
-    return in_scope
-
-
-def _table(name):
-    """The table ``name`` of the open scope."""
-    if _active is None:
-        raise RuntimeError(f"construction.{name} needs an open construction.scope()")
-    return _active[name]
+    def fresh(self, tag: str) -> str:
+        """``_<tag><n>``, where n counts the names this scope has given
+        out, from 0: what a builder prints depends only on the calls made
+        in its scope."""
+        return f"_{tag}{next(self._count)}"
 
 
 def _per_scope(fn):
-    """Memoize ``fn`` on its positional arguments in the open scope."""
+    """Memoize ``fn`` in the tables of the scope it takes first."""
     name = fn.__name__
 
     @wraps(fn)
-    def memoized(*args):
-        table = _table(name)
+    def memoized(sc, *args):
+        table = sc.tables[name]
         out = table.get(args)
         if out is None:
-            out = table[args] = fn(*args)
+            out = table[args] = fn(sc, *args)
         return out
 
     return memoized
-
-
-def _fresh_var(tag: str) -> str:
-    """``_<tag><n>``, a name the open scope has not given out before; n
-    counts the names given out in the scope, from 0."""
-    used = _table("_fresh_var")
-    n = len(used)
-    used[n] = f"_{tag}{n}"
-    return used[n]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +170,7 @@ def _pip_names(n):
     return tuple(f"pip{i + 1}" for i in range(n))
 
 
-def _interior_expr(aut, stop, s, s2, P, PP, Tm, Nv):
+def _interior_expr(sc, aut, stop, s, s2, P, PP, Tm, Nv):
     """Reach from (s, P) staying interior at all times 1..T-1.
 
     The start is assumed interior (or handled by the caller); the final
@@ -247,7 +206,7 @@ def _interior_expr(aut, stop, s, s2, P, PP, Tm, Nv):
         for r in range(L):
             if seq[ell + r] != t2:
                 continue
-            h = var(_fresh_var("h"))
+            h = var(sc.fresh("h"))
             body = [
                 ge(h, 1),
                 eq(Tm - (h * L) - (ell + r)),
@@ -271,7 +230,7 @@ def _interior_expr(aut, stop, s, s2, P, PP, Tm, Nv):
     return lor(*disjuncts)
 
 
-def _endmarker_start_expr(aut, stop, s, s2, side, PP, Tm, Nv):
+def _endmarker_start_expr(sc, aut, stop, s, s2, side, PP, Tm, Nv):
     """Reach from (s, 0) or (s, N+1); position at time 0 is the endmarker."""
     start_pos = Term(0) if side == "L" else Nv + 1
     t0 = land(eq(Tm), eq(PP - start_pos)) if s2 == s else FALSE
@@ -289,45 +248,41 @@ def _endmarker_start_expr(aut, stop, s, s2, side, PP, Tm, Nv):
     else:
         cont = land(
             ge(Nv, 1),
-            _interior_expr(aut, stop, t, s2, land_pos, PP, Tm - 1, Nv),
+            _interior_expr(sc, aut, stop, t, s2, land_pos, PP, Tm - 1, Nv),
         )
     return lor(t0, n0, cont)
 
 
-def _reach_expr(aut, stop, s, s2, P, PP, Tm, Nv):
+def _reach_expr(sc, aut, stop, s, s2, P, PP, Tm, Nv):
     """Reach from (s, P) to (s2, PP) in exactly T steps, interior en route."""
     branches = []
-    # p = 0
-    g = eq(P)
-    if g is not FALSE:
-        branches.append(land(g, _endmarker_start_expr(aut, stop, s, s2, "L", PP, Tm, Nv)))
-    # p = N + 1
-    g = eq(P - Nv - 1)
-    if g is not FALSE:
-        branches.append(land(g, _endmarker_start_expr(aut, stop, s, s2, "R", PP, Tm, Nv)))
+    # p = 0, p = N + 1
+    for side, g in (("L", eq(P)), ("R", eq(P - Nv - 1))):
+        if g is not FALSE:
+            start = _endmarker_start_expr(sc, aut, stop, s, s2, side, PP, Tm, Nv)
+            branches.append(land(g, start))
     # 1 <= p <= N
     g = land(ge(P, 1), le(P, Nv))
     if g is not FALSE:
-        branches.append(land(g, _interior_expr(aut, stop, s, s2, P, PP, Tm, Nv)))
+        branches.append(land(g, _interior_expr(sc, aut, stop, s, s2, P, PP, Tm, Nv)))
     return lor(*branches)
 
 
 @_per_scope
-def _reach_canonical(aut, stop, s, s2):
-    return _reach_expr(aut, stop, s, s2, var("p"), var("pp"), var("T"), var("N"))
+def _reach_canonical(sc, aut, stop, s, s2):
+    return _reach_expr(sc, aut, stop, s, s2, var("p"), var("pp"), var("T"), var("N"))
 
 
-def _reach(aut, stop, s, s2, P, PP, Tm):
-    f = _reach_canonical(aut, frozenset(stop), s, s2)
+def _reach(sc, aut, stop, s, s2, P, PP, Tm):
+    f = _reach_canonical(sc, aut, frozenset(stop), s, s2)
     return substitute(f, {"p": P, "pp": PP, "T": Tm})
 
 
-@_scoped
-def reach_formula(aut, stop, s, s2) -> ParamFormula:
+def reach_formula(sc, aut, stop, s, s2) -> ParamFormula:
     """Reach_S: (s,p) to (s2,p') in exactly T steps, never at 0 or N+1 and
     never in a stop state at times 1..T-1."""
     return ParamFormula(
-        _reach_canonical(aut, frozenset(stop), s, s2), ("N", "p", "pp", "T")
+        _reach_canonical(sc, aut, frozenset(stop), s, s2), ("N", "p", "pp", "T")
     )
 
 
@@ -335,7 +290,6 @@ def reach_formula(aut, stop, s, s2) -> ParamFormula:
 # Launch classification (rebound chains are N-independent)
 
 
-@_per_scope
 def _launch(aut, state, side):
     """The launch from ``side`` in ``state`` on every N >= N_min.
 
@@ -368,14 +322,14 @@ def _side_pos(side, Nv):
 
 
 @_per_scope
-def _edge_n_constraint(aut, stop, u, side, v):
+def _edge_n_constraint(sc, aut, stop, u, side, v):
     """The N-projection of one crossing from ``side`` to the far endmarker
     (for pruning)."""
     Nv = var("N")
     here = _side_pos(side, Nv)
     there = _side_pos("R" if side == "L" else "L", Nv)
-    t = _fresh_var("t")
-    f = exists(t, _reach(aut, stop, u, v, here, there, var(t)))
+    t = sc.fresh("t")
+    f = exists(t, _reach(sc, aut, stop, u, v, here, there, var(t)))
     return eliminate(f)
 
 
@@ -386,15 +340,15 @@ def _n_sat(f) -> bool:
     return any(evaluate(f, {"N": n}) for n in range(threshold + period))
 
 
-def _crossing_targets(aut, stop, u, side):
+def _crossing_targets(sc, aut, stop, u, side):
     out = []
     for v in sorted(aut.states):
-        if _edge_n_constraint(aut, frozenset(stop), u, side, v) is not FALSE:
+        if _edge_n_constraint(sc, aut, frozenset(stop), u, side, v) is not FALSE:
             out.append(v)
     return out
 
 
-def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
+def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv):
     """Disjunction over endmarker-hit chains with at most K traversals.
 
     Each chain is: a reach to the first endmarker hit, endmarker-to-endmarker
@@ -425,7 +379,7 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
         key = (u, v, A, B, tv)
         out = reaches.get(key)
         if out is None:
-            out = reaches[key] = _reach(aut, stop, u, v, A, B, tv)
+            out = reaches[key] = _reach(sc, aut, stop, u, v, A, B, tv)
         return out
 
     disjuncts = [reach(s, s2, P, PP, Tm)]
@@ -442,7 +396,7 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
             names = [t.coeffs[0][0] for t in tvars]
             disjuncts.append(exists(names, land(*parts)))
             return
-        tb = var(_fresh_var("t"))
+        tb = var(sc.fresh("t"))
         parts = [long_enough, eq(Tm - sum(tvars, Term(0)) - tb)]
         parts.extend(segment_formulas(path, tvars))
         parts.append(reach(u, s2, _side_pos(side, Nv), PP, tb))
@@ -470,10 +424,10 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
             lap_parts.append(
                 reach(q, back.state, _side_pos(sd, Nv), _side_pos(sd, Nv), Term(back.T))
             )
-        h = var(_fresh_var("h"))
+        h = var(sc.fresh("h"))
         for t in range(entry_index, len(path)):
             u, side = path[t][:2]
-            tb = var(_fresh_var("t"))
+            tb = var(sc.fresh("t"))
             used = tvars[: t + 1]
             parts = [long_enough, ge(h, 1), eq(Tm - sum(used, Term(0)) - h * period - tb)]
             parts.extend(lap_parts)
@@ -500,20 +454,20 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
                         period = sum(x.T for x in launches)
                         emit_loop(path, tvars, idx, period)
                         return
-            tv = var(_fresh_var("t"))
+            tv = var(sc.fresh("t"))
             extend(path + [nxt], tvars + [tv], nconstraints, crossings)
             return
         # crossing
         if crossings >= K:
             return
         far = "R" if side == "L" else "L"
-        for v in _crossing_targets(aut, stop, u, side):
+        for v in _crossing_targets(sc, aut, stop, u, side):
             nxt = (v, far)
-            cons = _edge_n_constraint(aut, stop, u, side, v)
+            cons = _edge_n_constraint(sc, aut, stop, u, side, v)
             acc = land(*nconstraints, cons)
             if acc is FALSE or not _n_sat(acc):
                 continue
-            tv = var(_fresh_var("t"))
+            tv = var(sc.fresh("t"))
             extend(path + [nxt], tvars + [tv], nconstraints + [cons], crossings + 1)
 
     for v in sorted(aut.states):
@@ -521,51 +475,53 @@ def _run_expr(aut, stop, s, s2, K, P, PP, Tm, Nv):
             first = reach(s, v, P, _side_pos(side, Nv), var("__probe"))
             if first is FALSE:
                 continue
-            tv = var(_fresh_var("t"))
+            tv = var(sc.fresh("t"))
             extend([(v, side)], [tv], [], 0)
+    # The recursive closure is a reference cycle through sc: break it, or
+    # the scope's tables outlive the extraction until a garbage collection.
+    del extend
     return lor(*disjuncts)
 
 
 @_per_scope
-def _run_canonical(aut, stop, s, s2, K):
-    return _run_expr(aut, stop, s, s2, K, var("p"), var("pp"), var("T"), var("N"))
+def _run_canonical(sc, aut, stop, s, s2, K):
+    return _run_expr(sc, aut, stop, s, s2, K, var("p"), var("pp"), var("T"), var("N"))
 
 
 @_per_scope
-def _run_qf(aut, stop, s, s2, K):
+def _run_qf(sc, aut, stop, s, s2, K):
     """The Run canonical with its quantifiers eliminated, once per scope.
 
     Substituting terms for free variables commutes with an
     equivalence-preserving elimination, so every use instantiates this
     instead of handing Cooper the same inner structure again.
     """
-    return eliminate(_run_canonical(aut, stop, s, s2, K))
+    return eliminate(_run_canonical(sc, aut, stop, s, s2, K))
 
 
 @_per_scope
-def _occupancy_qf(aut, stop, s, s2, K):
+def _occupancy_qf(sc, aut, stop, s, s2, K):
     """exists pp. Run: s2 is occupied at time T from (s, p)."""
-    return eliminate(exists("pp", _run_qf(aut, stop, s, s2, K)))
+    return eliminate(exists("pp", _run_qf(sc, aut, stop, s, s2, K)))
 
 
-def _run(aut, stop, s, s2, K, P, PP, Tm):
-    f = _run_qf(aut, frozenset(stop), s, s2, K)
+def _run(sc, aut, stop, s, s2, K, P, PP, Tm):
+    f = _run_qf(sc, aut, frozenset(stop), s, s2, K)
     return substitute(f, {"p": P, "pp": PP, "T": Tm})
 
 
-def _occupied(aut, b, s, K, P, Tm):
+def _occupied(sc, aut, b, s, K, P, Tm):
     """The broadcasting state b is occupied at time Tm from (s, P), and no
     broadcasting state is occupied at times 1..Tm-1: every one stops the
     run."""
-    return substitute(_occupancy_qf(aut, aut.broadcasting, s, b, K), {"p": P, "T": Tm})
+    return substitute(_occupancy_qf(sc, aut, aut.broadcasting, s, b, K), {"p": P, "T": Tm})
 
 
-@_scoped
-def run_formula(aut, stop, s, s2, K) -> ParamFormula:
+def run_formula(sc, aut, stop, s, s2, K) -> ParamFormula:
     """Run_S: like reach but the head may touch the endmarkers, making at
     most K traversals."""
     return ParamFormula(
-        _run_canonical(aut, frozenset(stop), s, s2, K), ("N", "p", "pp", "T")
+        _run_canonical(sc, aut, frozenset(stop), s, s2, K), ("N", "p", "pp", "T")
     )
 
 
@@ -573,28 +529,28 @@ def run_formula(aut, stop, s, s2, K) -> ParamFormula:
 # Race: the first broadcast
 
 
-def _race_expr(aut, s, K, P, Tm):
+def _race_expr(sc, aut, s, K, P, Tm):
     """Tm is the first time a broadcasting state is occupied from (s, P).
 
     A run forbids its stop states at times 1..T-1 only, so a broadcasting
     start is the time-0 case."""
     if s in aut.broadcasting:
         return eq(Tm)
-    return lor(*[_occupied(aut, b, s, K, P, Tm) for b in sorted(aut.broadcasting)])
+    return lor(*[_occupied(sc, aut, b, s, K, P, Tm) for b in sorted(aut.broadcasting)])
 
 
-def _broadcast_by_expr(aut, s, K, P, Bound):
+def _broadcast_by_expr(sc, aut, s, K, P, Bound):
     """Some broadcasting state is occupied at a time <= Bound from (s, P):
     the race ends by then."""
-    t = _fresh_var("t")
-    return exists(t, land(_race_expr(aut, s, K, P, var(t)), le(var(t), Bound)))
+    t = sc.fresh("t")
+    return exists(t, land(_race_expr(sc, aut, s, K, P, var(t)), le(var(t), Bound)))
 
 
 # ---------------------------------------------------------------------------
 # The phase formula and frontier advancement
 
 
-def _phase_expr(system, sigma, sigma2, I, pos_terms, pos2_vars):
+def _phase_expr(sc, system, sigma, sigma2, I, pos_terms, pos2_vars):
     """The displayed phase formula: racers in I broadcast simultaneously at
     the minimum time T, everyone else is mute or strictly later, and every
     automaton is advanced by an unrestricted run over T.
@@ -603,19 +559,18 @@ def _phase_expr(system, sigma, sigma2, I, pos_terms, pos2_vars):
     first at T; "mute or strictly later" is built as its negation, no
     broadcast by T, since a first broadcast time is unique."""
     K = _run_caps(system)
-    T = _fresh_var("T")
+    T = sc.fresh("T")
     Tv = var(T)
     parts = []
     for i, aut in enumerate(system.automata):
         if i in I:
-            parts.append(_race_expr(aut, sigma[i], K, pos_terms[i], Tv))
+            parts.append(_race_expr(sc, aut, sigma[i], K, pos_terms[i], Tv))
         else:
             # The simulator's argmin losers: no broadcast by T.
-            parts.append(lnot(_broadcast_by_expr(aut, sigma[i], K, pos_terms[i], Tv)))
+            parts.append(lnot(_broadcast_by_expr(sc, aut, sigma[i], K, pos_terms[i], Tv)))
     for i, aut in enumerate(system.automata):
-        parts.append(
-            _run(aut, frozenset(), sigma[i], sigma2[i], K, pos_terms[i], pos2_vars[i], Tv)
-        )
+        P, PP = pos_terms[i], pos2_vars[i]
+        parts.append(_run(sc, aut, frozenset(), sigma[i], sigma2[i], K, P, PP, Tv))
     return exists(T, land(*parts))
 
 
@@ -655,7 +610,7 @@ def _run_caps(system):
 
 
 @_per_scope
-def _sample_lengths(system):
+def _sample_lengths(sc, system):
     nmin = dynamics.min_sufficient_length(system)
     period = 1
     for aut in system.automata:
@@ -667,11 +622,11 @@ def _sample_lengths(system):
 
 
 @_per_scope
-def _phase_trace(system, N):
+def _phase_trace(sc, system, N):
     """Broadcast events of the run on a^N: list of (time, indices, config),
     stopping once no further broadcast can occur.
 
-    The entry point of the sampling, memoized in the open scope, so each
+    The entry point of the sampling, memoized in the scope, so each
     length is simulated once per extraction.  The run itself goes through
     the kernel :func:`sim.broadcast_events`, which walks quiet stretches
     hop by hop while every broadcasting step, and so every message rule,
@@ -733,13 +688,13 @@ def _frontier_matches(frontier, N, positions):
     return evaluate(frontier.position_graph.formula, asg)
 
 
-def _realized_branches(system, frontier):
+def _realized_branches(sc, system, frontier):
     """(pattern, I, sigma') triples realized by the simulator on the sampled
     lengths, used to avoid eliminating obviously empty branches."""
     out = set()
     spent = frontier.messages_spent
-    for N in _sample_lengths(system):
-        events = _phase_trace(system, N)
+    for N in _sample_lengths(sc, system):
+        events = _phase_trace(sc, system, N)
         if len(events) <= spent:
             continue
         if spent == 0:
@@ -763,8 +718,7 @@ def _realized_branches(system, frontier):
     return sorted(out, key=lambda x: (x[0], sorted(x[1]), x[2]))
 
 
-@_scoped
-def advance_frontier(system, frontier: PhaseFrontier) -> list:
+def advance_frontier(sc, system, frontier: PhaseFrontier) -> list:
     """All satisfiable one-phase successors of a frontier.
 
     Returns [((I, sigma'), PhaseFrontier), ...].  A non-initial frontier sits
@@ -781,7 +735,7 @@ def advance_frontier(system, frontier: PhaseFrontier) -> list:
     initial = frontier.messages_spent == 0
 
     graphs: dict = {}
-    for pattern, I, sigma2 in _realized_branches(system, frontier):
+    for pattern, I, sigma2 in _realized_branches(sc, system, frontier):
         if initial:
             start_states, start_terms = frontier.sigma, [Term(0)] * n
             guard = TRUE
@@ -791,7 +745,7 @@ def advance_frontier(system, frontier: PhaseFrontier) -> list:
         body = land(
             frontier.position_graph.formula,
             guard,
-            _phase_expr(system, start_states, sigma2, I, start_terms, pos2),
+            _phase_expr(sc, system, start_states, sigma2, I, start_terms, pos2),
         )
         g = eliminate(exists(list(_pi_names(n)), body))
         key = (I, sigma2)
@@ -820,14 +774,13 @@ def advance_frontier(system, frontier: PhaseFrontier) -> list:
     return out
 
 
-def phase_frontiers(system, depth, live=None):
+def phase_frontiers(sc, system, depth, live=None):
     """Every frontier reachable with at most ``depth`` messages, breadth first.
 
     A frontier is advanced only after the caller has taken it, so work the
     caller does per frontier runs in a fixed order with the advances (which
-    keeps the fresh variable names of every formula built stable).  A
-    generator opens no scope: iterate it inside one, or every advance
-    samples the system afresh.
+    keeps the fresh variable names of every formula built stable).  Every
+    advance works in ``sc``, so the caller's builds share its tables.
 
     ``live``, automaton 1's live states (:func:`dynamics.live_states`),
     prunes the search to the frontiers where the system can still accept.
@@ -851,7 +804,7 @@ def phase_frontiers(system, depth, live=None):
             if k == depth:
                 continue
             if alive:
-                nxt.extend(f for _, f in advance_frontier(system, fr))
+                nxt.extend(f for _, f in advance_frontier(sc, system, fr))
         layer = nxt
 
 
@@ -859,8 +812,7 @@ def phase_frontiers(system, depth, live=None):
 # Acceptance and the recognized set
 
 
-@_scoped
-def accept_formula(system, frontier: PhaseFrontier) -> Formula:
+def accept_formula(sc, system, frontier: PhaseFrontier) -> Formula:
     """N is accepted during this phase: automaton 1 reaches a final state on
     the right endmarker strictly before the phase's next broadcast (the bound
     is dropped in the final phase, once the frontier has spent every
@@ -876,10 +828,11 @@ def accept_formula(system, frontier: PhaseFrontier) -> Formula:
     initial = frontier.messages_spent == 0
     final_phase = frontier.messages_spent == system.message_bound
 
-    ta = _fresh_var("T")
+    ta = sc.fresh("T")
+    start = frontier.sigma[0]
     final_hit = lor(
         *[
-            _run(aut1, frozenset(), frontier.sigma[0], fstate, K, pos[0], Nv + 1, var(ta))
+            _run(sc, aut1, frozenset(), start, fstate, K, pos[0], Nv + 1, var(ta))
             for fstate in sorted(aut1.finals)
         ]
     )
@@ -889,7 +842,7 @@ def accept_formula(system, frontier: PhaseFrontier) -> Formula:
         branches.append(exists(ta, final_hit))
     elif initial:
         guards = [
-            lnot(_broadcast_by_expr(aut, frontier.sigma[i], K, pos[i], var(ta)))
+            lnot(_broadcast_by_expr(sc, aut, frontier.sigma[i], K, pos[i], var(ta)))
             for i, aut in enumerate(system.automata)
         ]
         branches.append(exists(ta, land(final_hit, *guards)))
@@ -909,7 +862,9 @@ def accept_formula(system, frontier: PhaseFrontier) -> Formula:
                 cond = silent.get((i, pattern[i]))
                 if cond is None:
                     cond = silent[i, pattern[i]] = lnot(
-                        _broadcast_by_expr(aut, start_states[i], K, start_terms[i], var(ta) - 1)
+                        _broadcast_by_expr(
+                            sc, aut, start_states[i], K, start_terms[i], var(ta) - 1
+                        )
                     )
                 conds.append(cond)
             branches.append(land(guard, exists(ta, land(final_hit, *conds))))
@@ -917,9 +872,10 @@ def accept_formula(system, frontier: PhaseFrontier) -> Formula:
     return eliminate(exists(list(_pi_names(n)), body))
 
 
-@_scoped
-def recognized_set(system) -> UltimatelyPeriodicSet:
+def recognized_set(system, sc=None) -> UltimatelyPeriodicSet:
     """The full language of the system as an ultimately periodic set.
+
+    Built in ``sc``, or in a scope of its own when none is given.
 
     Breadth-first phase expansion through at most M broadcasts, OR-ing the
     per-frontier acceptance formulas, then lowering to a set; lengths below
@@ -936,7 +892,8 @@ def recognized_set(system) -> UltimatelyPeriodicSet:
     nmin = dynamics.min_sufficient_length(system)
     m = system.message_bound
     live = dynamics.live_states(system.automata[0])
-    parts = [accept_formula(system, fr) for fr in phase_frontiers(system, m, live)]
+    sc = sc or Scope()
+    parts = [accept_formula(sc, system, fr) for fr in phase_frontiers(sc, system, m, live)]
     phi = land(lor(*parts), ge(var("N"), nmin))
     ups = solution_set(phi, "N")
     width = max(ups.threshold, nmin)

@@ -238,6 +238,8 @@ def _automaton_from_raw(raw: dict) -> Automaton:
         if not _is_int(mv) or mv not in MOVES[sym]:
             raise BadMove(f"{name}: move {mv!r} for ({entry.get('state')}, {sym})")
         state = _string(entry.get("state"), f"{name}: a delta state")
+        if state in tables[sym]:
+            raise ValidationError(f"{name}: two delta entries for ({state}, {sym})")
         tables[sym][state] = (_string(entry.get("next"), f"{name}: a delta next state"), mv)
     return Automaton(
         name=name,

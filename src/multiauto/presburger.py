@@ -41,8 +41,8 @@ passes down.  The tables live exactly as long as that call (a raised
 a result never depends on what ran earlier in the process.  The formula
 builders of :mod:`multiauto.construction` follow the same pattern one level
 up: their memo tables and the numbering of their fresh variable names live
-for one extraction scope (``construction.scope``), opened by the outermost
-builder call.
+in a ``construction.Scope`` object, one per extraction, that each builder
+takes as an argument.
 """
 
 from __future__ import annotations

@@ -160,26 +160,25 @@ def traversal_slope(automaton):
     return best
 
 
-def ever_qf(aut, stop, s, s2, K):
-    """exists T, pp. Run: s2 is ever occupied from (s, p).  Needs an open
-    ``construction.scope()``."""
-    return eliminate(exists(["T", "pp"], C._run_qf(aut, stop, s, s2, K)))
+def ever_qf(sc, aut, stop, s, s2, K):
+    """exists T, pp. Run: s2 is ever occupied from (s, p), built in the
+    ``construction.Scope`` ``sc``."""
+    return eliminate(exists(["T", "pp"], C._run_qf(sc, aut, stop, s, s2, K)))
 
 
-def mute_expr(aut, s, K, P):
-    """The paper's Mute: no broadcasting state is ever occupied from (s, P).
-    Needs an open ``construction.scope()``."""
+def mute_expr(sc, aut, s, K, P):
+    """The paper's Mute: no broadcasting state is ever occupied from (s, P),
+    built in the ``construction.Scope`` ``sc``."""
     parts = []
     for b in sorted(aut.broadcasting):
-        ever = ever_qf(aut, aut.broadcasting, s, b, K)
+        ever = ever_qf(sc, aut, aut.broadcasting, s, b, K)
         parts.append(lnot(substitute(ever, {"p": P})))
     return land(*parts)
 
 
 def mute_formula(aut, s, K):
     """Mute from (s, p), over (N, p), in a scope of its own."""
-    with C.scope():
-        return mute_expr(aut, s, K, var("p"))
+    return mute_expr(C.Scope(), aut, s, K, var("p"))
 
 
 def vector_eval(f, env):

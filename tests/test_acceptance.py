@@ -135,7 +135,7 @@ def test_criterion_4_reach_exhaustive(systems):
                         for cs, cp, t in realized:
                             want[cs][N, p, cp, t] = True
                 for s2 in sorted(aut.states):
-                    g = eliminate(C.reach_formula(aut, stop, s, s2).formula)
+                    g = eliminate(C.reach_formula(C.Scope(), aut, stop, s, s2).formula)
                     got = vector_eval(g, {"N": ns, "p": ps, "pp": pps, "T": ts})
                     assert not np.any((got & in_range) ^ want[s2]), (aut.name, stop, s, s2)
                     checked += int(in_range.sum()) * (t_max + 1)
@@ -172,7 +172,7 @@ def test_criterion_5_run_determinism(systems):
         for s in sorted(aut.states):
             total = 0
             for s2 in sorted(aut.states):
-                g = eliminate(C.run_formula(aut, frozenset(), s, s2, 6).formula)
+                g = eliminate(C.run_formula(C.Scope(), aut, frozenset(), s, s2, 6).formula)
                 # Count (s', p') witnesses per (N, p, T).
                 total = total + (vector_eval(g, env) & mask).sum(axis=2).astype(np.int8)
             assert total.max() <= 1, (aut.name, s)
@@ -189,24 +189,24 @@ def test_criterion_6_phase_branch_uniqueness(systems):
         pis = [f"pi{i}" for i in range(1, system.n + 1)]
         layer = [C.initial_frontier(system)]
         # One scope per system: the advances share its phase traces.
-        with C.scope():
-            for _depth in range(system.message_bound):
-                nxt = []
-                for fr in layer:
-                    reachable = eliminate(exists(pis, fr.position_graph.formula))
-                    branches = C.advance_frontier(system, fr)
-                    projections = [
-                        eliminate(exists(pis, child.position_graph.formula))
-                        for _theta, child in branches
-                    ]
-                    for n in samples:
-                        if not evaluate(reachable, {"N": n}):
-                            continue
-                        live = sum(evaluate(g, {"N": n}) for g in projections)
-                        next_exists = len(C._phase_trace(system, n)) > fr.messages_spent
-                        assert live == (1 if next_exists else 0), (name, fr.sigma, n)
-                    nxt.extend(child for _theta, child in branches)
-                layer = nxt
+        sc = C.Scope()
+        for _depth in range(system.message_bound):
+            nxt = []
+            for fr in layer:
+                reachable = eliminate(exists(pis, fr.position_graph.formula))
+                branches = C.advance_frontier(sc, system, fr)
+                projections = [
+                    eliminate(exists(pis, child.position_graph.formula))
+                    for _theta, child in branches
+                ]
+                for n in samples:
+                    if not evaluate(reachable, {"N": n}):
+                        continue
+                    live = sum(evaluate(g, {"N": n}) for g in projections)
+                    next_exists = len(C._phase_trace(sc, system, n)) > fr.messages_spent
+                    assert live == (1 if next_exists else 0), (name, fr.sigma, n)
+                nxt.extend(child for _theta, child in branches)
+            layer = nxt
 
 
 # ---------------------------------------------------------------------------

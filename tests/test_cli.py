@@ -295,6 +295,7 @@ def test_unparsable_spec_exit_two(capsys, tmp_path, old, new, message):
         pytest.param(("automata", 0, "delta", 0, "move"), True, id="move-bool"),
         pytest.param(("message_bound",), True, id="bound-bool"),
         pytest.param(("version",), True, id="version-bool"),
+        pytest.param(("version",), 1.0, id="version-float"),
     ],
 )
 def test_mistyped_spec_field_exit_two(capsys, tmp_path, path, value):
@@ -313,8 +314,23 @@ def test_mistyped_spec_field_exit_two(capsys, tmp_path, path, value):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["prepended", "appended"])
+def test_duplicate_delta_entry_exit_two(capsys, tmp_path, where):
+    # A second (e, L) entry is an input error in either order, never a
+    # silent choice of whichever entry comes last.
+    spec = json.loads(fixture_path("even").read_text())
+    delta = spec["automata"][0]["delta"]
+    dup = {"state": "e", "symbol": "L", "next": "o", "move": 1}
+    delta.insert(0 if where == "prepended" else len(delta), dup)
+    bad = tmp_path / "dup.spec"
+    bad.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "extract", bad)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: A1: ") and "(e, L)" in err and "Traceback" not in err
+
+
 def test_internal_value_error_is_not_an_input_error(monkeypatch):
-    def broken(system):
+    def broken(*args):
         raise ValueError("internal bug")
 
     monkeypatch.setattr(cli.construction, "recognized_set", broken)

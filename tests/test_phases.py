@@ -16,9 +16,8 @@ def _layers_by_messages(system):
     """phase_frontiers grouped by the number of messages spent."""
     m = system.message_bound
     layers = [[] for _ in range(m + 1)]
-    with C.scope():
-        for fr in C.phase_frontiers(system, m):
-            layers[fr.messages_spent].append(fr)
+    for fr in C.phase_frontiers(C.Scope(), system, m):
+        layers[fr.messages_spent].append(fr)
     return layers
 
 
@@ -30,13 +29,13 @@ def test_phase_frontiers_advance_each_frontier_after_it_is_taken(monkeypatch):
     log = []
     advance = C.advance_frontier
 
-    def logged_advance(system, fr):
+    def logged_advance(sc, system, fr):
         log.append(("advance", id(fr)))
-        return advance(system, fr)
+        return advance(sc, system, fr)
 
     monkeypatch.setattr(C, "advance_frontier", logged_advance)
     expected = []
-    for fr in C.phase_frontiers(system, m):
+    for fr in C.phase_frontiers(C.Scope(), system, m):
         log.append(("take", id(fr)))
         expected.append(("take", id(fr)))
         if fr.messages_spent < m:
@@ -58,7 +57,7 @@ def test_initial_frontier_pins_heads_to_zero():
 def test_racer2_first_dispatch_is_a2_alone():
     # A2 sits in a broadcasting state at time 0; only I={A2} is realizable.
     system = load_fixture("racer2")
-    branches = C.advance_frontier(system, C.initial_frontier(system))
+    branches = C.advance_frontier(C.Scope(), system, C.initial_frontier(system))
     assert branches
     for (I, _sigma2), _fr in branches:
         assert I == frozenset({1})
@@ -70,8 +69,7 @@ def test_frontier_positions_match_simulation():
         layers = _layers_by_messages(system)
         for depth, layer in enumerate(layers[1:], start=1):
             for N in (3, 8, 15, 24):
-                with C.scope():
-                    events = C._phase_trace(system, N)
+                events = C._phase_trace(C.Scope(), system, N)
                 if len(events) < depth:
                     continue
                 _t, _idxs, cfg = events[depth - 1]
@@ -106,18 +104,18 @@ def test_advance_requires_remaining_messages():
     final = layers[-1][0]
     assert final.messages_spent == system.message_bound
     with pytest.raises(ValueError):
-        C.advance_frontier(system, final)
+        C.advance_frontier(C.Scope(), system, final)
 
 
 def test_accept_formula_walker():
     system = load_fixture("walker")
     layers = _layers_by_messages(system)
     # Before its (time-0) broadcast the walker has no chance to accept ...
-    f0 = C.accept_formula(system, layers[0][0])
+    f0 = C.accept_formula(C.Scope(), system, layers[0][0])
     assert eliminate(f0) is not None
     accept0 = eliminate(exists(["N"], f0))
     # ... afterwards it accepts every length.
-    f1 = C.accept_formula(system, layers[1][0])
+    f1 = C.accept_formula(C.Scope(), system, layers[1][0])
     g1 = eliminate(f1)
     for n in (1, 2, 9, 30):
         assert evaluate(g1, {"N": n}), n

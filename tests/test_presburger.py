@@ -499,9 +499,9 @@ REACH_RUN_DUMPS = {
 @pytest.mark.parametrize("name", sorted(REACH_RUN_DUMPS))
 def test_reach_and_run_dumps_golden(capsys, name):
     """Reach/Run formulas (with construction names), byte for byte as first
-    recorded.  Fresh names are numbered per extraction scope, so the dump
-    does not depend on what ran before in the process: two runs in a row
-    print the same bytes."""
+    recorded.  Fresh names are numbered per ``construction.Scope``, one per
+    extraction, so the dump does not depend on what ran before in the
+    process: two runs in a row print the same bytes."""
     argv = ["extract", str(fixture_path(name))]
     for stage in REACH_RUN_DUMPS[name]:
         argv += ["--dump-formula", stage]
@@ -515,16 +515,16 @@ def _dump_formulas(system):
     """Every formula a ``--dump-formula`` stage prints for the system."""
     from multiauto import construction as C
 
-    with C.scope():
-        cap = C._run_caps(system)
-        for aut in system.automata:
-            for s in sorted(aut.states):
-                for s2 in sorted(aut.states):
-                    yield C.run_formula(aut, frozenset(), s, s2, cap).formula
-                    yield C.reach_formula(aut, frozenset(), s, s2).formula
-        for fr in C.phase_frontiers(system, system.message_bound):
-            yield fr.position_graph.formula
-            yield C.accept_formula(system, fr)
+    sc = C.Scope()
+    cap = C._run_caps(system)
+    for aut in system.automata:
+        for s in sorted(aut.states):
+            for s2 in sorted(aut.states):
+                yield C.run_formula(sc, aut, frozenset(), s, s2, cap).formula
+                yield C.reach_formula(sc, aut, frozenset(), s, s2).formula
+    for fr in C.phase_frontiers(sc, system, system.message_bound):
+        yield fr.position_graph.formula
+        yield C.accept_formula(sc, system, fr)
 
 
 def test_cli_bytes_parses_fixture_dumps_back():

@@ -46,12 +46,9 @@ def _check(system):
     pruning left out."""
     m = system.message_bound
     live = dynamics.live_states(system.automata[0])
-    with C.scope():
-        every = [
-            (fr, C.accept_formula(system, fr))
-            for fr in C.phase_frontiers(system, m)
-        ]
-        pruned = C.recognized_set(system)
+    sc = C.Scope()
+    every = [(fr, C.accept_formula(sc, system, fr)) for fr in C.phase_frontiers(sc, system, m)]
+    pruned = C.recognized_set(system, sc)
     skipped = [f for fr, f in every if not _kept(system, live, fr)]
     for f in skipped:
         assert not C._n_sat(f), f

@@ -14,13 +14,13 @@ def _holds(pf, **point):
 
 def test_signature():
     aut = load_fixture("walker").automata[0]
-    pf = C.reach_formula(aut, frozenset(), "w", "w")
+    pf = C.reach_formula(C.Scope(), aut, frozenset(), "w", "w")
     assert pf.signature == ("N", "p", "pp", "T")
 
 
 def test_walker_reach_is_straight_line():
     aut = load_fixture("walker").automata[0]
-    pf = C.reach_formula(aut, frozenset(), "w", "w")
+    pf = C.reach_formula(C.Scope(), aut, frozenset(), "w", "w")
     g = eliminate(pf.formula)
     for n, p, t in ((9, 3, 4), (9, 0, 1), (9, 1, 9), (5, 5, 1)):
         assert evaluate(g, {"N": n, "p": p, "pp": p + t, "T": t})
@@ -29,7 +29,7 @@ def test_walker_reach_is_straight_line():
 
 def test_reach_time_zero_is_reflexive():
     aut = load_fixture("pingpong").automata[0]
-    pf = C.reach_formula(aut, frozenset({"r"}), "r", "r")
+    pf = C.reach_formula(C.Scope(), aut, frozenset({"r"}), "r", "r")
     # The start may sit in a stop state or on an endmarker.
     assert _holds(pf, N=4, p=0, pp=0, T=0)
     assert _holds(pf, N=4, p=2, pp=2, T=0)
@@ -37,7 +37,7 @@ def test_reach_time_zero_is_reflexive():
 
 def test_pingpong_reach_with_stop_set():
     aut = load_fixture("pingpong").automata[0]
-    pf = C.reach_formula(aut, frozenset({"l"}), "r", "l")
+    pf = C.reach_formula(C.Scope(), aut, frozenset({"l"}), "r", "l")
     g = eliminate(pf.formula)
     # r at position 2 enters the stop state l one step later at position 3.
     assert evaluate(g, {"N": 9, "p": 2, "pp": 3, "T": 1})
@@ -47,7 +47,7 @@ def test_pingpong_reach_with_stop_set():
 
 def test_no_passing_through_endmarkers():
     aut = load_fixture("walker").automata[0]
-    pf = C.reach_formula(aut, frozenset(), "w", "w")
+    pf = C.reach_formula(C.Scope(), aut, frozenset(), "w", "w")
     g = eliminate(pf.formula)
     # Reaching N+1 is fine; continuing beyond it is not endmarker-free.
     assert evaluate(g, {"N": 4, "p": 2, "pp": 5, "T": 3})
@@ -61,7 +61,7 @@ def test_reach_exhaustive_drift3():
     for stop in (frozenset(), frozenset({"d1"})):
         for s in sorted(aut.states):
             for s2 in sorted(aut.states):
-                g = eliminate(C.reach_formula(aut, stop, s, s2).formula)
+                g = eliminate(C.reach_formula(C.Scope(), aut, stop, s, s2).formula)
                 for N in range(11):
                     got = vector_eval(
                         g,

@@ -25,7 +25,7 @@ def _nmin(aut):
 
 def test_run_signature_and_time_zero():
     aut = load_fixture("walker").automata[0]
-    pf = C.run_formula(aut, frozenset(), "w", "w", 4)
+    pf = C.run_formula(C.Scope(), aut, frozenset(), "w", "w", 4)
     assert pf.signature == ("N", "p", "pp", "T")
     g = eliminate(pf.formula)
     assert evaluate(g, {"N": 5, "p": 3, "pp": 3, "T": 0})
@@ -33,7 +33,7 @@ def test_run_signature_and_time_zero():
 
 def test_rebounder_crosses_three_times():
     aut = load_fixture("rebounder").automata[0]
-    g = eliminate(C.run_formula(aut, frozenset(), "f1", "f2", 6).formula)
+    g = eliminate(C.run_formula(C.Scope(), aut, frozenset(), "f1", "f2", 6).formula)
     for n in range(_nmin(aut), _nmin(aut) + 12):
         # Cross, reflect, return, relaunch: f2 reaches the right marker at
         # time 3(N+1) having left position 0 at time 0.
@@ -47,7 +47,7 @@ def test_run_matches_trajectory_with_stops():
     tmax = 80
     for s in sorted(aut.states):
         for s2 in sorted(aut.states):
-            g = eliminate(C.run_formula(aut, stop, s, s2, 6).formula)
+            g = eliminate(C.run_formula(C.Scope(), aut, stop, s, s2, 6).formula)
             for N in range(_nmin(aut), _nmin(aut) + 8):
                 got = vector_eval(
                     g,
@@ -98,8 +98,7 @@ def test_race_first_broadcast_times():
     automaton, every start state (broadcasting ones included) and every
     start position."""
     for aut, s, K in _race_starts():
-        with C.scope():
-            g = eliminate(C._race_expr(aut, s, K, P.var("p"), P.var("T")))
+        g = eliminate(C._race_expr(C.Scope(), aut, s, K, P.var("p"), P.var("T")))
         for N in range(_nmin(aut), _nmin(aut) + 4):
             # A first broadcast comes before a configuration repeats.
             tmax = len(aut.states) * (N + 2)
@@ -115,11 +114,11 @@ def test_no_broadcast_by_T_is_the_displayed_non_racer_clause():
     """not (race by T) is mute or a race strictly after T, on a grid."""
     p, T, ti = P.var("p"), P.var("T"), P.var("ti")
     for aut, s, K in _race_starts():
-        with C.scope():
-            silent = P.lnot(C._broadcast_by_expr(aut, s, K, p, T))
-            later = P.exists("ti", P.land(C._race_expr(aut, s, K, p, ti), P.ge(ti, T + 1)))
-            displayed = P.lor(mute_expr(aut, s, K, p), later)
-            silent, displayed = eliminate(silent), eliminate(displayed)
+        sc = C.Scope()
+        silent = P.lnot(C._broadcast_by_expr(sc, aut, s, K, p, T))
+        later = P.exists("ti", P.land(C._race_expr(sc, aut, s, K, p, ti), P.ge(ti, T + 1)))
+        displayed = P.lor(mute_expr(sc, aut, s, K, p), later)
+        silent, displayed = eliminate(silent), eliminate(displayed)
         for N in range(_nmin(aut), _nmin(aut) + 4):
             tmax = len(aut.states) * (N + 2) + 2
             assert np.array_equal(_grid(silent, N, tmax), _grid(displayed, N, tmax)), (
@@ -132,9 +131,9 @@ def test_no_broadcast_by_T_is_the_displayed_non_racer_clause():
 def test_races_stop_at_every_broadcasting_state():
     """Every occupancy a race builds stops at all of its automaton's
     broadcasting states, not at the occupied one alone."""
-    with C.scope() as tables:
-        C.recognized_set(_fuzz_zero())
-        keys = list(tables["_occupancy_qf"])
+    sc = C.Scope()
+    C.recognized_set(_fuzz_zero(), sc)
+    keys = list(sc.tables["_occupancy_qf"])
     assert any(len(aut.broadcasting) > 1 for aut, *_ in keys)
     for aut, stop, *_ in keys:
         assert stop == aut.broadcasting
@@ -157,7 +156,7 @@ def test_run_deterministic_on_sample():
     # At most one (s', p') satisfies the run predicate per (N, p, T).
     aut = load_fixture("drift3").automata[0]
     gs = {
-        s2: eliminate(C.run_formula(aut, frozenset(), "d0", s2, 6).formula)
+        s2: eliminate(C.run_formula(C.Scope(), aut, frozenset(), "d0", s2, 6).formula)
         for s2 in sorted(aut.states)
     }
     env = {
@@ -183,9 +182,9 @@ def test_occupancy_and_ever_projections_match_trajectory():
             stop = aut.broadcasting
             for b in sorted(stop):
                 for s in sorted(aut.states):
-                    with C.scope():
-                        occ = C._occupancy_qf(aut, stop, s, b, K)
-                        ever = ever_qf(aut, stop, s, b, K)
+                    sc = C.Scope()
+                    occ = C._occupancy_qf(sc, aut, stop, s, b, K)
+                    ever = ever_qf(sc, aut, stop, s, b, K)
                     for N in range(_nmin(aut), _nmin(aut) + 7):
                         # A deterministic walk repeats a configuration within
                         # this many steps, so T <= tmax sees every first visit.
@@ -265,8 +264,7 @@ def test_run_cap_and_run_dump_simulate_nothing(capsys, monkeypatch):
     monkeypatch.setattr(sim, "broadcast_events", no_simulation)
     system = load_fixture("rebounder")
     assert C._run_caps(system) == bounds_profile(system).K
-    with C.scope():
-        cli._dump_stage(system, "run:1:f1:f2")
+    cli._dump_stage(C.Scope(), system, "run:1:f1:f2")
     golden = (ROOT / "tests" / "data" / "golden" / "rebounder-reach-run.txt").read_text()
     assert capsys.readouterr().out == golden.splitlines(keepends=True)[0]
 
@@ -302,10 +300,8 @@ def test_verify_holds_where_the_cap_cuts_the_chain(capsys, tmp_path):
         for side in ("L", "R"):
             launch = dynamics.takeoff(sweeper, s, side, 2 * sweeper.hops.nmin)
             assert isinstance(launch, dynamics.Traverse), (s, side)
-    with C.scope():
-        capped = C.run_formula(sweeper, frozenset(), "A2.r", "A2.r", K).formula
-    with C.scope():
-        longer = C.run_formula(sweeper, frozenset(), "A2.r", "A2.r", K + 1).formula
+    capped = C.run_formula(C.Scope(), sweeper, frozenset(), "A2.r", "A2.r", K).formula
+    longer = C.run_formula(C.Scope(), sweeper, frozenset(), "A2.r", "A2.r", K + 1).formula
     assert capped != longer
     path = tmp_path / "sweeper.spec"
     path.write_text(json.dumps(spec))

@@ -54,11 +54,11 @@ def _sweeper():
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_kernel_matches_reference_on_fixtures(name):
     system = load_fixture(name)
-    with C.scope():
-        for N in C._sample_lengths(system):
-            want = oracles.phase_trace(system, N)
-            assert sim.broadcast_events(system, N) == want, (name, N)
-            assert C._phase_trace(system, N) == want, (name, N)
+    sc = C.Scope()
+    for N in C._sample_lengths(sc, system):
+        want = oracles.phase_trace(system, N)
+        assert sim.broadcast_events(system, N) == want, (name, N)
+        assert C._phase_trace(sc, system, N) == want, (name, N)
 
 
 def test_kernel_matches_reference_across_long_quiet_gaps():
@@ -73,8 +73,7 @@ def test_kernel_matches_reference_across_long_quiet_gaps():
 def test_kernel_matches_reference_on_fuzz_slice():
     events = 0
     for i, system in enumerate(_fuzz_slice()):
-        with C.scope():
-            lengths = C._sample_lengths(system)
+        lengths = C._sample_lengths(C.Scope(), system)
         for N in lengths:
             want = oracles.phase_trace(system, N)
             assert sim.broadcast_events(system, N) == want, (i, N)
@@ -141,8 +140,7 @@ def test_patience_is_exact():
     # new.
     systems = [load_fixture(name) for name in FIXTURE_NAMES] + _fuzz_slice()
     for system in systems:
-        with C.scope():
-            lengths = C._sample_lengths(system)
+        lengths = C._sample_lengths(C.Scope(), system)
         for N in lengths[::5]:
             assert oracles.phase_trace(system, N, stretch=2) == oracles.phase_trace(
                 system, N

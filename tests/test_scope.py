@@ -1,17 +1,19 @@
-"""The construction's memo tables live for one extraction scope.
+"""The construction's memo tables live in one ``construction.Scope``.
 
 An extraction keeps no table alive once it returns or raises, so a batch
-of systems in one process does not hold every earlier system's tables.
+of systems in one process does not hold every earlier system's tables, and
+extractions in separate scopes, in one thread or in two, share nothing.
 """
 
 import gc
 import random
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from multiauto import cli, construction as C
-from multiauto.presburger import BudgetExceeded
+from multiauto.presburger import BudgetExceeded, to_sexpr
 
 from conftest import load_fixture
 
@@ -58,32 +60,64 @@ def test_failed_extraction_leaves_no_table_behind(monkeypatch):
     _assert_collected(refs)
 
 
-def test_nested_scopes_share_the_outer_tables():
+def test_extraction_frees_its_scope_without_the_cycle_collector():
+    # The tables go when the extraction returns, not at some later
+    # collection: no reference cycle holds the scope.
+    sc = C.Scope()
+    ref = weakref.ref(sc)
+    gc.disable()
+    try:
+        C.recognized_set(load_fixture("crosser2"), sc)
+        del sc
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_a_repeated_build_in_one_scope_is_a_hit():
     aut = load_fixture("crosser2").automata[0]
-    with C.scope() as outer:
-        run = C.run_formula(aut, frozenset(), "x", "y", 4)
-        with C.scope() as inner:
-            assert inner is outer
-        assert outer["_run_canonical"]
-        # A repeated call is a hit: the very same formula comes back.
-        assert C.run_formula(aut, frozenset(), "x", "y", 4).formula is run.formula
-    assert C._active is None
-    with C.scope() as fresh:
-        assert fresh is not outer and not fresh
+    sc = C.Scope()
+    run = C.run_formula(sc, aut, frozenset(), "x", "y", 4)
+    assert sc.tables["_run_canonical"]
+    assert C.run_formula(sc, aut, frozenset(), "x", "y", 4).formula is run.formula
 
 
-def test_scope_closes_on_an_exception():
-    with pytest.raises(KeyError):
-        with C.scope():
-            raise KeyError("x")
-    assert C._active is None
+def test_scopes_share_nothing_and_number_names_from_zero():
+    aut = load_fixture("crosser2").automata[0]
+    first, second = C.Scope(), C.Scope()
+    a = C.run_formula(first, aut, frozenset(), "x", "y", 4).formula
+    assert not second.tables
+    b = C.run_formula(second, aut, frozenset(), "x", "y", 4).formula
+    assert a is not b
+    assert "_h0" in to_sexpr(a)
+    assert to_sexpr(a) == to_sexpr(b)
+    assert first.fresh("t") == second.fresh("t")
 
 
-def test_memoized_helper_needs_a_scope():
-    with pytest.raises(RuntimeError, match="needs an open construction.scope"):
-        C._sample_lengths(load_fixture("walker"))
+def test_concurrent_extractions_match_sequential_ones():
+    """Two threads extracting at once, in opposite orders, get the sets of
+    a sequential run, and a Run built in each is the one built alone."""
+    names = ["crosser2", "racer2", "rebounder", "trio"]
+    systems = {name: load_fixture(name) for name in names}
+    want = {name: C.recognized_set(system) for name, system in systems.items()}
+    aut = systems["crosser2"].automata[0]
 
+    def run():
+        return C.run_formula(C.Scope(), aut, frozenset(), "x", "y", 4).formula
 
-def test_fresh_names_need_a_scope():
-    with pytest.raises(RuntimeError, match="needs an open construction.scope"):
-        C._fresh_var("t")
+    solo = run()
+
+    def extract(order):
+        out = []
+        for _ in range(2):
+            out += [(name, C.recognized_set(systems[name])) for name in order]
+            out.append(("run", run()))
+        return out
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        jobs = [pool.submit(extract, order) for order in (names, names[::-1])]
+        results = [job.result() for job in jobs]
+    for out in results:
+        assert len(out) == 2 * (len(names) + 1)
+        for name, got in out:
+            assert got == (solo if name == "run" else want[name]), name
