@@ -23,15 +23,24 @@ under ``diff -r``:
 
 ``--count 100`` covers the whole criterion-1 batch.
 
-A change that only reshapes the quantifier-free phase formulas is checked
-with ``--against``, which writes nothing and compares two written trees:
+A change that only reshapes the quantifier-free phase formulas, or
+renames the bound variables of the Run/Reach dumps, is checked with
+``--against``, which writes nothing and compares two written trees:
 
     python3 scripts/cli_bytes.py /tmp/b --against /tmp/a
 
-It fails on any byte difference outside ``[frontier:k ...]`` and
-``[accept:k ...]`` lines.  For each pair of such lines that differ it
-parses both s-expressions and prints two verdicts, and fails unless both
-hold:
+It fails on any byte difference outside the formula lines
+``[frontier:k ...]``, ``[accept:k ...]``, ``[run:...]`` and
+``[reach:...]``.  For each pair of ``run``/``reach`` lines that differ it
+prints one verdict, and fails unless it holds:
+
+- ``alpha``: both parse to the same formula once every bound variable is
+  renamed by its quantifier nesting depth and the formula is rebuilt with
+  the smart constructors (``land``/``lor`` merge the disjuncts that the
+  renaming makes equal).
+
+For each pair of ``frontier``/``accept`` lines that differ it parses both
+s-expressions and prints two verdicts, and fails unless both hold:
 
 - ``N<40``: the two agree, by ``vector_eval`` (``tests/oracles.py``, which
   needs numpy), for every N < 40 with every other free variable (a head
@@ -188,9 +197,31 @@ def _equivalent_all(f, g):
     return "equivalent" if witness is P.FALSE else "NOT equivalent"
 
 
+def alpha_normal(f):
+    """``f`` with each bound variable renamed to ``@<depth>``, its number of
+    enclosing quantifiers, rebuilt with the smart constructors."""
+    from multiauto import presburger as P
+
+    def walk(g, names, depth):
+        if isinstance(g, (P.Le, P.Eq, P.Dvd)):
+            return P._atom(g, g.t.subst(names))
+        if isinstance(g, P.Not):
+            return P.lnot(walk(g.f, names, depth))
+        if isinstance(g, (P.And, P.Or)):
+            join = P.land if isinstance(g, P.And) else P.lor
+            return join(*[walk(a, names, depth) for a in g.args])
+        if isinstance(g, (P.Exists, P.Forall)):
+            v = f"@{depth}"
+            body = walk(g.f, {**names, g.v: P.var(v)}, depth + 1)
+            return (P.exists if isinstance(g, P.Exists) else P.forall)(v, body)
+        return g
+
+    return walk(f, {}, 0)
+
+
 def _formula_line(line):
-    """(tag, s-expression) of a frontier or accept dump line, else None."""
-    if line.startswith(("[frontier:", "[accept:")) and "] " in line:
+    """(tag, s-expression) of a formula dump line, else None."""
+    if line.startswith(("[frontier:", "[accept:", "[run:", "[reach:")) and "] " in line:
         tag, text = line.split("] ", 1)
         return tag, text
     return None
@@ -219,15 +250,20 @@ def against(new, old):
             if not (fx and fy and fx[0] == fy[0]):
                 print(f"{rel}:{i}: differs outside a formula line")
                 bad += 1
+                continue
+            f, g = parse_sexpr(fx[1]), parse_sexpr(fy[1])
+            if fx[0].startswith(("[run:", "[reach:")):
+                ok = alpha_normal(f) == alpha_normal(g)
+                print(f"{rel}:{i}: {fx[0]}] differs, alpha: {'equal' if ok else 'NOT equal'}")
             else:
-                f, g = parse_sexpr(fx[1]), parse_sexpr(fy[1])
                 below = "equivalent" if _equivalent_below(f, g) else "NOT equivalent"
                 every = _equivalent_all(f, g)
                 print(f"{rel}:{i}: {fx[0]}] differs, N<{AGAINST_N}: {below}, all N: {every}")
-                if below == every == "equivalent":
-                    same += 1
-                else:
-                    bad += 1
+                ok = below == every == "equivalent"
+            if ok:
+                same += 1
+            else:
+                bad += 1
     print(f"{len(files)} files, {same} equivalent formula lines, {bad} differences")
     return bad
 

@@ -33,15 +33,18 @@ and so every message rule, is left to ``sim.global_step``.  How far a run
 unrolls is not sampled: every run is capped at the analysis bound K
 (``_run_caps`` gives the argument).
 
-Reach/Run canonicals, the Run canonicals with their quantifiers eliminated
-and their projection to occupancy at time T, segment constraints and the
-sampling results are memoized in a :class:`Scope`, one per extraction,
-which every builder takes as its first argument.  Every use of a Run
-substitutes its terms into the eliminated form, so Cooper sees each Run
-canonical once per extraction, and the ``run``/``reach`` dumps still print
-the raw canonicals.  Nothing is kept at module level: the tables go with
-their scope, so a batch of systems in one process keeps no table of an
-earlier system alive, and extractions in separate scopes share nothing.
+Reach/Run canonicals, the Reach instances that run chains are made of,
+the Run canonicals with their quantifiers eliminated and their projection
+to occupancy at time T, segment constraints and the sampling results are
+memoized in a :class:`Scope`, one per extraction, which every builder takes
+as its first argument.  A chain names its segment times by position, so
+chains that share segments share the formula objects, and an elimination
+meets each shared segment once.  Every use of a Run substitutes its terms
+into the eliminated form, so Cooper sees each Run canonical once per
+extraction, and the ``run``/``reach`` dumps still print the raw
+canonicals.  Nothing is kept at module level: the tables go with their
+scope, so a batch of systems in one process keeps no table of an earlier
+system alive, and extractions in separate scopes share nothing.
 """
 
 from __future__ import annotations
@@ -273,9 +276,12 @@ def _reach_canonical(sc, aut, stop, s, s2):
     return _reach_expr(sc, aut, stop, s, s2, var("p"), var("pp"), var("T"), var("N"))
 
 
+@_per_scope
 def _reach(sc, aut, stop, s, s2, P, PP, Tm):
-    f = _reach_canonical(sc, aut, frozenset(stop), s, s2)
-    return substitute(f, {"p": P, "pp": PP, "T": Tm})
+    """The Reach canonical at the given terms, built once per scope: a run
+    chain restates every segment of its prefix, and chains of different
+    runs share their segments too."""
+    return substitute(_reach_canonical(sc, aut, stop, s, s2), {"p": P, "pp": PP, "T": Tm})
 
 
 def reach_formula(sc, aut, stop, s, s2) -> ParamFormula:
@@ -348,6 +354,14 @@ def _crossing_targets(sc, aut, stop, u, side):
     return out
 
 
+def _chain_time(i):
+    """The name of the time variable of segment ``i`` of a run chain."""
+    return f"_d{i}"
+
+
+_LAPS = "_laps"  # whole laps of a chain closed by a rebound cycle
+
+
 def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv):
     """Disjunction over endmarker-hit chains with at most K traversals.
 
@@ -367,53 +381,52 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv):
     an N >= N_min guard; below it only the exact Run0 branch remains (short
     inputs are handled by simulation downstream).
 
-    Every chain restates the reaches of its prefix, so one call builds each
-    Reach instantiation once: a dict keyed on (u, v, start, end, time) holds
-    them while the call runs and is dropped when it returns.
+    Segment i of a chain takes ``_d<i>`` steps (:func:`_chain_time`), and a
+    chain closed by a rebound cycle runs ``_laps`` whole laps.  The names
+    cannot clash: each chain disjunct binds every name it uses, the free
+    variables are only N, p, pp and T, and a Reach canonical binds names of
+    its own scope numbering.  So the same segment at the same position is
+    the same formula in every chain, and in the chains of every run:
+    :func:`_reach` builds it once per scope, and an elimination meets it as
+    one formula.
     """
     stop = frozenset(stop)
     long_enough = ge(Nv, aut.hops.nmin)
-    reaches: dict = {}
 
     def reach(u, v, A, B, tv):
-        key = (u, v, A, B, tv)
-        out = reaches.get(key)
-        if out is None:
-            out = reaches[key] = _reach(sc, aut, stop, u, v, A, B, tv)
-        return out
+        return _reach(sc, aut, stop, u, v, A, B, tv)
 
     disjuncts = [reach(s, s2, P, PP, Tm)]
 
-    def emit_stop(path, tvars):
-        # Stop anywhere after the last junction of the path; a junction in a
-        # stop state can only be the final configuration itself.
-        u, side = path[-1]
-        if u in stop:
-            if u != s2:
-                return
-            parts = [long_enough, eq(Tm - sum(tvars, Term(0))), eq(PP - _side_pos(side, Nv))]
-            parts.extend(segment_formulas(path, tvars))
-            names = [t.coeffs[0][0] for t in tvars]
-            disjuncts.append(exists(names, land(*parts)))
-            return
-        tb = var(sc.fresh("t"))
-        parts = [long_enough, eq(Tm - sum(tvars, Term(0)) - tb)]
-        parts.extend(segment_formulas(path, tvars))
-        parts.append(reach(u, s2, _side_pos(side, Nv), PP, tb))
-        names = [t.coeffs[0][0] for t in tvars] + [tb.coeffs[0][0]]
-        disjuncts.append(exists(names, land(*parts)))
-
-    def segment_formulas(path, tvars):
-        parts = [reach(s, path[0][0], P, _side_pos(path[0][1], Nv), tvars[0])]
+    def segment_formulas(path):
+        parts = [reach(s, path[0][0], P, _side_pos(path[0][1], Nv), var(_chain_time(0)))]
         for i in range(1, len(path)):
             u, uside = path[i - 1]
             v, vside = path[i]
             parts.append(
-                reach(u, v, _side_pos(uside, Nv), _side_pos(vside, Nv), tvars[i])
+                reach(u, v, _side_pos(uside, Nv), _side_pos(vside, Nv), var(_chain_time(i)))
             )
         return parts
 
-    def emit_loop(path, tvars, entry_index, period):
+    def emit_stop(path):
+        # Stop anywhere after the last junction of the path; a junction in a
+        # stop state can only be the final configuration itself.
+        u, side = path[-1]
+        names = [_chain_time(i) for i in range(len(path) + 1)]
+        if u in stop:
+            if u != s2:
+                return
+            names.pop()
+            elapsed = sum(map(var, names), Term(0))
+            parts = [long_enough, eq(Tm - elapsed), eq(PP - _side_pos(side, Nv))]
+            parts.extend(segment_formulas(path))
+        else:
+            parts = [long_enough, eq(Tm - sum(map(var, names), Term(0)))]
+            parts.extend(segment_formulas(path))
+            parts.append(reach(u, s2, _side_pos(side, Nv), PP, var(names[-1])))
+        disjuncts.append(exists(names, land(*parts)))
+
+    def emit_loop(path, entry_index, period):
         # A deterministic all-rebound cycle: path[entry_index:] repeats with a
         # constant period; stops inside later laps reuse the lap offsets.  One
         # full lap is asserted segment-by-segment at its constant rebound
@@ -424,21 +437,20 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv):
             lap_parts.append(
                 reach(q, back.state, _side_pos(sd, Nv), _side_pos(sd, Nv), Term(back.T))
             )
-        h = var(sc.fresh("h"))
+        h = var(_LAPS)
         for t in range(entry_index, len(path)):
-            u, side = path[t][:2]
-            tb = var(sc.fresh("t"))
-            used = tvars[: t + 1]
-            parts = [long_enough, ge(h, 1), eq(Tm - sum(used, Term(0)) - h * period - tb)]
+            u, side = path[t]
+            names = [_chain_time(i) for i in range(t + 2)]
+            elapsed = sum(map(var, names), Term(0))
+            parts = [long_enough, ge(h, 1), eq(Tm - elapsed - h * period)]
             parts.extend(lap_parts)
-            parts.extend(segment_formulas(path[: t + 1], used))
-            parts.append(reach(u, s2, _side_pos(side, Nv), PP, tb))
-            names = [x.coeffs[0][0] for x in used] + [tb.coeffs[0][0], h.coeffs[0][0]]
-            disjuncts.append(exists(names, land(*parts)))
+            parts.extend(segment_formulas(path[: t + 1]))
+            parts.append(reach(u, s2, _side_pos(side, Nv), PP, var(names[-1])))
+            disjuncts.append(exists(names + [_LAPS], land(*parts)))
 
-    def extend(path, tvars, nconstraints, crossings):
+    def extend(path, nconstraints, crossings):
         u, side = path[-1]
-        emit_stop(path, tvars)
+        emit_stop(path)
         if u in stop:
             return
         out = _launch(aut, u, side)
@@ -452,10 +464,9 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv):
                     launches = [_launch(aut, q, sd) for q, sd in lap]
                     if all(isinstance(x, dynamics.Return) for x in launches):
                         period = sum(x.T for x in launches)
-                        emit_loop(path, tvars, idx, period)
+                        emit_loop(path, idx, period)
                         return
-            tv = var(sc.fresh("t"))
-            extend(path + [nxt], tvars + [tv], nconstraints, crossings)
+            extend(path + [nxt], nconstraints, crossings)
             return
         # crossing
         if crossings >= K:
@@ -467,16 +478,13 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv):
             acc = land(*nconstraints, cons)
             if acc is FALSE or not _n_sat(acc):
                 continue
-            tv = var(sc.fresh("t"))
-            extend(path + [nxt], tvars + [tv], nconstraints + [cons], crossings + 1)
+            extend(path + [nxt], nconstraints + [cons], crossings + 1)
 
     for v in sorted(aut.states):
         for side in ("L", "R"):
-            first = reach(s, v, P, _side_pos(side, Nv), var("__probe"))
-            if first is FALSE:
+            if reach(s, v, P, _side_pos(side, Nv), var(_chain_time(0))) is FALSE:
                 continue
-            tv = var(sc.fresh("t"))
-            extend([(v, side)], [tv], [], 0)
+            extend([(v, side)], [], 0)
     # The recursive closure is a reference cycle through sc: break it, or
     # the scope's tables outlive the extraction until a garbage collection.
     del extend

@@ -35,10 +35,11 @@ of :func:`eliminate` are ``_rewrite`` calls with leaves of their own.
 
 One outermost :func:`eliminate` call computes each elimination of a
 quantified subformula, each ``exists v`` step of Cooper's method and each
-context-free :func:`simplify` once, in memo tables the call creates and
-passes down.  The tables live exactly as long as that call (a raised
-:class:`BudgetExceeded` drops them too); nothing is cached across calls, so
-a result never depends on what ran earlier in the process.  The formula
+:func:`simplify` of a subformula under the bounds it can read once, in
+memo tables the call creates and passes down.  The tables live exactly as
+long as that call (a raised :class:`BudgetExceeded` drops them too);
+nothing is cached across calls, so a result never depends on what ran
+earlier in the process.  The formula
 builders of :mod:`multiauto.construction` follow the same pattern one level
 up: their memo tables and the numbering of their fresh variable names live
 in a ``construction.Scope`` object, one per extraction, that each builder
@@ -855,11 +856,14 @@ def _ctx_test_le(ctx, k, nk, c):
     return None
 
 
-def simplify(f: Formula, _ctx=None) -> Formula:
+def simplify(f: Formula, _ctx=None, _memo=None) -> Formula:
     """Prune atoms implied or contradicted by their conjunctive context.
 
     Only bounds with identical coefficient vectors interact, which is cheap
-    and catches the bulk of the redundancy produced by elimination.
+    and catches the bulk of the redundancy produced by elimination.  With
+    ``_memo`` (a :class:`_Memo`), every subformula below ``f`` that is not
+    an atom goes through its tables, so it is simplified once per value of
+    the bounds it can read.
     """
     ctx = {} if _ctx is None else _ctx
     if isinstance(f, Le):
@@ -874,6 +878,7 @@ def simplify(f: Formula, _ctx=None) -> Formula:
         if a is True and b is True:
             return TRUE
         return f
+    simp = simplify if _memo is None else _memo.simplify
     if isinstance(f, And):
         local = dict(ctx)
         args = []
@@ -901,7 +906,7 @@ def simplify(f: Formula, _ctx=None) -> Formula:
             if isinstance(a, (Le, Eq)):
                 out.append(a)
                 continue
-            g = simplify(a, local)
+            g = simp(a, local)
             if g is FALSE:
                 return FALSE
             changed = changed or g is not a
@@ -912,7 +917,7 @@ def simplify(f: Formula, _ctx=None) -> Formula:
         args = []
         changed = False
         for a in f.args:
-            g = simplify(a, ctx)
+            g = simp(a, ctx)
             if g is TRUE:
                 return TRUE
             changed = changed or g is not a
@@ -920,37 +925,70 @@ def simplify(f: Formula, _ctx=None) -> Formula:
                 args.append(g)
         return lor(*args) if changed else f
     if isinstance(f, Not):
-        g = simplify(f.f, ctx)
+        g = simp(f.f, ctx)
         return lnot(g) if g is not f.f else f
     if isinstance(f, _Quant):
         sub = {k: c for k, c in ctx.items() if all(v != f.v for v, _ in k)}
-        g = simplify(f.f, sub)
+        g = simp(f.f, sub)
         return f if g is f.f else _quantify(type(f), f.v, g)
     return f
+
+
+_SAME = object()  # the simplify memo's entry for "unchanged"
 
 
 class _Memo:
     """Work tables of one outermost :func:`eliminate` call.
 
-    ``elim`` maps a formula with a quantifier below it to its elimination,
-    ``exists`` maps ``(v, nnf formula)`` to the elimination of ``exists v``
-    and ``simp`` maps a formula to its context-free :func:`simplify`.  Each
-    entry is a pure function of its key and ``budget``, so a hit returns what
-    recomputing would.  The call drops the tables when it returns or raises.
+    ``elim`` maps a formula with a quantifier below it to its elimination
+    and ``exists`` maps ``(v, nnf formula)`` to the elimination of
+    ``exists v``.  ``simp`` maps a subformula that is not an atom, with the
+    part of its context that :func:`simplify` can read, to its
+    simplification.  That part is the bounds keyed on the coefficients of
+    one of its ``Le``/``Eq`` atoms or on their negation, and ``keys`` holds
+    those coefficient vectors per subformula.  So a conjunct shared by the
+    arms of a distribution is simplified again only under an arm that
+    bounds one of its atoms.  Each entry is a pure function of its key and
+    ``budget``, so a hit returns what recomputing would.  The call drops the
+    tables when it returns or raises.
     """
 
-    __slots__ = ("budget", "elim", "exists", "simp")
+    __slots__ = ("budget", "elim", "exists", "simp", "keys")
 
     def __init__(self, budget: int):
         self.budget = budget
         self.elim: dict = {}
         self.exists: dict = {}
         self.simp: dict = {}
+        self.keys: dict = {}
 
-    def simplify(self, f: Formula) -> Formula:
-        out = self.simp.get(f)
+    def simplify(self, f: Formula, ctx=None) -> Formula:
+        """:func:`simplify` of ``f`` under ``ctx``, through ``simp``; an
+        atom is looked up in ``ctx`` alone, and needs nothing without it."""
+        if isinstance(f, _Leaf):
+            return simplify(f, ctx) if ctx else f
+        reads = EMPTY
+        if ctx:
+            keys = self._keys(f)
+            reads = frozenset([kc for kc in ctx.items() if kc[0] in keys])
+        out = self.simp.get((f, reads))
         if out is None:
-            out = self.simp[f] = simplify(f)
+            out = simplify(f, ctx, self)
+            self.simp[f, reads] = _SAME if out is f else out
+        return f if out is _SAME else out
+
+    def _keys(self, f: Formula) -> frozenset:
+        if isinstance(f, (Le, Eq)):
+            return frozenset((f.t.coeffs, f.nkey))
+        if isinstance(f, _Leaf):
+            return EMPTY
+        out = self.keys.get(f)
+        if out is None:
+            if isinstance(f, _Junction):
+                out = EMPTY.union(*[self._keys(a) for a in f.args])
+            else:
+                out = self._keys(f.f)
+            self.keys[f] = out
         return out
 
 

@@ -441,6 +441,24 @@ def test_cached_node_attributes_match_tree_walk():
                 assert h.nnf == (ref == h), to_sexpr(h)
 
 
+def test_simplify_memo_matches_fresh_simplify():
+    """Random formulas built from shared subformulas, under random contexts,
+    simplified through one shared memo's tables, equal fresh ``simplify``
+    calls: an entry is keyed on every bound the subformula can read."""
+    rng = random.Random(17)
+    pool = [_random_formula(rng, ["x", "y"]) for _ in range(14)]
+    bounded = [a for f in pool for a in _atoms(f) if isinstance(a, (P.Le, P.Eq))]
+    keys = sorted({k for a in bounded for k in (a.t.coeffs, a.nkey)})
+    memo = P._Memo(P.DEFAULT_BUDGET)
+    for _ in range(400):
+        f = (land if rng.random() < 0.6 else lor)(*rng.sample(pool, rng.randint(2, 4)))
+        if rng.random() < 0.3:
+            f = exists("x", land(f, rng.choice(pool)))
+        ctx = {k: rng.randint(-4, 4) for k in rng.sample(keys, rng.randint(0, 4))}
+        assert P.simplify(f, dict(ctx), memo) == P.simplify(f, dict(ctx)), (to_sexpr(f), ctx)
+    assert memo.simp
+
+
 def test_eliminate_returns_quantifier_free_input():
     for f, _ in criterion7_formulas(50):
         g = eliminate(f)
@@ -530,14 +548,45 @@ def _dump_formulas(system):
 def test_cli_bytes_parses_fixture_dumps_back():
     """scripts/cli_bytes.py reads a dumped s-expression back into the very
     formula that was printed, for every fixture dump."""
-    sys.path.insert(0, str(ROOT / "scripts"))
-    try:
-        import cli_bytes
-    finally:
-        sys.path.remove(str(ROOT / "scripts"))
+    cli_bytes = _import_cli_bytes()
     count = 0
     for name in FIXTURE_NAMES:
         for f in _dump_formulas(load_fixture(name)):
             assert cli_bytes.parse_sexpr(to_sexpr(f)) == f, (name, to_sexpr(f))
             count += 1
     assert count > 100
+
+
+def _import_cli_bytes():
+    sys.path.insert(0, str(ROOT / "scripts"))
+    try:
+        import cli_bytes
+    finally:
+        sys.path.remove(str(ROOT / "scripts"))
+    return cli_bytes
+
+
+def test_cli_bytes_alpha_verdict(tmp_path, capsys):
+    """``--against`` passes a Run/Reach dump line whose bound variables are
+    renamed and fails one with a changed constant."""
+    cli_bytes = _import_cli_bytes()
+    d, laps, h = var("_d0"), var("_laps"), var("_h3")
+    inner = exists("_h3", land(ge(h, 1), eq(d - 2 * h), le(var("p") + h - var("N"))))
+    f = exists(["_d0", "_laps"], land(eq(var("T") - d - 3 * laps), ge(laps, 1), inner))
+    line = f"[run:1:a:b] {to_sexpr(f)}"
+    renamed = line.replace("_d0", "_t7").replace("_laps", "_h9").replace("_h3", "_h1")
+    changed = line.replace("(+ (* -1 _laps) 1)", "(+ (* -1 _laps) 2)")
+    assert renamed != line and changed != line
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "x.txt").write_text(f"$ multiauto extract x\n{line}\n")
+    for text, bad in ((renamed, 0), (changed, 1)):
+        new = tmp_path / f"new{bad}"
+        new.mkdir()
+        (new / "x.txt").write_text(f"$ multiauto extract x\n{text}\n")
+        assert cli_bytes.against(new, old) == bad
+        verdict = "NOT equal" if bad else "equal"
+        assert f"x.txt:2: [run:1:a:b] differs, alpha: {verdict}\n" in capsys.readouterr().out
+    # Any difference outside a formula line still fails.
+    (new / "x.txt").write_text(f"$ multiauto extract y\n{line}\n")
+    assert cli_bytes.against(new, old) == 1

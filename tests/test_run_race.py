@@ -220,11 +220,14 @@ def _bound_vars(f, out):
 
 
 def test_each_run_canonical_is_eliminated_once(monkeypatch):
-    """One extraction of trio hands every Run canonical to eliminate once.
+    """One extraction of trio hands every Run canonical to eliminate once,
+    and no other eliminate input holds a run chain.
 
-    A canonical's chain times are fresh ``_t`` names of its own, so an
-    eliminate input that binds one of them redoes that canonical's
-    elimination, whatever was substituted into it.
+    Only a Run canonical binds the chain time ``_d0`` of a first segment
+    (``C._chain_time``), and substituting terms for its free variables
+    keeps that name.  So an eliminate input that binds it and is not a
+    canonical holds a substitution instance of one, and redoes that
+    canonical's elimination.
     """
     canonicals, inputs = {}, []
     run_canonical, eliminate_ = C._run_canonical, C.eliminate
@@ -242,15 +245,65 @@ def test_each_run_canonical_is_eliminated_once(monkeypatch):
     monkeypatch.setattr(C, "eliminate", recording_eliminate)
     C.recognized_set(load_fixture("trio"))
     assert canonicals
-    bound = [_bound_vars(f, set()) for f in inputs]
-    chains = 0
     for c in canonicals.values():
         assert sum(f is c for f in inputs) == 1
-        chain = {v for v in _bound_vars(c, set()) if v.startswith("_t")}
-        if chain:
-            chains += 1
-            assert sum(bool(chain & vs) for vs in bound) == 1
-    assert chains
+    chained = [f for f in inputs if C._chain_time(0) in _bound_vars(f, set())]
+    assert chained
+    for f in chained:
+        assert any(f is c for c in canonicals.values()), P.to_sexpr(f)[:200]
+
+
+def _chains(f):
+    """(bound names, conjuncts) of each chain disjunct of a Run canonical."""
+    out = []
+    for d in f.args:
+        names, body = [], d
+        while isinstance(body, P.Exists):
+            names.append(body.v)
+            body = body.f
+        if names[:1] == [C._chain_time(0)]:
+            out.append((names, body.args))
+    return out
+
+
+def test_chains_sharing_a_prefix_share_its_segments():
+    """A chain closed by a rebound cycle and the chain that stops at the
+    same junction share that prefix, and hold the same stop segment object,
+    not two copies that differ in the names of their times."""
+    aut = load_fixture("rebounder").automata[0]
+    f = C.run_formula(C.Scope(), aut, frozenset(), "f1", "f2", 6).formula
+    chains = _chains(f)
+    loops = [args for names, args in chains if C._LAPS in names]
+    stops = [args for names, args in chains if C._LAPS not in names]
+    assert loops and stops
+
+    def stop_segment(args):
+        # The final reach: the one conjunct that is no atom and reads pp.
+        (seg,) = [a for a in args if "pp" in a.fv and not isinstance(a, P._Leaf)]
+        return seg
+
+    for args in loops:
+        seg = stop_segment(args)
+        assert any(stop_segment(other) is seg for other in stops)
+
+
+def test_reach_instances_are_built_once_per_scope(monkeypatch):
+    """Every Reach instance a run chain or a crossing constraint uses comes
+    from one table per scope, which holds fewer entries than there are
+    uses: chains restate their prefixes, and runs share segments."""
+    uses = []
+    reach = C._reach
+
+    def counting(*args):
+        uses.append(args[1:])
+        return reach(*args)
+
+    monkeypatch.setattr(C, "_reach", counting)
+    sc = C.Scope()
+    C.recognized_set(load_fixture("rebounder"), sc)
+    table = sc.tables["_reach"]
+    assert 0 < len(table) < len(uses)
+    assert set(table) == set(uses)
 
 
 # ---------------------------------------------------------------------------
