@@ -10,7 +10,8 @@ the head on the tape (0 or 1 on ``"L"``, -1 or 0 on ``"R"``).  Unknown
 fields are rejected.
 
 Exit codes are a stable contract: 0 accept/OK, 1 reject/mismatch, 2 input
-error (including an endmarker move off the tape), 3
+error (including an endmarker move off the tape, and a
+MULTIAUTO_QE_BUDGET that is not an integer >= 0), 3
 quantifier-elimination budget exhausted, 141 (128 + SIGPIPE) when
 the reader of standard output went away, as after ``| head``.  All
 randomness is seeded; no command reads wall-clock time or OS entropy.
@@ -447,9 +448,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_budget() -> None:
+    """Reject a MULTIAUTO_QE_BUDGET that is not an integer >= 0 as an input error."""
+    try:
+        presburger.qe_budget()
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_budget()
         return args.func(args)
     except presburger.BudgetExceeded as exc:
         print(f"budget exceeded in stage {exc.stage}: {exc}", file=sys.stderr)

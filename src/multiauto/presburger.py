@@ -2,10 +2,27 @@
 
 Formulas are immutable trees over integer-valued variables.  The atoms are
 ``t <= 0``, ``t = 0`` and ``d | t`` for a linear term ``t``; everything else
-is built with the boolean connectives and the two quantifiers.  Quantifier
-elimination follows Cooper's method (divisibility atoms, no DNF expansion),
-preceded by an equality-substitution pass that removes the bulk of the
-variables introduced by the formula builders.
+is built with the boolean connectives and the two quantifiers.
+
+:func:`eliminate` works bottom-up, one quantifier ``Q v. body`` at a time,
+in this order:
+
+1. simplify ``body`` under context (:func:`simplify` pushes each
+   conjunction's bounds into its nested arguments), so a branch that its
+   context contradicts becomes ``false`` before anything below it is
+   eliminated;
+2. eliminate the quantifiers inside ``body``, then simplify again;
+3. relativize to the naturals (``v >= 0``) and, for ``forall``, negate;
+   put the result in negation normal form;
+4. for ``exists v``: split a disjunction into one elimination per
+   disjunct, and pull the conjuncts free of ``v`` out of a conjunction;
+5. with a conjunct ``a*v = t``, substitute ``t/a`` for ``v`` (the
+   equality shortcut, which removes most variables the builders introduce);
+6. otherwise distribute over the smallest disjunctive conjunct that
+   mentions ``v`` and eliminate each arm;
+7. otherwise apply Cooper's method (divisibility atoms, no DNF expansion).
+
+The quantifier-free result is simplified once more.
 
 One-free-variable formulas over the naturals are lowered to a canonical
 :class:`UltimatelyPeriodicSet`.
@@ -80,6 +97,7 @@ __all__ = [
     "substitute",
     "evaluate",
     "eliminate",
+    "qe_budget",
     "solution_set",
     "UltimatelyPeriodicSet",
     "to_sexpr",
@@ -603,15 +621,23 @@ def _rewrite(f: Formula, leaf, names) -> Formula:
     """``f`` with each atom or quantifier ``g`` that mentions one of ``names``
     replaced by ``leaf(g)``.  The connectives above them are rebuilt with
     ``lnot``/``land``/``lor``; a subtree free in none of ``names`` comes
-    back as the same object."""
+    back as the same object.  What it skips: a conjunction stops at the
+    first argument that rewrites to ``FALSE`` and a disjunction at the first
+    that rewrites to ``TRUE``, which is what ``land``/``lor`` would return,
+    so the arguments after it are never handed to ``leaf``."""
     if f.fv.isdisjoint(names):
         return f
     if isinstance(f, Not):
         return lnot(_rewrite(f.f, leaf, names))
-    if isinstance(f, And):
-        return land(*[_rewrite(a, leaf, names) for a in f.args])
-    if isinstance(f, Or):
-        return lor(*[_rewrite(a, leaf, names) for a in f.args])
+    if isinstance(f, _Junction):
+        stop = FALSE if isinstance(f, And) else TRUE
+        args = []
+        for a in f.args:
+            g = _rewrite(a, leaf, names)
+            if g is stop:
+                return stop
+            args.append(g)
+        return land(*args) if stop is FALSE else lor(*args)
     return leaf(f)
 
 
@@ -1043,14 +1069,32 @@ def _elim_exists_nnf(v: str, f: Formula, memo: _Memo) -> Formula:
     return _cooper_one(v, f, budget)
 
 
+def qe_budget() -> int:
+    """The node budget that MULTIAUTO_QE_BUDGET sets (default 10**6);
+    ``ValueError`` unless it is an integer >= 0."""
+    raw = os.environ.get("MULTIAUTO_QE_BUDGET")
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError(f"MULTIAUTO_QE_BUDGET must be an integer >= 0, got {raw!r}")
+    return budget
+
+
 def eliminate(f: Formula) -> Formula:
     """Equivalent quantifier-free formula (Cooper elimination, bottom-up).
 
-    Intermediate formula size in AST nodes is capped by the budget that the
-    MULTIAUTO_QE_BUDGET environment variable sets at call time (default
-    10**6).  A quantifier-free ``f`` is returned as it is.
+    Intermediate formula size in AST nodes is capped by :func:`qe_budget`,
+    read at call time.  What it skips: a quantifier-free ``f`` is returned
+    as it is, and each quantifier's body is simplified before anything
+    inside it is eliminated, so a branch that the bounds of its enclosing
+    conjunctions contradict is dropped before its own quantifiers are
+    eliminated.
     """
-    return _eliminate(f, _Memo(int(os.environ.get("MULTIAUTO_QE_BUDGET", DEFAULT_BUDGET))))
+    return _eliminate(f, _Memo(qe_budget()))
 
 
 def _eliminate(f: Formula, memo: _Memo) -> Formula:
@@ -1066,10 +1110,12 @@ def _eliminate(f: Formula, memo: _Memo) -> Formula:
     elif isinstance(f, Or):
         out = lor(*[_eliminate(a, memo) for a in f.args])
     else:
+        # Simplify the body before eliminating inside it: a branch that its
+        # context contradicts becomes false with its quantifiers unvisited.
         # Quantifiers range over the naturals: relativize with v >= 0 so the
         # (integer) Cooper core and the equality-pinning shortcut agree with
         # bounded evaluation.
-        inner = memo.simplify(_eliminate(f.f, memo))
+        inner = memo.simplify(_eliminate(memo.simplify(f.f), memo))
         if isinstance(f, Exists):
             body = land(inner, ge(var(f.v), 0))
             out = memo.simplify(_elim_exists(f.v, body, memo))

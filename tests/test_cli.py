@@ -418,6 +418,16 @@ def test_generator_is_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("value", ["abc", "", "-1"], ids=["word", "empty", "negative"])
+def test_bad_qe_budget_exit_two(capsys, monkeypatch, value):
+    # A budget that is not an integer >= 0 is an input error, not a
+    # ValueError traceback whose exit status 1 would read as "reject".
+    monkeypatch.setenv("MULTIAUTO_QE_BUDGET", value)
+    code, out, err = run_cli(capsys, "extract", fixture_path("even"))
+    assert (code, out) == (2, "")
+    assert err == f"error: MULTIAUTO_QE_BUDGET must be an integer >= 0, got {value!r}\n"
+
+
 def test_generator_respects_limits():
     rng = random.Random(3)
     for _ in range(40):
