@@ -47,7 +47,8 @@ s-expressions and prints two verdicts, and fails unless both hold:
   position) over 0..N+1;
 - ``all N``: they agree for every N, proved by eliminating
   ``exists N, pi. N >= 0 and 0 <= pi_i <= N+1 and (old xor new)`` to
-  ``false``.  A quantifier elimination over its budget prints
+  ``false`` (``differ_witness`` in ``tests/oracles.py``, which the tests
+  use too).  A quantifier elimination over its budget prints
   ``undecided``.
 """
 
@@ -185,13 +186,10 @@ def _equivalent_all(f, g):
     variable over 0..N+1, "NOT equivalent" if not, "undecided" if the
     quantifier elimination exceeds its budget."""
     from multiauto import presburger as P
+    from oracles import differ_witness
 
-    n = P.var("N")
-    names = sorted((f.fv | g.fv) - {"N"})
-    ranges = [P.land(P.ge(P.var(v), 0), P.le(P.var(v), n + 1)) for v in names]
-    differ = P.lor(P.land(f, P.lnot(g)), P.land(P.lnot(f), g))
     try:
-        witness = P.eliminate(P.exists(["N"] + names, P.land(P.ge(n, 0), *ranges, differ)))
+        witness = differ_witness(f, g)
     except P.BudgetExceeded:
         return "undecided"
     return "equivalent" if witness is P.FALSE else "NOT equivalent"

@@ -182,8 +182,11 @@ def _dump_stage(sc, system, stage: str) -> None:
     """Print one intermediate ParamFormula as an s-expression, built in the
     scope ``sc``.
 
-    Stages: ``reach:<i>:<s>:<s'>`` (empty stop set), ``run:<i>:<s>:<s'>``,
-    ``frontier:<k>`` (position graphs after k messages) and ``accept:<k>``.
+    Stages: ``reach:<i>:<s>:<s'>`` and ``run:<i>:<s>:<s'>`` (both with the
+    empty stop set: of the runs the construction builds, only final-phase
+    acceptance uses that one, and every other run stops at the broadcasting
+    states), ``frontier:<k>`` (position graphs after k messages) and
+    ``accept:<k>``.
     """
     parts = stage.split(":")
     kind = parts[0]

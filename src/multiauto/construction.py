@@ -33,6 +33,18 @@ and so every message rule, is left to ``sim.global_step``.  How far a run
 unrolls is not sampled: every run is capped at the analysis bound K
 (``_run_caps`` gives the argument).
 
+Every run inside a phase stops at the broadcasting states of its
+automaton: a race, a silence guard, the run that advances an automaton in
+the phase formula and automaton 1's run to an accepting visit before the
+next broadcast.  A run with a stop set differs from the unrestricted one
+only on walks that occupy a stop state strictly inside the run, and the
+race or silence guard next to each of these runs rules those walks out
+(:func:`_phase_expr` and :func:`accept_formula` give the argument).  So
+the phase runs reuse the canonicals that the races eliminate, and no chain
+goes on through a broadcasting state.  Only the final phase, after the last
+message, has no broadcast to end it: its acceptance runs keep the empty
+stop set, and so does the ``run:`` dump.
+
 Reach/Run canonicals, the Reach instances that run chains are made of,
 the Run canonicals with their quantifiers eliminated and their projection
 to occupancy at time T, segment constraints and the sampling results are
@@ -561,11 +573,32 @@ def _broadcast_by_expr(sc, aut, s, K, P, Bound):
 def _phase_expr(sc, system, sigma, sigma2, I, pos_terms, pos2_vars):
     """The displayed phase formula: racers in I broadcast simultaneously at
     the minimum time T, everyone else is mute or strictly later, and every
-    automaton is advanced by an unrestricted run over T.
+    automaton is advanced by a run over T.
 
-    A racer's run stops at every broadcasting state, so it reaches one
+    A racer's race stops at every broadcasting state, so it reaches one
     first at T; "mute or strictly later" is built as its negation, no
-    broadcast by T, since a first broadcast time is unique."""
+    broadcast by T, since a first broadcast time is unique.
+
+    The display advances every automaton by an unrestricted run; here each
+    run stops at its automaton's broadcasting states B, which gives the
+    same formula:
+
+    - A run with stop set S forbids S only at times 1..T-1, and up to its
+      first visit of S it follows the unrestricted walk (:func:`_run_caps`
+      shows that the cap K is enough whatever the stop set).  So Run_B is
+      Run_empty together with "no state of B at times 1..T-1".
+    - A racer's race says that no broadcasting state is occupied at times
+      1..T-1, so Run_empty and the race hold together exactly when Run_B
+      and the race do.
+    - A non-racer's "no broadcast by T" rules out B at every time 0..T, so
+      Run_empty and that guard hold together exactly when Run_B and the
+      guard do.
+
+    A racer's run to the broadcasting state it reaches is then the
+    canonical its race eliminates already (:func:`_occupancy_qf`).  Both
+    guards stay, although Run_B implies them given the end states: dropping
+    the racers' races, or replacing the non-racers' guards by the check
+    that the start and end states are not in B, made extraction slower."""
     K = _run_caps(system)
     T = sc.fresh("T")
     Tv = var(T)
@@ -578,7 +611,7 @@ def _phase_expr(sc, system, sigma, sigma2, I, pos_terms, pos2_vars):
             parts.append(lnot(_broadcast_by_expr(sc, aut, sigma[i], K, pos_terms[i], Tv)))
     for i, aut in enumerate(system.automata):
         P, PP = pos_terms[i], pos2_vars[i]
-        parts.append(_run(sc, aut, frozenset(), sigma[i], sigma2[i], K, P, PP, Tv))
+        parts.append(_run(sc, aut, aut.broadcasting, sigma[i], sigma2[i], K, P, PP, Tv))
     return exists(T, land(*parts))
 
 
@@ -595,11 +628,12 @@ def _run_caps(system):
       repeat it only repeats itself, and that occupancy or visit would
       have come a lap earlier.  An automaton with q states has 2q <= K
       pairs, so up to either event it makes at most K visits and fewer
-      than K traversals, whatever the stop set.  Races and the silence
-      guards stop at every broadcasting state.  An acceptance formula
-      asks whether some accepting time exists, and silence up to a later
-      accepting time implies silence up to the first one, so the first
-      one is enough.
+      than K traversals, whatever the stop set.  Races, the silence
+      guards, the phase runs and the acceptance runs of every phase but
+      the final one stop at every broadcasting state.  An acceptance
+      formula asks whether some accepting time exists, and silence up to a
+      later accepting time implies silence up to the first one, so the
+      first one is enough.
     - A phase that ends at a broadcast lasts until the first time T,
       counted from the phase's start, at which a racer r with q_r states
       is in a broadcasting state.  Its configurations (state, position) at
@@ -824,7 +858,22 @@ def accept_formula(sc, system, frontier: PhaseFrontier) -> Formula:
     """N is accepted during this phase: automaton 1 reaches a final state on
     the right endmarker strictly before the phase's next broadcast (the bound
     is dropped in the final phase, once the frontier has spent every
-    message)."""
+    message).
+
+    Automaton 1's run to the final state stops at its broadcasting states B
+    unless the phase is the final one.  Run_B is Run_empty together with
+    "no state of B at times 1..T_a-1" (:func:`_phase_expr`), and the
+    silence guards already say so:
+
+    - On the initial frontier automaton 1's guard rules out B at every
+      time 0..T_a.
+    - On a later frontier the guards are stated from the stepped start at
+      time 1, so automaton 1's guard rules out B at times 1..T_a.  Time 0,
+      the frontier's broadcast step, may be in B, and no run forbids its
+      stop states at time 0.
+
+    The final phase has no guard and no broadcast to end it, so its runs
+    keep the empty stop set."""
     system = validate_system(system)
     aut1 = system.automata[0]
     if not aut1.finals:
@@ -838,9 +887,10 @@ def accept_formula(sc, system, frontier: PhaseFrontier) -> Formula:
 
     ta = sc.fresh("T")
     start = frontier.sigma[0]
+    stop = frozenset() if final_phase else aut1.broadcasting
     final_hit = lor(
         *[
-            _run(sc, aut1, frozenset(), start, fstate, K, pos[0], Nv + 1, var(ta))
+            _run(sc, aut1, stop, start, fstate, K, pos[0], Nv + 1, var(ta))
             for fstate in sorted(aut1.finals)
         ]
     )

@@ -9,11 +9,15 @@ sampling kernel ``sim.broadcast_events``, ``accepts`` is the one for
 basic sequences.
 
 ``vector_eval`` evaluates a quantifier-free formula on a whole numpy grid
-at once; the grid tests compare formulas with the oracles through it.
+at once; the grid tests compare formulas with the oracles through it, and
+``differ_witness`` decides whether two of them agree for every N.
 ``mute_formula`` is the paper's Mute clause (no broadcasting state is ever
 occupied), the reference for the displayed non-racer clause that the
 construction builds as "no broadcast by T", and ``ever_qf`` is the
-projection of a Run it rests on.
+projection of a Run it rests on.  ``free_run_phase_expr`` is the phase
+formula as displayed, with every automaton advanced by the unrestricted
+Run, the reference for the construction's runs that stop at the
+broadcasting states.
 """
 
 import numpy as np
@@ -31,8 +35,11 @@ from multiauto.presburger import (
     Term,
     eliminate,
     exists,
+    ge,
     land,
+    le,
     lnot,
+    lor,
     substitute,
     var,
 )
@@ -179,6 +186,35 @@ def mute_expr(sc, aut, s, K, P):
 def mute_formula(aut, s, K):
     """Mute from (s, p), over (N, p), in a scope of its own."""
     return mute_expr(C.Scope(), aut, s, K, var("p"))
+
+
+def free_run_phase_expr(sc, system, sigma, sigma2, I, pos_terms, pos2_vars):
+    """``construction._phase_expr`` with every automaton advanced by the
+    Run with the empty stop set, as the paper displays it, built in the
+    ``construction.Scope`` ``sc``."""
+    K = C._run_caps(system)
+    T = sc.fresh("T")
+    parts = []
+    for i, aut in enumerate(system.automata):
+        s, P = sigma[i], pos_terms[i]
+        if i in I:
+            parts.append(C._race_expr(sc, aut, s, K, P, var(T)))
+        else:
+            parts.append(lnot(C._broadcast_by_expr(sc, aut, s, K, P, var(T))))
+        parts.append(C._run(sc, aut, frozenset(), s, sigma2[i], K, P, pos2_vars[i], var(T)))
+    return exists(T, land(*parts))
+
+
+def differ_witness(f, g):
+    """``exists N, v... . N >= 0 and 0 <= v <= N+1 and (f xor g)``
+    eliminated, over every free variable v of f and g other than N (a head
+    position): ``FALSE`` exactly when f and g agree for every N.  Raises
+    ``presburger.BudgetExceeded`` when the elimination exceeds its budget."""
+    n = var("N")
+    names = sorted((f.fv | g.fv) - {"N"})
+    ranges = [land(ge(var(v), 0), le(var(v), n + 1)) for v in names]
+    differ = lor(land(f, lnot(g)), land(lnot(f), g))
+    return eliminate(exists(["N"] + names, land(ge(n, 0), *ranges, differ)))
 
 
 def vector_eval(f, env):

@@ -1,11 +1,13 @@
+import random
+
 import numpy as np
 import pytest
 
-from multiauto import construction as C, sim
-from multiauto.presburger import eliminate, evaluate, exists
+from multiauto import cli, construction as C, dynamics, sim
+from multiauto.presburger import FALSE, Term, eliminate, evaluate, exists, var
 
 from conftest import FIXTURE_NAMES, load_fixture
-from oracles import vector_eval
+from oracles import accepts, differ_witness, free_run_phase_expr, vector_eval
 
 
 def _pi_names(n):
@@ -119,3 +121,94 @@ def test_accept_formula_walker():
     g1 = eliminate(f1)
     for n in (1, 2, 9, 30):
         assert evaluate(g1, {"N": n}), n
+
+
+def _free_run_keys(system):
+    """The Run canonicals with the empty stop set that an extraction
+    eliminates, as (automaton, start, end) triples, and the starts of
+    automaton 1 on the final-phase frontiers."""
+    m = system.message_bound
+    live = dynamics.live_states(system.automata[0])
+    sc = C.Scope()
+    C.recognized_set(system, sc)
+    free = [(aut, s, s2) for aut, stop, s, s2, _K in sc.tables["_run_qf"] if not stop]
+    last = {
+        fr.sigma[0]
+        for fr in C.phase_frontiers(C.Scope(), system, m, live)
+        if fr.messages_spent == m
+    }
+    return free, last
+
+
+def test_free_runs_only_in_final_phase_acceptance():
+    # Every run inside a phase stops at the broadcasting states; only
+    # automaton 1's acceptance in the final phase runs free, and so does
+    # every run of an automaton that never broadcasts.
+    rng = random.Random(20240817)
+    systems = [load_fixture(name) for name in ("crosser2", "racer2", "trio")]
+    systems += [cli.generate_system(rng, 4, 3, 3) for _ in range(12)]
+    for system in systems:
+        aut1 = system.automata[0]
+        free, last = _free_run_keys(system)
+        for aut, s, s2 in free:
+            if not aut.broadcasting:
+                continue
+            assert aut == aut1 and s in last and s2 in aut1.finals, (aut.name, s, s2)
+
+
+def test_phase_runs_stopping_at_broadcasts_match_free_runs():
+    # The guard next to each run rules out every walk on which its stop
+    # set changes anything: each realized branch's phase formula is the
+    # displayed one, with free runs, for every N and head positions.
+    n_checked = 0
+    for name in FIXTURE_NAMES:
+        system = load_fixture(name)
+        if not any(aut.broadcasting for aut in system.automata):
+            continue
+        sc = C.Scope()
+        n = system.n
+        Nv = var("N")
+        pos = [var(x) for x in _pi_names(n)]
+        pos2 = [var(f"pip{i}") for i in range(1, n + 1)]
+        for fr in C.phase_frontiers(sc, system, system.message_bound - 1):
+            for pattern, I, sigma2 in C._realized_branches(sc, system, fr):
+                if fr.messages_spent == 0:
+                    states, terms = fr.sigma, [Term(0)] * n
+                else:
+                    states, terms = C._stepped(system, fr.sigma, pattern, Nv, pos)
+                new = eliminate(C._phase_expr(sc, system, states, sigma2, I, terms, pos2))
+                ref = eliminate(free_run_phase_expr(sc, system, states, sigma2, I, terms, pos2))
+                assert differ_witness(new, ref) is FALSE, (name, fr.sigma, sorted(I), sigma2)
+                n_checked += 1
+    assert n_checked >= 15
+
+
+def test_acceptance_runs_stopping_at_broadcasts_match_free_runs(monkeypatch):
+    # Before the final phase automaton 1's silence guard covers every time
+    # its run could meet a broadcasting state, so the acceptance formula
+    # is the one built with free runs, for every N.
+    n_checked = 0
+    run = C._run
+    for name in FIXTURE_NAMES:
+        system = load_fixture(name)
+        if not system.automata[0].broadcasting:
+            continue
+        sc = C.Scope()
+        for fr in C.phase_frontiers(sc, system, system.message_bound):
+            new = C.accept_formula(sc, system, fr)
+            with monkeypatch.context() as m:
+                m.setattr(C, "_run", lambda sc, aut, stop, *rest: run(sc, aut, frozenset(), *rest))
+                ref = C.accept_formula(sc, system, fr)
+            assert differ_witness(new, ref) is FALSE, (name, fr.sigma, fr.messages_spent)
+            n_checked += fr.messages_spent < system.message_bound
+    assert n_checked >= 5
+
+
+def test_recognized_set_matches_step_loop_on_wider_systems():
+    # More states, automata and messages than the fuzz batch draws.
+    rng = random.Random(11)
+    for i in range(20):
+        system = cli.generate_system(rng, 6, 4, 4)
+        ups = C.recognized_set(system)
+        for N in range(120):
+            assert ups.member(N) == accepts(system, N), (i, N)
