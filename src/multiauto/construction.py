@@ -46,17 +46,22 @@ message, has no broadcast to end it: its acceptance runs keep the empty
 stop set, and so does the ``run:`` dump.
 
 Reach/Run canonicals, the Reach instances that run chains are made of,
-the Run canonicals with their quantifiers eliminated and their projection
-to occupancy at time T, segment constraints and the sampling results are
+the Runs with their quantifiers eliminated and their projection to
+occupancy at time T, segment constraints and the sampling results are
 memoized in a :class:`Scope`, one per extraction, which every builder takes
 as its first argument.  A chain names its segment times by position, so
 chains that share segments share the formula objects, and an elimination
-meets each shared segment once.  Every use of a Run substitutes its terms
-into the eliminated form, so Cooper sees each Run canonical once per
-extraction, and the ``run``/``reach`` dumps still print the raw
-canonicals.  Nothing is kept at module level: the tables go with their
-scope, so a batch of systems in one process keeps no table of an earlier
-system alive, and extractions in separate scopes share nothing.
+meets each shared segment once.  A Run is eliminated once per key: its
+automaton, stop set, states and cap, each end as the term the caller
+fixes when that term depends on N alone (0, N + 1, a stepped endmarker
+start) and as the variable p or pp otherwise, and whether its time is
+read (:func:`_run_qf`).  Every use substitutes its remaining terms into
+the eliminated form, so Cooper sees each Run once per key and extraction,
+and never meets as a free variable an end its callers fix.  The
+``run``/``reach`` dumps still print the raw canonicals over p, pp and T.
+Nothing is kept at module level: the tables go with their scope, so a
+batch of systems in one process keeps no table of an earlier system
+alive, and extractions in separate scopes share nothing.
 """
 
 from __future__ import annotations
@@ -395,12 +400,21 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv):
 
     Segment i of a chain takes ``_d<i>`` steps (:func:`_chain_time`), and a
     chain closed by a rebound cycle runs ``_laps`` whole laps.  The names
-    cannot clash: each chain disjunct binds every name it uses, the free
-    variables are only N, p, pp and T, and a Reach canonical binds names of
-    its own scope numbering.  So the same segment at the same position is
-    the same formula in every chain, and in the chains of every run:
-    :func:`_reach` builds it once per scope, and an elimination meets it as
-    one formula.
+    cannot clash: each chain disjunct binds every name it uses, the other
+    variables are only N and those of P, PP and Tm, and a Reach canonical
+    binds names of its own scope numbering.  So the same segment at the
+    same position is the same formula in every chain, and in the chains of
+    every run: :func:`_reach` builds it once per scope, and an elimination
+    meets it as one formula.
+
+    With ``Tm`` None the run's time is projected out: the formula is
+    exists T. Run.  A chain then states no equation T = d_0 + ... + d_m,
+    and since exists T, d. (T = d_0 + ... + d_m and seg_0 and ... and
+    seg_m) is (exists d_0. seg_0) and ... and (exists d_m. seg_m), the
+    elimination projects each segment on its own.  A chain closed by a
+    rebound cycle is then the chain that stops at the same junction
+    together with one lap, which comes back to that junction, so it adds
+    nothing and none is built.
     """
     stop = frozenset(stop)
     long_enough = ge(Nv, aut.hops.nmin)
@@ -408,7 +422,11 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv):
     def reach(u, v, A, B, tv):
         return _reach(sc, aut, stop, u, v, A, B, tv)
 
-    disjuncts = [reach(s, s2, P, PP, Tm)]
+    if Tm is None:
+        d0 = _chain_time(0)
+        disjuncts = [exists(d0, reach(s, s2, P, PP, var(d0)))]
+    else:
+        disjuncts = [reach(s, s2, P, PP, Tm)]
 
     def segment_formulas(path):
         parts = [reach(s, path[0][0], P, _side_pos(path[0][1], Nv), var(_chain_time(0)))]
@@ -429,14 +447,12 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv):
             if u != s2:
                 return
             names.pop()
-            elapsed = sum(map(var, names), Term(0))
-            parts = [long_enough, eq(Tm - elapsed), eq(PP - _side_pos(side, Nv))]
-            parts.extend(segment_formulas(path))
+            parts = [eq(PP - _side_pos(side, Nv))] + segment_formulas(path)
         else:
-            parts = [long_enough, eq(Tm - sum(map(var, names), Term(0)))]
-            parts.extend(segment_formulas(path))
+            parts = segment_formulas(path)
             parts.append(reach(u, s2, _side_pos(side, Nv), PP, var(names[-1])))
-        disjuncts.append(exists(names, land(*parts)))
+        clock = [] if Tm is None else [eq(Tm - sum(map(var, names), Term(0)))]
+        disjuncts.append(exists(names, land(long_enough, *clock, *parts)))
 
     def emit_loop(path, entry_index, period):
         # A deterministic all-rebound cycle: path[entry_index:] repeats with a
@@ -475,8 +491,8 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv):
                     lap = path[idx:]
                     launches = [_launch(aut, q, sd) for q, sd in lap]
                     if all(isinstance(x, dynamics.Return) for x in launches):
-                        period = sum(x.T for x in launches)
-                        emit_loop(path, idx, period)
+                        if Tm is not None:
+                            emit_loop(path, idx, sum(x.T for x in launches))
                         return
             extend(path + [nxt], nconstraints, crossings)
             return
@@ -508,33 +524,50 @@ def _run_canonical(sc, aut, stop, s, s2, K):
     return _run_expr(sc, aut, stop, s, s2, K, var("p"), var("pp"), var("T"), var("N"))
 
 
-@_per_scope
-def _run_qf(sc, aut, stop, s, s2, K):
-    """The Run canonical with its quantifiers eliminated, once per scope.
+def _key_term(term, name):
+    """How a Run memo key records one end of the run: the term itself when
+    it depends on N alone, else the variable ``name``, for which each use
+    substitutes its own term."""
+    return term if all(v == "N" for v, _ in term.coeffs) else var(name)
 
-    Substituting terms for free variables commutes with an
-    equivalence-preserving elimination, so every use instantiates this
-    instead of handing Cooper the same inner structure again.
+
+@_per_scope
+def _run_qf(sc, aut, stop, s, s2, K, P, PP, timed):
+    """The Run from (s, P) to (s2, PP) with its quantifiers eliminated,
+    once per scope.
+
+    P and PP are key terms (:func:`_key_term`): a start or end that depends
+    on N alone, such as 0, N + 1 or a stepped endmarker start, is built
+    into the chains, so Cooper never meets it as a free variable; any other
+    stays the variable p or pp.  Substituting terms for free variables
+    commutes with an equivalence-preserving elimination, so every use
+    instantiates this instead of handing Cooper the same inner structure
+    again.  An untimed Run is exists T. Run (:func:`_run_expr`).
     """
-    return eliminate(_run_canonical(sc, aut, stop, s, s2, K))
+    Tm = var("T") if timed else None
+    return eliminate(_run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, var("N")))
 
 
 @_per_scope
-def _occupancy_qf(sc, aut, stop, s, s2, K):
-    """exists pp. Run: s2 is occupied at time T from (s, p)."""
-    return eliminate(exists("pp", _run_qf(sc, aut, stop, s, s2, K)))
+def _occupancy_qf(sc, aut, stop, s, s2, K, P):
+    """exists pp. Run: s2 is occupied at time T from (s, P), P a key term."""
+    return eliminate(exists("pp", _run_qf(sc, aut, stop, s, s2, K, P, var("pp"), True)))
 
 
 def _run(sc, aut, stop, s, s2, K, P, PP, Tm):
-    f = _run_qf(sc, aut, frozenset(stop), s, s2, K)
-    return substitute(f, {"p": P, "pp": PP, "T": Tm})
+    """The Run from (s, P) to (s2, PP) in Tm steps, or in some number of
+    steps when Tm is None, quantifier-free."""
+    timed = Tm is not None
+    f = _run_qf(sc, aut, frozenset(stop), s, s2, K, _key_term(P, "p"), _key_term(PP, "pp"), timed)
+    return substitute(f, {"p": P, "pp": PP, "T": Tm} if timed else {"p": P, "pp": PP})
 
 
 def _occupied(sc, aut, b, s, K, P, Tm):
     """The broadcasting state b is occupied at time Tm from (s, P), and no
     broadcasting state is occupied at times 1..Tm-1: every one stops the
     run."""
-    return substitute(_occupancy_qf(sc, aut, aut.broadcasting, s, b, K), {"p": P, "T": Tm})
+    f = _occupancy_qf(sc, aut, aut.broadcasting, s, b, K, _key_term(P, "p"))
+    return substitute(f, {"p": P, "T": Tm})
 
 
 def run_formula(sc, aut, stop, s, s2, K) -> ParamFormula:
@@ -860,10 +893,12 @@ def accept_formula(sc, system, frontier: PhaseFrontier) -> Formula:
     is dropped in the final phase, once the frontier has spent every
     message).
 
-    Automaton 1's run to the final state stops at its broadcasting states B
-    unless the phase is the final one.  Run_B is Run_empty together with
-    "no state of B at times 1..T_a-1" (:func:`_phase_expr`), and the
-    silence guards already say so:
+    Every acceptance run ends at N + 1, and on the initial frontier every
+    head starts at 0, so the runs and the silence guards are eliminated
+    with those terms built in (:func:`_run_qf`).  Automaton 1's run to the
+    final state stops at its broadcasting states B unless the phase is the
+    final one.  Run_B is Run_empty together with "no state of B at times
+    1..T_a-1" (:func:`_phase_expr`), and the silence guards already say so:
 
     - On the initial frontier automaton 1's guard rules out B at every
       time 0..T_a.
@@ -872,8 +907,13 @@ def accept_formula(sc, system, frontier: PhaseFrontier) -> Formula:
       the frontier's broadcast step, may be in B, and no run forbids its
       stop states at time 0.
 
+    A later frontier's guards are split by the endmarker pattern of its
+    positions, and a pattern that no head tuple of the position graph
+    matches, for any N, is left out: its branch is unsatisfiable.
+
     The final phase has no guard and no broadcast to end it, so its runs
-    keep the empty stop set."""
+    keep the empty stop set, and nothing reads their time: each is the
+    untimed Run, exists T_a. Run."""
     system = validate_system(system)
     aut1 = system.automata[0]
     if not aut1.finals:
@@ -881,23 +921,26 @@ def accept_formula(sc, system, frontier: PhaseFrontier) -> Formula:
     K = _run_caps(system)
     n = system.n
     Nv = var("N")
-    pos = [var(x) for x in _pi_names(n)]
+    names = list(_pi_names(n))
     initial = frontier.messages_spent == 0
+    pos = [Term(0)] * n if initial else [var(x) for x in names]
+    graph = frontier.position_graph.formula
     final_phase = frontier.messages_spent == system.message_bound
 
-    ta = sc.fresh("T")
+    ta = None if final_phase else sc.fresh("T")
     start = frontier.sigma[0]
     stop = frozenset() if final_phase else aut1.broadcasting
+    Ta = None if final_phase else var(ta)
     final_hit = lor(
         *[
-            _run(sc, aut1, stop, start, fstate, K, pos[0], Nv + 1, var(ta))
+            _run(sc, aut1, stop, start, fstate, K, pos[0], Nv + 1, Ta)
             for fstate in sorted(aut1.finals)
         ]
     )
 
     branches = []
     if final_phase:
-        branches.append(exists(ta, final_hit))
+        branches.append(final_hit)
     elif initial:
         guards = [
             lnot(_broadcast_by_expr(sc, aut, frontier.sigma[i], K, pos[i], var(ta)))
@@ -909,10 +952,13 @@ def accept_formula(sc, system, frontier: PhaseFrontier) -> Formula:
         # guard is built once per (i, pattern[i]) and shared by the patterns.
         silent: dict = {}
         for pattern in _patterns(n):
-            start_states, start_terms = _stepped(system, frontier.sigma, pattern, Nv, pos)
             guard = _pattern_guard(pattern, pos, Nv)
             if guard is FALSE:
                 continue
+            matched = eliminate(exists(names, land(graph, guard)))
+            if matched is FALSE or not _n_sat(matched):
+                continue
+            start_states, start_terms = _stepped(system, frontier.sigma, pattern, Nv, pos)
             # A broadcast at stepped-relative time t happens at time 1 + t;
             # acceptance needs T_a < 1 + t for every possible broadcast.
             conds = []
@@ -926,8 +972,7 @@ def accept_formula(sc, system, frontier: PhaseFrontier) -> Formula:
                     )
                 conds.append(cond)
             branches.append(land(guard, exists(ta, land(final_hit, *conds))))
-    body = land(frontier.position_graph.formula, lor(*branches))
-    return eliminate(exists(list(_pi_names(n)), body))
+    return eliminate(exists(names, land(graph, lor(*branches))))
 
 
 def recognized_set(system, sc=None) -> UltimatelyPeriodicSet:

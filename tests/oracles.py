@@ -17,7 +17,9 @@ construction builds as "no broadcast by T", and ``ever_qf`` is the
 projection of a Run it rests on.  ``free_run_phase_expr`` is the phase
 formula as displayed, with every automaton advanced by the unrestricted
 Run, the reference for the construction's runs that stop at the
-broadcasting states.
+broadcasting states.  ``canonical_accept_formula`` builds acceptance from
+the Run canonicals alone, the reference for the construction's Runs built
+at the terms their callers fix.
 """
 
 import numpy as np
@@ -34,6 +36,7 @@ from multiauto.presburger import (
     Or,
     Term,
     eliminate,
+    eq,
     exists,
     ge,
     land,
@@ -169,8 +172,9 @@ def traversal_slope(automaton):
 
 def ever_qf(sc, aut, stop, s, s2, K):
     """exists T, pp. Run: s2 is ever occupied from (s, p), built in the
-    ``construction.Scope`` ``sc``."""
-    return eliminate(exists(["T", "pp"], C._run_qf(sc, aut, stop, s, s2, K)))
+    ``construction.Scope`` ``sc`` from the untimed Run."""
+    run = C._run_qf(sc, aut, stop, s, s2, K, var("p"), var("pp"), False)
+    return eliminate(exists("pp", run))
 
 
 def mute_expr(sc, aut, s, K, P):
@@ -203,6 +207,73 @@ def free_run_phase_expr(sc, system, sigma, sigma2, I, pos_terms, pos2_vars):
             parts.append(lnot(C._broadcast_by_expr(sc, aut, s, K, P, var(T))))
         parts.append(C._run(sc, aut, frozenset(), s, sigma2[i], K, P, pos2_vars[i], var(T)))
     return exists(T, land(*parts))
+
+
+def _canonical_run(sc, aut, stop, s, s2, K, P, PP, Tm):
+    """The Run from (s, P) to (s2, PP) in Tm steps: its canonical over p,
+    pp and T with the terms substituted."""
+    f = C._run_qf(sc, aut, frozenset(stop), s, s2, K, var("p"), var("pp"), True)
+    return substitute(f, {"p": P, "pp": PP, "T": Tm})
+
+
+def _canonical_broadcast_by(sc, aut, s, K, P, Bound):
+    """``construction._broadcast_by_expr`` from the occupancy canonical over
+    p and T."""
+    t = sc.fresh("t")
+    if s in aut.broadcasting:
+        race = eq(var(t))
+    else:
+        occupancy = [
+            C._occupancy_qf(sc, aut, aut.broadcasting, s, b, K, var("p"))
+            for b in sorted(aut.broadcasting)
+        ]
+        race = lor(*[substitute(f, {"p": P, "T": var(t)}) for f in occupancy])
+    return exists(t, land(race, le(var(t), Bound)))
+
+
+def canonical_accept_formula(sc, system, frontier):
+    """``construction.accept_formula`` built from the Run canonicals, in the
+    ``construction.Scope`` ``sc``: every start and end is substituted into
+    the canonical over p, pp and T, the final phase binds the acceptance
+    time with ``exists``, and a later frontier is split over all 3^n
+    endmarker patterns of its positions."""
+    aut1 = system.automata[0]
+    if not aut1.finals:
+        return FALSE
+    K = C._run_caps(system)
+    n = system.n
+    N = var("N")
+    names = list(C._pi_names(n))
+    pos = [var(x) for x in names]
+    t = sc.fresh("T")
+    ta = var(t)
+    final_phase = frontier.messages_spent == system.message_bound
+    stop = frozenset() if final_phase else aut1.broadcasting
+    hit = lor(
+        *[
+            _canonical_run(sc, aut1, stop, frontier.sigma[0], f, K, pos[0], N + 1, ta)
+            for f in sorted(aut1.finals)
+        ]
+    )
+    if final_phase:
+        branches = [hit]
+    elif frontier.messages_spent == 0:
+        guards = [
+            lnot(_canonical_broadcast_by(sc, aut, frontier.sigma[i], K, pos[i], ta))
+            for i, aut in enumerate(system.automata)
+        ]
+        branches = [land(hit, *guards)]
+    else:
+        branches = []
+        for pattern in C._patterns(n):
+            states, terms = C._stepped(system, frontier.sigma, pattern, N, pos)
+            guards = [
+                lnot(_canonical_broadcast_by(sc, aut, states[i], K, terms[i], ta - 1))
+                for i, aut in enumerate(system.automata)
+            ]
+            branches.append(land(C._pattern_guard(pattern, pos, N), hit, *guards))
+    body = exists(t, lor(*branches))
+    return eliminate(exists(names, land(frontier.position_graph.formula, body)))
 
 
 def differ_witness(f, g):

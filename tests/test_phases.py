@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 from multiauto import cli, construction as C, dynamics, sim
+from multiauto.model import validate_system
 from multiauto.presburger import FALSE, Term, eliminate, evaluate, exists, var
 
-from conftest import FIXTURE_NAMES, load_fixture
-from oracles import accepts, differ_witness, free_run_phase_expr, vector_eval
+from conftest import FIXTURE_NAMES, load_fixture, spec_automaton
+from oracles import (
+    accepts,
+    canonical_accept_formula,
+    differ_witness,
+    free_run_phase_expr,
+    vector_eval,
+)
 
 
 def _pi_names(n):
@@ -124,14 +131,14 @@ def test_accept_formula_walker():
 
 
 def _free_run_keys(system):
-    """The Run canonicals with the empty stop set that an extraction
-    eliminates, as (automaton, start, end) triples, and the starts of
-    automaton 1 on the final-phase frontiers."""
+    """The keys of the Runs with the empty stop set that an extraction
+    eliminates, and the states of automaton 1 on the final-phase
+    frontiers."""
     m = system.message_bound
     live = dynamics.live_states(system.automata[0])
     sc = C.Scope()
     C.recognized_set(system, sc)
-    free = [(aut, s, s2) for aut, stop, s, s2, _K in sc.tables["_run_qf"] if not stop]
+    free = [key for key in sc.tables["_run_qf"] if not key[1]]
     last = {
         fr.sigma[0]
         for fr in C.phase_frontiers(C.Scope(), system, m, live)
@@ -144,16 +151,22 @@ def test_free_runs_only_in_final_phase_acceptance():
     # Every run inside a phase stops at the broadcasting states; only
     # automaton 1's acceptance in the final phase runs free, and so does
     # every run of an automaton that never broadcasts.
+    # Those acceptance runs end on the right endmarker and nothing reads
+    # their time, so they are built with end N + 1 and untimed.
     rng = random.Random(20240817)
     systems = [load_fixture(name) for name in ("crosser2", "racer2", "trio")]
     systems += [cli.generate_system(rng, 4, 3, 3) for _ in range(12)]
+    n_checked = 0
     for system in systems:
         aut1 = system.automata[0]
         free, last = _free_run_keys(system)
-        for aut, s, s2 in free:
+        for aut, _stop, s, s2, _K, start, end, timed in free:
             if not aut.broadcasting:
                 continue
             assert aut == aut1 and s in last and s2 in aut1.finals, (aut.name, s, s2)
+            assert (start, end, timed) == (var("p"), var("N") + 1, False), (aut.name, s, s2)
+            n_checked += 1
+    assert n_checked >= 5
 
 
 def test_phase_runs_stopping_at_broadcasts_match_free_runs():
@@ -202,6 +215,42 @@ def test_acceptance_runs_stopping_at_broadcasts_match_free_runs(monkeypatch):
             assert differ_witness(new, ref) is FALSE, (name, fr.sigma, fr.messages_spent)
             n_checked += fr.messages_spent < system.message_bound
     assert n_checked >= 5
+
+
+def _bouncer():
+    """Automaton 1 broadcasts its one message at time 0 on the left
+    endmarker, crosses to the right one, back to the left and again to
+    the right, where it accepts: final-phase acceptance needs a run chain
+    through two traversals, which few random systems do."""
+    rows = [
+        ("A1.s", "L", "A1.r", 1), ("A1.s", "a", "A1.s", 0), ("A1.s", "R", "A1.s", 0),
+        ("A1.r", "L", "A1.r", 1), ("A1.r", "a", "A1.r", 1), ("A1.r", "R", "A1.l", -1),
+        ("A1.l", "L", "A1.g", 1), ("A1.l", "a", "A1.l", -1), ("A1.l", "R", "A1.l", -1),
+        ("A1.g", "L", "A1.g", 1), ("A1.g", "a", "A1.g", 1), ("A1.g", "R", "A1.f", 0),
+        ("A1.f", "L", "A1.f", 0), ("A1.f", "a", "A1.f", 0), ("A1.f", "R", "A1.f", 0),
+    ]
+    bouncer = spec_automaton("A1", ["A1.f"], ["A1.s"], rows)
+    return validate_system({"version": 1, "automata": [bouncer], "message_bound": 1})
+
+
+def test_accept_formulas_match_the_canonical_runs_for_every_n():
+    # Each acceptance Run is built at its end N + 1, the final phase's
+    # untimed, the initial frontier's runs and guards from start 0, and a
+    # later frontier leaves out the endmarker patterns its position graph
+    # rules out: on every frontier the formula is the one built from the
+    # Run canonicals over p, pp and T, for every N.
+    rng = random.Random(20240817)
+    systems = [load_fixture(name) for name in FIXTURE_NAMES] + [_bouncer()]
+    systems += [cli.generate_system(rng, 4, 3, 3) for _ in range(16)]
+    n_checked = 0
+    for system in systems:
+        sc = C.Scope()
+        for fr in C.phase_frontiers(sc, system, system.message_bound):
+            new = C.accept_formula(sc, system, fr)
+            ref = canonical_accept_formula(sc, system, fr)
+            assert differ_witness(new, ref) is FALSE, (fr.sigma, fr.messages_spent)
+            n_checked += new is not FALSE
+    assert n_checked >= 20
 
 
 def test_recognized_set_matches_step_loop_on_wider_systems():

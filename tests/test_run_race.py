@@ -66,17 +66,21 @@ def test_run_matches_trajectory_with_stops():
                 assert np.array_equal(got, want), (s, s2, N)
 
 
-def _fuzz_zero():
-    """Fuzz system 0 of seed 20240817: its automaton 1 has two broadcasting
-    states, which no fixture automaton has."""
-    return cli.generate_system(random.Random(20240817), 4, 3, 3)
+def _fuzz(i):
+    """Fuzz system i of seed 20240817.  Automaton 1 has two broadcasting
+    states in system 0 and three in system 10; no fixture automaton has
+    more than one."""
+    rng = random.Random(20240817)
+    for _ in range(i):
+        cli.generate_system(rng, 4, 3, 3)
+    return cli.generate_system(rng, 4, 3, 3)
 
 
 def _race_starts():
     """(automaton, start state, K) for every distinct automaton of the
     fixtures and of fuzz system 0."""
     seen = set()
-    for system in [load_fixture(name) for name in FIXTURE_NAMES] + [_fuzz_zero()]:
+    for system in [load_fixture(name) for name in FIXTURE_NAMES] + [_fuzz(0)]:
         K = bounds_profile(system).K
         for aut in system.automata:
             if (aut, K) not in seen:
@@ -130,13 +134,16 @@ def test_no_broadcast_by_T_is_the_displayed_non_racer_clause():
 
 def test_races_stop_at_every_broadcasting_state():
     """Every occupancy a race builds stops at all of its automaton's
-    broadcasting states, not at the occupied one alone."""
+    broadcasting states, not at the occupied one alone, and projects the
+    timed Run from the same start with its end left free."""
     sc = C.Scope()
-    C.recognized_set(_fuzz_zero(), sc)
+    C.recognized_set(_fuzz(10), sc)
     keys = list(sc.tables["_occupancy_qf"])
     assert any(len(aut.broadcasting) > 1 for aut, *_ in keys)
-    for aut, stop, *_ in keys:
+    runs = sc.tables["_run_qf"]
+    for aut, stop, s, b, K, start in keys:
         assert stop == aut.broadcasting
+        assert (aut, stop, s, b, K, start, P.var("pp"), True) in runs
 
 
 def test_mute_formula():
@@ -173,8 +180,12 @@ def test_run_deterministic_on_sample():
 
 def test_occupancy_and_ever_projections_match_trajectory():
     """exists pp. Run and exists T, pp. Run stopping at every broadcasting
-    state, against the replayed run, for every start position and T <= 80."""
+    state, against the replayed run, for every start position and T <= 80;
+    in the same scope, the occupancy from the endmarker starts 0 and N + 1
+    and the untimed Run to each endmarker end, which are built with those
+    terms in their chains."""
     tmax = 80
+    ends = (P.Term(0), P.var("N") + 1)
     for name in ("crosser2", "racer2", "slowracer"):
         system = load_fixture(name)
         K = bounds_profile(system).K
@@ -183,28 +194,34 @@ def test_occupancy_and_ever_projections_match_trajectory():
             for b in sorted(stop):
                 for s in sorted(aut.states):
                     sc = C.Scope()
-                    occ = C._occupancy_qf(sc, aut, stop, s, b, K)
+                    occ = C._occupancy_qf(sc, aut, stop, s, b, K, P.var("p"))
                     ever = ever_qf(sc, aut, stop, s, b, K)
+                    occ_at = [C._occupancy_qf(sc, aut, stop, s, b, K, e) for e in ends]
+                    ever_at = [
+                        C._run_qf(sc, aut, stop, s, b, K, P.var("p"), e, False) for e in ends
+                    ]
                     for N in range(_nmin(aut), _nmin(aut) + 7):
                         # A deterministic walk repeats a configuration within
                         # this many steps, so T <= tmax sees every first visit.
                         assert len(aut.states) * (N + 2) <= tmax
-                        got = vector_eval(
-                            occ,
-                            {
-                                "N": np.array(N),
-                                "p": np.arange(N + 2)[:, None],
-                                "T": np.arange(tmax + 1)[None, :],
-                            },
-                        )
+                        got = _grid(occ, N, tmax)
                         want = np.zeros_like(got)
+                        want_at = np.zeros((2, N + 2), dtype=bool)
                         for p in range(N + 2):
-                            for cs, _, t in run_trajectory(aut, stop, s, p, N, tmax):
+                            for cs, cp, t in run_trajectory(aut, stop, s, p, N, tmax):
                                 if cs == b:
                                     want[p, t] = True
-                        assert np.array_equal(got, want), (name, aut.name, b, s, N)
+                                    if cp in (0, N + 1):
+                                        want_at[int(cp > 0), p] = True
+                        where = (name, aut.name, b, s, N)
+                        assert np.array_equal(got, want), where
                         got = vector_eval(ever, {"N": np.array(N), "p": np.arange(N + 2)})
-                        assert np.array_equal(got, want.any(axis=1)), (name, aut.name, b, s, N)
+                        assert np.array_equal(got, want.any(axis=1)), where
+                        for k, (f, g) in enumerate(zip(occ_at, ever_at)):
+                            got = vector_eval(f, {"N": np.array(N), "T": np.arange(tmax + 1)})
+                            assert np.array_equal(got, want[k * (N + 1)]), where + (k,)
+                            got = vector_eval(g, {"N": np.array(N), "p": np.arange(N + 2)})
+                            assert np.array_equal(got, want_at[k]), where + (k,)
 
 
 def _bound_vars(f, out):
@@ -219,38 +236,60 @@ def _bound_vars(f, out):
     return out
 
 
-def test_each_run_canonical_is_eliminated_once(monkeypatch):
-    """One extraction of trio hands every Run canonical to eliminate once,
+def _key_term(term, name):
+    """A Run's start or end as its memo key records it: the term when it
+    depends on N alone, else the variable ``name``."""
+    return term if {v for v, _ in term.coeffs} <= {"N"} else P.var(name)
+
+
+def test_each_run_is_built_and_eliminated_once(monkeypatch):
+    """One extraction of trio builds each Run once per key (automaton,
+    stop set, s, s', K, start, end, timed), with every start and end that
+    depends on N alone in the key, hands each Run built to eliminate once,
     and no other eliminate input holds a run chain.
 
-    Only a Run canonical binds the chain time ``_d0`` of a first segment
+    Only a Run binds the chain time ``_d0`` of a first segment
     (``C._chain_time``), and substituting terms for its free variables
     keeps that name.  So an eliminate input that binds it and is not a
-    canonical holds a substitution instance of one, and redoes that
-    canonical's elimination.
+    built Run holds a substitution instance of one, and redoes that Run's
+    elimination.
     """
-    canonicals, inputs = {}, []
-    run_canonical, eliminate_ = C._run_canonical, C.eliminate
+    built, wanted, inputs = {}, [], []
+    run_expr, run, eliminate_ = C._run_expr, C._run, C.eliminate
 
-    def recording_canonical(*args):
-        out = run_canonical(*args)
-        canonicals[id(out)] = out
+    def recording_build(sc, aut, stop, s, s2, K, start, end, Tm, Nv):
+        out = run_expr(sc, aut, stop, s, s2, K, start, end, Tm, Nv)
+        key = (aut, frozenset(stop), s, s2, K, start, end, Tm is not None)
+        assert key not in built
+        built[key] = out
         return out
+
+    def recording_run(sc, aut, stop, s, s2, K, start, end, Tm):
+        key_start, key_end = _key_term(start, "p"), _key_term(end, "pp")
+        wanted.append((aut, frozenset(stop), s, s2, K, key_start, key_end, Tm is not None))
+        return run(sc, aut, stop, s, s2, K, start, end, Tm)
 
     def recording_eliminate(f, *args, **kwargs):
         inputs.append(f)
         return eliminate_(f, *args, **kwargs)
 
-    monkeypatch.setattr(C, "_run_canonical", recording_canonical)
+    monkeypatch.setattr(C, "_run_expr", recording_build)
+    monkeypatch.setattr(C, "_run", recording_run)
     monkeypatch.setattr(C, "eliminate", recording_eliminate)
     C.recognized_set(load_fixture("trio"))
-    assert canonicals
-    for c in canonicals.values():
-        assert sum(f is c for f in inputs) == 1
+    assert set(wanted) <= set(built)
+    # Acceptance ends on the right endmarker, final-phase acceptance is
+    # untimed, and some phase run starts on an endmarker.
+    N = P.var("N")
+    assert any(end == N + 1 and timed for *_, end, timed in wanted)
+    assert any(end == N + 1 and not timed for *_, end, timed in wanted)
+    assert any(not start.coeffs for *_, start, _end, _timed in built)
+    for f in built.values():
+        assert sum(f is g for g in inputs) == 1
     chained = [f for f in inputs if C._chain_time(0) in _bound_vars(f, set())]
     assert chained
     for f in chained:
-        assert any(f is c for c in canonicals.values()), P.to_sexpr(f)[:200]
+        assert any(f is g for g in built.values()), P.to_sexpr(f)[:200]
 
 
 def _chains(f):

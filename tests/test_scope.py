@@ -51,7 +51,7 @@ def test_fuzz_systems_leave_no_table_behind():
 def test_failed_extraction_leaves_no_table_behind(monkeypatch):
     # A QE budget below what walker's extraction needs makes it raise part
     # way through.
-    monkeypatch.setenv("MULTIAUTO_QE_BUDGET", "40")
+    monkeypatch.setenv("MULTIAUTO_QE_BUDGET", "20")
     system = load_fixture("walker")
     refs = _refs(system)
     with pytest.raises(BudgetExceeded):
