@@ -183,10 +183,11 @@ def _dump_stage(sc, system, stage: str) -> None:
     scope ``sc``.
 
     Stages: ``reach:<i>:<s>:<s'>`` and ``run:<i>:<s>:<s'>`` (both with the
-    empty stop set, over free p, pp and T: of the runs the construction
-    builds, only final-phase acceptance has that stop set, and it is built
-    with its end N + 1 and its time projected out, so it is not this
-    formula; every other run stops at the broadcasting states),
+    empty stop set, over free p, pp and T; every run inside a phase stops
+    at its automaton's broadcasting states, so only the runs of an
+    automaton that never broadcasts and final-phase acceptance have that
+    stop set, and every acceptance run also ends at automaton 1's first
+    accepting visit, so it is not this formula),
     ``frontier:<k>`` (position graphs after k messages) and ``accept:<k>``.
     """
     parts = stage.split(":")

@@ -43,7 +43,11 @@ race or silence guard next to each of these runs rules those walks out
 the phase runs reuse the canonicals that the races eliminate, and no chain
 goes on through a broadcasting state.  Only the final phase, after the last
 message, has no broadcast to end it: its acceptance runs keep the empty
-stop set, and so does the ``run:`` dump.
+stop set, and so does the ``run:`` dump.  Every acceptance run also ends at
+automaton 1's first accepting visit, a final state on the right endmarker:
+acceptance asks only whether some accepting time exists, and the first one
+is the one every guard allows (:func:`accept_formula`), so no chain goes on
+past it (:func:`_run_expr`).  The ``run:`` dump does go on past it.
 
 Reach/Run canonicals, the Reach instances that run chains are made of,
 the Runs with their quantifiers eliminated and their projection to
@@ -379,7 +383,7 @@ def _chain_time(i):
 _LAPS = "_laps"  # whole laps of a chain closed by a rebound cycle
 
 
-def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv):
+def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv, accepting):
     """Disjunction over endmarker-hit chains with at most K traversals.
 
     Each chain is: a reach to the first endmarker hit, endmarker-to-endmarker
@@ -415,6 +419,36 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv):
     rebound cycle is then the chain that stops at the same junction
     together with one lap, which comes back to that junction, so it adds
     nothing and none is built.
+
+    With ``accepting`` the Run is an acceptance Run of automaton 1, to its
+    final state s2 on the right endmarker (PP is N + 1), and it holds only
+    walks that make no accepting visit, a visit of a final state to N + 1,
+    at times 1..T-1.  A chain halts at its first accepting junction
+    (f, R): it is emitted, ending there, when f is s2, and dropped
+    otherwise.  No chain ends with a reach from its last junction, and no
+    rebound-cycle chain is built.  Run0 stays: it is the only branch below
+    N_min.
+
+    - Sound: every chain emitted is one the Run without ``accepting``
+      holds too (its final reach, from (s2, R) to PP = N + 1, taking no
+      step), so it is a real run from (s, P) to (s2, PP).
+    - Complete for the first accepting visit: let a walk be at (s2, N + 1)
+      at time T, its first accepting visit, with N >= N_min.  At T = 0
+      that is Run0.  Otherwise every endmarker visit up to T is a junction
+      of its chain, since the chain cuts the walk at every endmarker visit
+      and a Reach segment touches no endmarker en route (Shepherdson's
+      crossing argument, 1959), and only the last of them is accepting,
+      so no halt cuts the chain short.  Up to T the
+      walk repeats no junction and makes fewer than K traversals
+      (:func:`_run_caps`), so ``extend`` reaches its last junction (s2, R)
+      and emits the chain there.  A walk whose first accepting visit is
+      in another final state is held by that state's Run, and
+      :func:`accept_formula` ORs the Runs of every final state.
+    - What is not built is redundant: the final reach from any other
+      junction to (s2, N + 1) ends at an endmarker visit, which ``extend``
+      takes as the chain's next junction anyway, and a walk that closes an
+      all-rebound cycle repeats a junction, so it never makes an accepting
+      visit it has not made before.
     """
     stop = frozenset(stop)
     long_enough = ge(Nv, aut.hops.nmin)
@@ -440,10 +474,11 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv):
 
     def emit_stop(path):
         # Stop anywhere after the last junction of the path; a junction in a
-        # stop state can only be the final configuration itself.
+        # stop state, or an accepting one, can only be the final
+        # configuration itself.
         u, side = path[-1]
         names = [_chain_time(i) for i in range(len(path) + 1)]
-        if u in stop:
+        if u in stop or accepting:
             if u != s2:
                 return
             names.pop()
@@ -478,8 +513,10 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv):
 
     def extend(path, nconstraints, crossings):
         u, side = path[-1]
-        emit_stop(path)
-        if u in stop:
+        halt = accepting and side == "R" and u in aut.finals
+        if halt or not accepting:
+            emit_stop(path)
+        if halt or u in stop:
             return
         out = _launch(aut, u, side)
         if isinstance(out, dynamics.Oscillate):
@@ -491,7 +528,7 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv):
                     lap = path[idx:]
                     launches = [_launch(aut, q, sd) for q, sd in lap]
                     if all(isinstance(x, dynamics.Return) for x in launches):
-                        if Tm is not None:
+                        if Tm is not None and not accepting:
                             emit_loop(path, idx, sum(x.T for x in launches))
                         return
             extend(path + [nxt], nconstraints, crossings)
@@ -521,7 +558,7 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv):
 
 @_per_scope
 def _run_canonical(sc, aut, stop, s, s2, K):
-    return _run_expr(sc, aut, stop, s, s2, K, var("p"), var("pp"), var("T"), var("N"))
+    return _run_expr(sc, aut, stop, s, s2, K, var("p"), var("pp"), var("T"), var("N"), False)
 
 
 def _key_term(term, name):
@@ -532,7 +569,7 @@ def _key_term(term, name):
 
 
 @_per_scope
-def _run_qf(sc, aut, stop, s, s2, K, P, PP, timed):
+def _run_qf(sc, aut, stop, s, s2, K, P, PP, timed, accepting):
     """The Run from (s, P) to (s2, PP) with its quantifiers eliminated,
     once per scope.
 
@@ -543,22 +580,28 @@ def _run_qf(sc, aut, stop, s, s2, K, P, PP, timed):
     commutes with an equivalence-preserving elimination, so every use
     instantiates this instead of handing Cooper the same inner structure
     again.  An untimed Run is exists T. Run (:func:`_run_expr`).
+    ``accepting`` marks an acceptance Run, which ends at automaton 1's
+    first accepting visit (:func:`_run_expr`).  The key says so itself
+    rather than leaving it to the end N + 1, at which other Runs may end
+    too.
     """
     Tm = var("T") if timed else None
-    return eliminate(_run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, var("N")))
+    return eliminate(_run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, var("N"), accepting))
 
 
 @_per_scope
 def _occupancy_qf(sc, aut, stop, s, s2, K, P):
     """exists pp. Run: s2 is occupied at time T from (s, P), P a key term."""
-    return eliminate(exists("pp", _run_qf(sc, aut, stop, s, s2, K, P, var("pp"), True)))
+    return eliminate(exists("pp", _run_qf(sc, aut, stop, s, s2, K, P, var("pp"), True, False)))
 
 
-def _run(sc, aut, stop, s, s2, K, P, PP, Tm):
+def _run(sc, aut, stop, s, s2, K, P, PP, Tm, accepting=False):
     """The Run from (s, P) to (s2, PP) in Tm steps, or in some number of
-    steps when Tm is None, quantifier-free."""
+    steps when Tm is None, quantifier-free; with ``accepting``, the
+    acceptance Run (:func:`_run_expr`)."""
     timed = Tm is not None
-    f = _run_qf(sc, aut, frozenset(stop), s, s2, K, _key_term(P, "p"), _key_term(PP, "pp"), timed)
+    P0, PP0 = _key_term(P, "p"), _key_term(PP, "pp")
+    f = _run_qf(sc, aut, frozenset(stop), s, s2, K, P0, PP0, timed, accepting)
     return substitute(f, {"p": P, "pp": PP, "T": Tm} if timed else {"p": P, "pp": PP})
 
 
@@ -666,7 +709,8 @@ def _run_caps(system):
       the final one stop at every broadcasting state.  An acceptance
       formula asks whether some accepting time exists, and silence up to a
       later accepting time implies silence up to the first one, so the
-      first one is enough.
+      first one is enough, and every acceptance run ends there
+      (:func:`_run_expr`).
     - A phase that ends at a broadcast lasts until the first time T,
       counted from the phase's start, at which a racer r with q_r states
       is in a broadcasting state.  Its configurations (state, position) at
@@ -679,7 +723,8 @@ def _run_caps(system):
 
     Only an acceptance run reaches into the last phase, the one after the
     message bound is spent, where no broadcast ends the phase and a
-    sweeper crosses the tape without end.
+    sweeper crosses the tape without end; it ends at its first accepting
+    visit, which the first point bounds.
     """
     return bounds_profile(system).K
 
@@ -913,7 +958,17 @@ def accept_formula(sc, system, frontier: PhaseFrontier) -> Formula:
 
     The final phase has no guard and no broadcast to end it, so its runs
     keep the empty stop set, and nothing reads their time: each is the
-    untimed Run, exists T_a. Run."""
+    untimed Run, exists T_a. Run.
+
+    Every acceptance run ends at automaton 1's first accepting visit
+    (:func:`_run_expr` with ``accepting``), and so holds no walk that goes
+    on past an earlier one.  The formula loses nothing by that: if
+    automaton 1 accepts at some T_a with every guard holding, it makes a
+    first accepting visit at some T_a' <= T_a, in some final state f.  The
+    guards hold at T_a' too, since silence up to T_a implies silence up to
+    T_a', and so does Run_B to T_a', since the times 1..T_a'-1 at which it
+    forbids B come before T_a.  The Run to f holds that visit, and the
+    disjunction below runs over every final state."""
     system = validate_system(system)
     aut1 = system.automata[0]
     if not aut1.finals:
@@ -933,7 +988,7 @@ def accept_formula(sc, system, frontier: PhaseFrontier) -> Formula:
     Ta = None if final_phase else var(ta)
     final_hit = lor(
         *[
-            _run(sc, aut1, stop, start, fstate, K, pos[0], Nv + 1, Ta)
+            _run(sc, aut1, stop, start, fstate, K, pos[0], Nv + 1, Ta, accepting=True)
             for fstate in sorted(aut1.finals)
         ]
     )

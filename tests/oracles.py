@@ -173,7 +173,7 @@ def traversal_slope(automaton):
 def ever_qf(sc, aut, stop, s, s2, K):
     """exists T, pp. Run: s2 is ever occupied from (s, p), built in the
     ``construction.Scope`` ``sc`` from the untimed Run."""
-    run = C._run_qf(sc, aut, stop, s, s2, K, var("p"), var("pp"), False)
+    run = C._run_qf(sc, aut, stop, s, s2, K, var("p"), var("pp"), False, False)
     return eliminate(exists("pp", run))
 
 
@@ -211,8 +211,9 @@ def free_run_phase_expr(sc, system, sigma, sigma2, I, pos_terms, pos2_vars):
 
 def _canonical_run(sc, aut, stop, s, s2, K, P, PP, Tm):
     """The Run from (s, P) to (s2, PP) in Tm steps: its canonical over p,
-    pp and T with the terms substituted."""
-    f = C._run_qf(sc, aut, frozenset(stop), s, s2, K, var("p"), var("pp"), True)
+    pp and T with the terms substituted.  It is not the acceptance Run, so
+    its chains go on past every accepting visit."""
+    f = C._run_qf(sc, aut, frozenset(stop), s, s2, K, var("p"), var("pp"), True, False)
     return substitute(f, {"p": P, "pp": PP, "T": Tm})
 
 

@@ -160,11 +160,12 @@ def test_free_runs_only_in_final_phase_acceptance():
     for system in systems:
         aut1 = system.automata[0]
         free, last = _free_run_keys(system)
-        for aut, _stop, s, s2, _K, start, end, timed in free:
+        for aut, _stop, s, s2, _K, start, end, timed, accepting in free:
             if not aut.broadcasting:
                 continue
             assert aut == aut1 and s in last and s2 in aut1.finals, (aut.name, s, s2)
-            assert (start, end, timed) == (var("p"), var("N") + 1, False), (aut.name, s, s2)
+            want = (var("p"), var("N") + 1, False, True)
+            assert (start, end, timed, accepting) == want, (aut.name, s, s2)
             n_checked += 1
     assert n_checked >= 5
 
@@ -210,7 +211,11 @@ def test_acceptance_runs_stopping_at_broadcasts_match_free_runs(monkeypatch):
         for fr in C.phase_frontiers(sc, system, system.message_bound):
             new = C.accept_formula(sc, system, fr)
             with monkeypatch.context() as m:
-                m.setattr(C, "_run", lambda sc, aut, stop, *rest: run(sc, aut, frozenset(), *rest))
+                m.setattr(
+                    C,
+                    "_run",
+                    lambda sc, aut, stop, *rest, **kw: run(sc, aut, frozenset(), *rest, **kw),
+                )
                 ref = C.accept_formula(sc, system, fr)
             assert differ_witness(new, ref) is FALSE, (name, fr.sigma, fr.messages_spent)
             n_checked += fr.messages_spent < system.message_bound
@@ -233,14 +238,50 @@ def _bouncer():
     return validate_system({"version": 1, "automata": [bouncer], "message_bound": 1})
 
 
+def _left_final(broadcasting):
+    """Automaton 1 steps off the left endmarker, comes back onto it in its
+    final state f and walks in f to the right endmarker, where it accepts:
+    its first endmarker visit in a final state is not an accepting one.
+    With ``broadcasting`` its initial state sends the one message at time
+    0, so acceptance falls in the final phase, untimed; without, in the
+    initial one, timed."""
+    rows = [
+        ("A1.s", "L", "A1.s", 1), ("A1.s", "a", "A1.f", -1), ("A1.s", "R", "A1.s", 0),
+        ("A1.f", "L", "A1.f", 1), ("A1.f", "a", "A1.f", 1), ("A1.f", "R", "A1.f", 0),
+    ]
+    aut = spec_automaton("A1", ["A1.f"], ["A1.s"] if broadcasting else [], rows)
+    return validate_system({"version": 1, "automata": [aut], "message_bound": 1})
+
+
+def _two_accepting_visits():
+    """Automaton 1 crosses to the right endmarker in its final state f,
+    back to the left one and again to the right one in its final state h,
+    and only then broadcasts: an acceptance Run to h that went on past its
+    first accepting visit would find a second one."""
+    rows = [
+        ("A1.s", "L", "A1.s", 1), ("A1.s", "a", "A1.f", 1), ("A1.s", "R", "A1.s", 0),
+        ("A1.f", "L", "A1.f", 1), ("A1.f", "a", "A1.f", 1), ("A1.f", "R", "A1.g", -1),
+        ("A1.g", "L", "A1.h", 1), ("A1.g", "a", "A1.g", -1), ("A1.g", "R", "A1.g", -1),
+        ("A1.h", "L", "A1.h", 1), ("A1.h", "a", "A1.h", 1), ("A1.h", "R", "A1.b", 0),
+        ("A1.b", "L", "A1.b", 1), ("A1.b", "a", "A1.b", 1), ("A1.b", "R", "A1.b", 0),
+    ]
+    aut = spec_automaton("A1", ["A1.f", "A1.h"], ["A1.b"], rows)
+    return validate_system({"version": 1, "automata": [aut], "message_bound": 1})
+
+
 def test_accept_formulas_match_the_canonical_runs_for_every_n():
     # Each acceptance Run is built at its end N + 1, the final phase's
-    # untimed, the initial frontier's runs and guards from start 0, and a
+    # untimed, the initial frontier's runs and guards from start 0, a
     # later frontier leaves out the endmarker patterns its position graph
-    # rules out: on every frontier the formula is the one built from the
-    # Run canonicals over p, pp and T, for every N.
+    # rules out, and every acceptance Run ends at automaton 1's first
+    # accepting visit: on every frontier the formula is the one built from
+    # the Run canonicals over p, pp and T, for every N.
+    crafted = [_bouncer(), _left_final(False), _left_final(True), _two_accepting_visits()]
+    for system in crafted:
+        ups = C.recognized_set(system)
+        assert [ups.member(N) for N in range(40)] == [accepts(system, N) for N in range(40)]
     rng = random.Random(20240817)
-    systems = [load_fixture(name) for name in FIXTURE_NAMES] + [_bouncer()]
+    systems = [load_fixture(name) for name in FIXTURE_NAMES] + crafted
     systems += [cli.generate_system(rng, 4, 3, 3) for _ in range(16)]
     n_checked = 0
     for system in systems:
@@ -251,6 +292,45 @@ def test_accept_formulas_match_the_canonical_runs_for_every_n():
             assert differ_witness(new, ref) is FALSE, (fr.sigma, fr.messages_spent)
             n_checked += new is not FALSE
     assert n_checked >= 20
+
+
+def test_acceptance_runs_end_at_the_first_accepting_visit(monkeypatch):
+    # No acceptance Run builds a chain segment from an accepting junction,
+    # automaton 1 in a final state on the right endmarker: its chains end
+    # there.  Automaton 1 of these systems broadcasts, so its acceptance
+    # Runs are timed before the final phase and untimed in it, and its
+    # phase Runs, which are not acceptance Runs, do go on from such a
+    # junction.
+    N = var("N")
+    building = []
+    run_expr, reach = C._run_expr, C._reach
+
+    def recording_build(sc, aut, stop, s, s2, K, P, PP, Tm, Nv, accepting):
+        building.append((accepting, Tm is not None, []))
+        out = run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv, accepting)
+        builds.append(building.pop())
+        return out
+
+    def recording_reach(sc, aut, stop, u, v, A, B, Tm):
+        if building and aut is aut1 and u in aut1.finals and A == N + 1:
+            building[-1][2].append((u, v))
+        return reach(sc, aut, stop, u, v, A, B, Tm)
+
+    monkeypatch.setattr(C, "_run_expr", recording_build)
+    monkeypatch.setattr(C, "_reach", recording_reach)
+    systems = {name: load_fixture(name) for name in ("crosser2", "racer2")}
+    systems["two_accepting_visits"] = _two_accepting_visits()
+    timings = set()
+    for name, system in systems.items():
+        aut1 = system.automata[0]
+        assert aut1.broadcasting
+        builds = []
+        C.recognized_set(system)
+        accepting = [(timed, segments) for acc, timed, segments in builds if acc]
+        timings |= {timed for timed, _ in accepting}
+        assert accepting and all(not segments for _, segments in accepting), name
+        assert any(segments for acc, _, segments in builds if not acc), name
+    assert timings == {False, True}
 
 
 def test_recognized_set_matches_step_loop_on_wider_systems():

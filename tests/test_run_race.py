@@ -143,7 +143,7 @@ def test_races_stop_at_every_broadcasting_state():
     runs = sc.tables["_run_qf"]
     for aut, stop, s, b, K, start in keys:
         assert stop == aut.broadcasting
-        assert (aut, stop, s, b, K, start, P.var("pp"), True) in runs
+        assert (aut, stop, s, b, K, start, P.var("pp"), True, False) in runs
 
 
 def test_mute_formula():
@@ -198,7 +198,8 @@ def test_occupancy_and_ever_projections_match_trajectory():
                     ever = ever_qf(sc, aut, stop, s, b, K)
                     occ_at = [C._occupancy_qf(sc, aut, stop, s, b, K, e) for e in ends]
                     ever_at = [
-                        C._run_qf(sc, aut, stop, s, b, K, P.var("p"), e, False) for e in ends
+                        C._run_qf(sc, aut, stop, s, b, K, P.var("p"), e, False, False)
+                        for e in ends
                     ]
                     for N in range(_nmin(aut), _nmin(aut) + 7):
                         # A deterministic walk repeats a configuration within
@@ -244,9 +245,9 @@ def _key_term(term, name):
 
 def test_each_run_is_built_and_eliminated_once(monkeypatch):
     """One extraction of trio builds each Run once per key (automaton,
-    stop set, s, s', K, start, end, timed), with every start and end that
-    depends on N alone in the key, hands each Run built to eliminate once,
-    and no other eliminate input holds a run chain.
+    stop set, s, s', K, start, end, timed, accepting), with every start
+    and end that depends on N alone in the key, hands each Run built to
+    eliminate once, and no other eliminate input holds a run chain.
 
     Only a Run binds the chain time ``_d0`` of a first segment
     (``C._chain_time``), and substituting terms for its free variables
@@ -257,17 +258,18 @@ def test_each_run_is_built_and_eliminated_once(monkeypatch):
     built, wanted, inputs = {}, [], []
     run_expr, run, eliminate_ = C._run_expr, C._run, C.eliminate
 
-    def recording_build(sc, aut, stop, s, s2, K, start, end, Tm, Nv):
-        out = run_expr(sc, aut, stop, s, s2, K, start, end, Tm, Nv)
-        key = (aut, frozenset(stop), s, s2, K, start, end, Tm is not None)
+    def recording_build(sc, aut, stop, s, s2, K, start, end, Tm, Nv, accepting):
+        out = run_expr(sc, aut, stop, s, s2, K, start, end, Tm, Nv, accepting)
+        key = (aut, frozenset(stop), s, s2, K, start, end, Tm is not None, accepting)
         assert key not in built
         built[key] = out
         return out
 
-    def recording_run(sc, aut, stop, s, s2, K, start, end, Tm):
+    def recording_run(sc, aut, stop, s, s2, K, start, end, Tm, accepting=False):
         key_start, key_end = _key_term(start, "p"), _key_term(end, "pp")
-        wanted.append((aut, frozenset(stop), s, s2, K, key_start, key_end, Tm is not None))
-        return run(sc, aut, stop, s, s2, K, start, end, Tm)
+        key = (aut, frozenset(stop), s, s2, K, key_start, key_end, Tm is not None, accepting)
+        wanted.append(key)
+        return run(sc, aut, stop, s, s2, K, start, end, Tm, accepting)
 
     def recording_eliminate(f, *args, **kwargs):
         inputs.append(f)
@@ -281,9 +283,9 @@ def test_each_run_is_built_and_eliminated_once(monkeypatch):
     # Acceptance ends on the right endmarker, final-phase acceptance is
     # untimed, and some phase run starts on an endmarker.
     N = P.var("N")
-    assert any(end == N + 1 and timed for *_, end, timed in wanted)
-    assert any(end == N + 1 and not timed for *_, end, timed in wanted)
-    assert any(not start.coeffs for *_, start, _end, _timed in built)
+    assert any(end == N + 1 and timed and acc for *_, end, timed, acc in wanted)
+    assert any(end == N + 1 and not timed and acc for *_, end, timed, acc in wanted)
+    assert any(not start.coeffs for *_, start, _end, _timed, _acc in built)
     for f in built.values():
         assert sum(f is g for g in inputs) == 1
     chained = [f for f in inputs if C._chain_time(0) in _bound_vars(f, set())]

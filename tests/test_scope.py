@@ -48,12 +48,37 @@ def test_fuzz_systems_leave_no_table_behind():
     _assert_collected(refs)
 
 
+def _completes(monkeypatch, system, budget):
+    monkeypatch.setenv("MULTIAUTO_QE_BUDGET", str(budget))
+    try:
+        C.recognized_set(system)
+    except BudgetExceeded:
+        return False
+    return True
+
+
+def _runs_eliminated_before_raising(system):
+    sc = C.Scope()
+    with pytest.raises(BudgetExceeded):
+        C.recognized_set(system, sc)
+    return len(sc.tables["_run_qf"])
+
+
 def test_failed_extraction_leaves_no_table_behind(monkeypatch):
-    # A QE budget below what walker's extraction needs makes it raise part
-    # way through.
-    monkeypatch.setenv("MULTIAUTO_QE_BUDGET", "20")
+    # The largest QE budget under which walker's extraction raises, so that
+    # it raises part way through, on its largest formula.  A larger budget
+    # never raises where a smaller one completes, so the budget is found by
+    # bisection and follows the formula sizes when a change shrinks them.
     system = load_fixture("walker")
     refs = _refs(system)
+    lo, hi = 0, 1
+    while not _completes(monkeypatch, system, hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _completes(monkeypatch, system, mid) else (mid, hi)
+    monkeypatch.setenv("MULTIAUTO_QE_BUDGET", str(lo))
+    assert _runs_eliminated_before_raising(system) > 0
     with pytest.raises(BudgetExceeded):
         C.recognized_set(system)
     del system
