@@ -5,9 +5,10 @@ For each committed fixture and each of the first ``--count`` systems
 (default 40) that ``multiauto fuzz --seed 20240817`` generates (limits 4,
 3, 3), one fresh interpreter (PYTHONHASHSEED=0) runs, in this order:
 
-- ``extract`` with every ``run:<i>:<s>:<s'>`` and ``reach:<i>:<s>:<s'>``
-  stage (run before reach, for every state pair of every automaton), then
-  ``frontier:<k>`` and ``accept:<k>`` for k = 0..M;
+- ``extract`` with the ``run:<i>:<s>:<s'>`` and ``reach:<i>:<s>:<s'>``
+  stages of every state pair of every automaton, then ``frontier:<k>`` and
+  ``accept:<k>`` for k = 0..M (a stage prints the same line whatever else
+  is dumped with it);
 - ``analyze``;
 - ``verify --n-max 300``;
 - ``simulate --n 0`` .. ``simulate --n 12``.

@@ -47,25 +47,46 @@ stop set, and so does the ``run:`` dump.  Every acceptance run also ends at
 automaton 1's first accepting visit, a final state on the right endmarker:
 acceptance asks only whether some accepting time exists, and the first one
 is the one every guard allows (:func:`accept_formula`), so no chain goes on
-past it (:func:`_run_expr`).  The ``run:`` dump does go on past it.
+past it (:func:`_run_expr`).  The ``run:`` dump does go on past it.  Every
+Run is timed: each phase and each acceptance formula binds its time with
+``exists``, the final phase's too.
+
+Every builder is a function of what varies alone: N is the one
+module-level variable :data:`_N`, and every bound variable has a fixed
+name.  A Reach cycle count is ``_h``, a crossing time and a race time
+``_t``, the phase time and the acceptance time ``_T``; segment i of a run
+chain takes ``_d<i>`` steps and a chain closed by a rebound cycle runs
+``_laps`` laps (:func:`_run_expr`).  No binder captures a variable:
+
+- No fixed name is a free name (N, p, pp, T, pi<i>, pip<i>), and no
+  binder encloses one of its own name: ``_T`` encloses a race's ``_t``,
+  and ``_t`` and the chain names enclose a Reach's ``_h``.
+- Each binder's body is instantiated only at terms over N, p, pp, T,
+  pi<i>/pip<i>, ``_t`` and the chain names.  Only :func:`_reach`
+  substitutes into a formula that still has a binder, a Reach canonical,
+  whose one binder is ``_h``; every other substitution is into an
+  eliminated formula.
+- :func:`presburger.substitute` renames on capture anyway, so a clash
+  could cost bytes but never soundness.
 
 Reach/Run canonicals, the Reach instances that run chains are made of,
 the Runs with their quantifiers eliminated and their projection to
 occupancy at time T, segment constraints and the sampling results are
-memoized in a :class:`Scope`, one per extraction, which every builder takes
-as its first argument.  A chain names its segment times by position, so
-chains that share segments share the formula objects, and an elimination
-meets each shared segment once.  A Run is eliminated once per key: its
-automaton, stop set, states and cap, each end as the term the caller
-fixes when that term depends on N alone (0, N + 1, a stepped endmarker
-start) and as the variable p or pp otherwise, and whether its time is
-read (:func:`_run_qf`).  Every use substitutes its remaining terms into
-the eliminated form, so Cooper sees each Run once per key and extraction,
-and never meets as a free variable an end its callers fix.  The
-``run``/``reach`` dumps still print the raw canonicals over p, pp and T.
-Nothing is kept at module level: the tables go with their scope, so a
-batch of systems in one process keeps no table of an earlier system
-alive, and extractions in separate scopes share nothing.
+memoized in a :class:`Scope`, one per extraction, which every builder that
+reads a table takes first.  A chain names its segment times by
+position, so chains that share segments share the formula objects, and an
+elimination meets each shared segment once.  A Run is eliminated once per
+key: its automaton, stop set, states and cap, and each end as the term the
+caller fixes when that term depends on N alone (0, N + 1, a stepped
+endmarker start) and as the variable p or pp otherwise (:func:`_run_qf`).
+Every use substitutes its remaining terms into the eliminated form, so
+Cooper sees each Run once per key and extraction, and never meets as a
+free variable an end its callers fix.  The ``run``/``reach`` dumps still
+print the raw canonicals over p, pp and T.  Nothing mutable is kept at
+module level: the tables go with their scope, so a batch of systems in one
+process keeps no table of an earlier system alive, and extractions in
+separate scopes share nothing.  What a builder prints depends on its
+arguments alone, not on what else ran in the scope or the process.
 """
 
 from __future__ import annotations
@@ -146,25 +167,17 @@ class PhaseFrontier:
 
 
 class Scope:
-    """The memo tables and fresh-name numbering of one extraction.
+    """The memo tables of one extraction.
 
     ``tables`` maps the name of each memoized helper to a dict from its
     arguments after the scope to its result.  Every memoized helper is a
     pure function of those arguments, so a hit returns what recomputing
-    would, apart from the fresh variable names a rebuilt formula would get.
-    Pass one scope to several builder calls on the same system so that they
-    share Reach/Run canonicals and phase traces.
+    would.  Pass one scope to several builder calls on the same system so
+    that they share Reach/Run canonicals and phase traces.
     """
 
     def __init__(self):
         self.tables = defaultdict(dict)
-        self._count = itertools.count()
-
-    def fresh(self, tag: str) -> str:
-        """``_<tag><n>``, where n counts the names this scope has given
-        out, from 0: what a builder prints depends only on the calls made
-        in its scope."""
-        return f"_{tag}{next(self._count)}"
 
 
 def _per_scope(fn):
@@ -186,6 +199,14 @@ def _per_scope(fn):
 # Reach: endmarker-free runs, exact for every N
 
 
+_N = var("N")  # the input length, the one free variable of every result
+
+
+def _side_pos(side):
+    """The position of the ``side`` endmarker: 0 or N + 1."""
+    return Term(0) if side == "L" else _N + 1
+
+
 def _pi_names(n):
     return tuple(f"pi{i + 1}" for i in range(n))
 
@@ -194,7 +215,7 @@ def _pip_names(n):
     return tuple(f"pip{i + 1}" for i in range(n))
 
 
-def _interior_expr(sc, aut, stop, s, s2, P, PP, Tm, Nv):
+def _interior_expr(aut, stop, s, s2, P, PP, Tm):
     """Reach from (s, P) staying interior at all times 1..T-1.
 
     The start is assumed interior (or handled by the caller); the final
@@ -216,7 +237,7 @@ def _interior_expr(sc, aut, stop, s, s2, P, PP, Tm, Nv):
             body = [eq(Tm - j), eq(PP - P - lam[j])]
             for i in range(1, j):
                 body.append(ge(P + lam[i], 1))
-                body.append(le(P + lam[i], Nv))
+                body.append(le(P + lam[i], _N))
             disjuncts.append(land(*body))
 
     if i0 is None:
@@ -226,11 +247,11 @@ def _interior_expr(sc, aut, stop, s, s2, P, PP, Tm, Nv):
         prefix_guards = []
         for i in range(1, k):
             prefix_guards.append(ge(P + lam[i], 1))
-            prefix_guards.append(le(P + lam[i], Nv))
+            prefix_guards.append(le(P + lam[i], _N))
         for r in range(L):
             if seq[ell + r] != t2:
                 continue
-            h = var(sc.fresh("h"))
+            h = var("_h")
             body = [
                 ge(h, 1),
                 eq(Tm - (h * L) - (ell + r)),
@@ -242,21 +263,21 @@ def _interior_expr(sc, aut, stop, s, s2, P, PP, Tm, Nv):
                 base = P + lam[ell + rp]
                 inside = land(
                     ge(base + c, 1),
-                    le(base + c, Nv),
+                    le(base + c, _N),
                     ge(base + m_last * c, 1),
-                    le(base + m_last * c, Nv),
+                    le(base + m_last * c, _N),
                 )
                 if rp < r:
                     body.append(inside)
                 else:
                     body.append(lor(le(m_last, 0), inside))
-            disjuncts.append(exists(h.coeffs[0][0], land(*body)))
+            disjuncts.append(exists("_h", land(*body)))
     return lor(*disjuncts)
 
 
-def _endmarker_start_expr(sc, aut, stop, s, s2, side, PP, Tm, Nv):
+def _endmarker_start_expr(aut, stop, s, s2, side, PP, Tm):
     """Reach from (s, 0) or (s, N+1); position at time 0 is the endmarker."""
-    start_pos = Term(0) if side == "L" else Nv + 1
+    start_pos = _side_pos(side)
     t0 = land(eq(Tm), eq(PP - start_pos)) if s2 == s else FALSE
     table = aut.delta_left if side == "L" else aut.delta_right
     t, d = table[s]
@@ -265,36 +286,34 @@ def _endmarker_start_expr(sc, aut, stop, s, s2, side, PP, Tm, Nv):
         return lor(t0, step)
     # Inward move: lands on position 1 (resp. N); when N = 0 that cell is the
     # opposite endmarker and the run must end there.
-    land_pos = Term(1) if side == "L" else Nv
-    n0 = land(eq(Nv), eq(Tm - 1), eq(PP - land_pos)) if s2 == t else FALSE
+    land_pos = Term(1) if side == "L" else _N
+    n0 = land(eq(_N), eq(Tm - 1), eq(PP - land_pos)) if s2 == t else FALSE
     if t in stop:
-        cont = land(ge(Nv, 1), eq(Tm - 1), eq(PP - land_pos)) if s2 == t else FALSE
+        cont = land(ge(_N, 1), eq(Tm - 1), eq(PP - land_pos)) if s2 == t else FALSE
     else:
-        cont = land(
-            ge(Nv, 1),
-            _interior_expr(sc, aut, stop, t, s2, land_pos, PP, Tm - 1, Nv),
-        )
+        cont = land(ge(_N, 1), _interior_expr(aut, stop, t, s2, land_pos, PP, Tm - 1))
     return lor(t0, n0, cont)
 
 
-def _reach_expr(sc, aut, stop, s, s2, P, PP, Tm, Nv):
+def _reach_expr(aut, stop, s, s2, P, PP, Tm):
     """Reach from (s, P) to (s2, PP) in exactly T steps, interior en route."""
     branches = []
     # p = 0, p = N + 1
-    for side, g in (("L", eq(P)), ("R", eq(P - Nv - 1))):
+    for side in ("L", "R"):
+        g = eq(P - _side_pos(side))
         if g is not FALSE:
-            start = _endmarker_start_expr(sc, aut, stop, s, s2, side, PP, Tm, Nv)
+            start = _endmarker_start_expr(aut, stop, s, s2, side, PP, Tm)
             branches.append(land(g, start))
     # 1 <= p <= N
-    g = land(ge(P, 1), le(P, Nv))
+    g = land(ge(P, 1), le(P, _N))
     if g is not FALSE:
-        branches.append(land(g, _interior_expr(sc, aut, stop, s, s2, P, PP, Tm, Nv)))
+        branches.append(land(g, _interior_expr(aut, stop, s, s2, P, PP, Tm)))
     return lor(*branches)
 
 
 @_per_scope
 def _reach_canonical(sc, aut, stop, s, s2):
-    return _reach_expr(sc, aut, stop, s, s2, var("p"), var("pp"), var("T"), var("N"))
+    return _reach_expr(aut, stop, s, s2, var("p"), var("pp"), var("T"))
 
 
 @_per_scope
@@ -344,20 +363,12 @@ def _launch(aut, state, side):
 # Run: reach, through at most K traversals, then reach again
 
 
-def _side_pos(side, Nv):
-    return Term(0) if side == "L" else Nv + 1
-
-
 @_per_scope
 def _edge_n_constraint(sc, aut, stop, u, side, v):
     """The N-projection of one crossing from ``side`` to the far endmarker
     (for pruning)."""
-    Nv = var("N")
-    here = _side_pos(side, Nv)
-    there = _side_pos("R" if side == "L" else "L", Nv)
-    t = sc.fresh("t")
-    f = exists(t, _reach(sc, aut, stop, u, v, here, there, var(t)))
-    return eliminate(f)
+    here, there = _side_pos(side), _side_pos("R" if side == "L" else "L")
+    return eliminate(exists("_t", _reach(sc, aut, stop, u, v, here, there, var("_t"))))
 
 
 def _n_sat(f) -> bool:
@@ -383,7 +394,7 @@ def _chain_time(i):
 _LAPS = "_laps"  # whole laps of a chain closed by a rebound cycle
 
 
-def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv, accepting):
+def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, accepting):
     """Disjunction over endmarker-hit chains with at most K traversals.
 
     Each chain is: a reach to the first endmarker hit, endmarker-to-endmarker
@@ -403,31 +414,21 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv, accepting):
     inputs are handled by simulation downstream).
 
     Segment i of a chain takes ``_d<i>`` steps (:func:`_chain_time`), and a
-    chain closed by a rebound cycle runs ``_laps`` whole laps.  The names
-    cannot clash: each chain disjunct binds every name it uses, the other
-    variables are only N and those of P, PP and Tm, and a Reach canonical
-    binds names of its own scope numbering.  So the same segment at the
-    same position is the same formula in every chain, and in the chains of
-    every run: :func:`_reach` builds it once per scope, and an elimination
-    meets it as one formula.
-
-    With ``Tm`` None the run's time is projected out: the formula is
-    exists T. Run.  A chain then states no equation T = d_0 + ... + d_m,
-    and since exists T, d. (T = d_0 + ... + d_m and seg_0 and ... and
-    seg_m) is (exists d_0. seg_0) and ... and (exists d_m. seg_m), the
-    elimination projects each segment on its own.  A chain closed by a
-    rebound cycle is then the chain that stops at the same junction
-    together with one lap, which comes back to that junction, so it adds
-    nothing and none is built.
+    chain closed by a rebound cycle runs ``_laps`` whole laps; each chain
+    disjunct binds every name it uses (the module docstring shows that no
+    fixed name is captured).  So the same segment at the same position is
+    the same formula in every chain, and in the chains of every run:
+    :func:`_reach` builds it once per scope, and an elimination meets it as
+    one formula.
 
     With ``accepting`` the Run is an acceptance Run of automaton 1, to its
     final state s2 on the right endmarker (PP is N + 1), and it holds only
     walks that make no accepting visit, a visit of a final state to N + 1,
     at times 1..T-1.  A chain halts at its first accepting junction
-    (f, R): it is emitted, ending there, when f is s2, and dropped
-    otherwise.  No chain ends with a reach from its last junction, and no
-    rebound-cycle chain is built.  Run0 stays: it is the only branch below
-    N_min.
+    (f, R): it is emitted, ending there, when f is s2 and the chain has
+    more than one junction, and dropped otherwise.  No chain ends with a
+    reach from its last junction, and no rebound-cycle chain is built.
+    Run0 stays: it is the only branch below N_min.
 
     - Sound: every chain emitted is one the Run without ``accepting``
       holds too (its final reach, from (s2, R) to PP = N + 1, taking no
@@ -441,9 +442,11 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv, accepting):
       so no halt cuts the chain short.  Up to T the
       walk repeats no junction and makes fewer than K traversals
       (:func:`_run_caps`), so ``extend`` reaches its last junction (s2, R)
-      and emits the chain there.  A walk whose first accepting visit is
-      in another final state is held by that state's Run, and
-      :func:`accept_formula` ORs the Runs of every final state.
+      and emits the chain there, unless (s2, R) is its only junction: that
+      chain is one Reach from (s, P) to (s2, N + 1) in T steps, which is
+      Run0 at PP = N + 1.  A walk whose first accepting visit is in another
+      final state is held by that state's Run, and :func:`accept_formula`
+      ORs the Runs of every final state.
     - What is not built is redundant: the final reach from any other
       junction to (s2, N + 1) ends at an endmarker visit, which ``extend``
       takes as the chain's next junction anyway, and a walk that closes an
@@ -451,43 +454,39 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv, accepting):
       visit it has not made before.
     """
     stop = frozenset(stop)
-    long_enough = ge(Nv, aut.hops.nmin)
+    long_enough = ge(_N, aut.hops.nmin)
 
     def reach(u, v, A, B, tv):
         return _reach(sc, aut, stop, u, v, A, B, tv)
 
-    if Tm is None:
-        d0 = _chain_time(0)
-        disjuncts = [exists(d0, reach(s, s2, P, PP, var(d0)))]
-    else:
-        disjuncts = [reach(s, s2, P, PP, Tm)]
+    disjuncts = [reach(s, s2, P, PP, Tm)]
 
     def segment_formulas(path):
-        parts = [reach(s, path[0][0], P, _side_pos(path[0][1], Nv), var(_chain_time(0)))]
+        parts = [reach(s, path[0][0], P, _side_pos(path[0][1]), var(_chain_time(0)))]
         for i in range(1, len(path)):
             u, uside = path[i - 1]
             v, vside = path[i]
             parts.append(
-                reach(u, v, _side_pos(uside, Nv), _side_pos(vside, Nv), var(_chain_time(i)))
+                reach(u, v, _side_pos(uside), _side_pos(vside), var(_chain_time(i)))
             )
         return parts
 
     def emit_stop(path):
         # Stop anywhere after the last junction of the path; a junction in a
         # stop state, or an accepting one, can only be the final
-        # configuration itself.
+        # configuration itself, and an accepting first junction is Run0's.
         u, side = path[-1]
         names = [_chain_time(i) for i in range(len(path) + 1)]
         if u in stop or accepting:
-            if u != s2:
+            if u != s2 or (accepting and len(path) == 1):
                 return
             names.pop()
-            parts = [eq(PP - _side_pos(side, Nv))] + segment_formulas(path)
+            parts = [eq(PP - _side_pos(side))] + segment_formulas(path)
         else:
             parts = segment_formulas(path)
-            parts.append(reach(u, s2, _side_pos(side, Nv), PP, var(names[-1])))
-        clock = [] if Tm is None else [eq(Tm - sum(map(var, names), Term(0)))]
-        disjuncts.append(exists(names, land(long_enough, *clock, *parts)))
+            parts.append(reach(u, s2, _side_pos(side), PP, var(names[-1])))
+        clock = eq(Tm - sum(map(var, names), Term(0)))
+        disjuncts.append(exists(names, land(long_enough, clock, *parts)))
 
     def emit_loop(path, entry_index, period):
         # A deterministic all-rebound cycle: path[entry_index:] repeats with a
@@ -497,9 +496,7 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv, accepting):
         lap_parts = []
         for q, sd in path[entry_index:]:
             back = _launch(aut, q, sd)
-            lap_parts.append(
-                reach(q, back.state, _side_pos(sd, Nv), _side_pos(sd, Nv), Term(back.T))
-            )
+            lap_parts.append(reach(q, back.state, _side_pos(sd), _side_pos(sd), Term(back.T)))
         h = var(_LAPS)
         for t in range(entry_index, len(path)):
             u, side = path[t]
@@ -508,7 +505,7 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv, accepting):
             parts = [long_enough, ge(h, 1), eq(Tm - elapsed - h * period)]
             parts.extend(lap_parts)
             parts.extend(segment_formulas(path[: t + 1]))
-            parts.append(reach(u, s2, _side_pos(side, Nv), PP, var(names[-1])))
+            parts.append(reach(u, s2, _side_pos(side), PP, var(names[-1])))
             disjuncts.append(exists(names + [_LAPS], land(*parts)))
 
     def extend(path, nconstraints, crossings):
@@ -528,7 +525,7 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv, accepting):
                     lap = path[idx:]
                     launches = [_launch(aut, q, sd) for q, sd in lap]
                     if all(isinstance(x, dynamics.Return) for x in launches):
-                        if Tm is not None and not accepting:
+                        if not accepting:
                             emit_loop(path, idx, sum(x.T for x in launches))
                         return
             extend(path + [nxt], nconstraints, crossings)
@@ -547,7 +544,7 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv, accepting):
 
     for v in sorted(aut.states):
         for side in ("L", "R"):
-            if reach(s, v, P, _side_pos(side, Nv), var(_chain_time(0))) is FALSE:
+            if reach(s, v, P, _side_pos(side), var(_chain_time(0))) is FALSE:
                 continue
             extend([(v, side)], [], 0)
     # The recursive closure is a reference cycle through sc: break it, or
@@ -558,7 +555,7 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv, accepting):
 
 @_per_scope
 def _run_canonical(sc, aut, stop, s, s2, K):
-    return _run_expr(sc, aut, stop, s, s2, K, var("p"), var("pp"), var("T"), var("N"), False)
+    return _run_expr(sc, aut, stop, s, s2, K, var("p"), var("pp"), var("T"), False)
 
 
 def _key_term(term, name):
@@ -569,9 +566,9 @@ def _key_term(term, name):
 
 
 @_per_scope
-def _run_qf(sc, aut, stop, s, s2, K, P, PP, timed, accepting):
-    """The Run from (s, P) to (s2, PP) with its quantifiers eliminated,
-    once per scope.
+def _run_qf(sc, aut, stop, s, s2, K, P, PP, accepting):
+    """The Run from (s, P) to (s2, PP) in T steps with its quantifiers
+    eliminated, once per scope.
 
     P and PP are key terms (:func:`_key_term`): a start or end that depends
     on N alone, such as 0, N + 1 or a stepped endmarker start, is built
@@ -579,30 +576,26 @@ def _run_qf(sc, aut, stop, s, s2, K, P, PP, timed, accepting):
     stays the variable p or pp.  Substituting terms for free variables
     commutes with an equivalence-preserving elimination, so every use
     instantiates this instead of handing Cooper the same inner structure
-    again.  An untimed Run is exists T. Run (:func:`_run_expr`).
-    ``accepting`` marks an acceptance Run, which ends at automaton 1's
-    first accepting visit (:func:`_run_expr`).  The key says so itself
+    again.  ``accepting`` marks an acceptance Run, which ends at automaton
+    1's first accepting visit (:func:`_run_expr`).  The key says so itself
     rather than leaving it to the end N + 1, at which other Runs may end
     too.
     """
-    Tm = var("T") if timed else None
-    return eliminate(_run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, var("N"), accepting))
+    return eliminate(_run_expr(sc, aut, stop, s, s2, K, P, PP, var("T"), accepting))
 
 
 @_per_scope
 def _occupancy_qf(sc, aut, stop, s, s2, K, P):
     """exists pp. Run: s2 is occupied at time T from (s, P), P a key term."""
-    return eliminate(exists("pp", _run_qf(sc, aut, stop, s, s2, K, P, var("pp"), True, False)))
+    return eliminate(exists("pp", _run_qf(sc, aut, stop, s, s2, K, P, var("pp"), False)))
 
 
 def _run(sc, aut, stop, s, s2, K, P, PP, Tm, accepting=False):
-    """The Run from (s, P) to (s2, PP) in Tm steps, or in some number of
-    steps when Tm is None, quantifier-free; with ``accepting``, the
-    acceptance Run (:func:`_run_expr`)."""
-    timed = Tm is not None
+    """The Run from (s, P) to (s2, PP) in Tm steps, quantifier-free; with
+    ``accepting``, the acceptance Run (:func:`_run_expr`)."""
     P0, PP0 = _key_term(P, "p"), _key_term(PP, "pp")
-    f = _run_qf(sc, aut, frozenset(stop), s, s2, K, P0, PP0, timed, accepting)
-    return substitute(f, {"p": P, "pp": PP, "T": Tm} if timed else {"p": P, "pp": PP})
+    f = _run_qf(sc, aut, frozenset(stop), s, s2, K, P0, PP0, accepting)
+    return substitute(f, {"p": P, "pp": PP, "T": Tm})
 
 
 def _occupied(sc, aut, b, s, K, P, Tm):
@@ -638,8 +631,8 @@ def _race_expr(sc, aut, s, K, P, Tm):
 def _broadcast_by_expr(sc, aut, s, K, P, Bound):
     """Some broadcasting state is occupied at a time <= Bound from (s, P):
     the race ends by then."""
-    t = sc.fresh("t")
-    return exists(t, land(_race_expr(sc, aut, s, K, P, var(t)), le(var(t), Bound)))
+    t = var("_t")
+    return exists("_t", land(_race_expr(sc, aut, s, K, P, t), le(t, Bound)))
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +669,7 @@ def _phase_expr(sc, system, sigma, sigma2, I, pos_terms, pos2_vars):
     the racers' races, or replacing the non-racers' guards by the check
     that the start and end states are not in B, made extraction slower."""
     K = _run_caps(system)
-    T = sc.fresh("T")
-    Tv = var(T)
+    Tv = var("_T")
     parts = []
     for i, aut in enumerate(system.automata):
         if i in I:
@@ -688,7 +680,7 @@ def _phase_expr(sc, system, sigma, sigma2, I, pos_terms, pos2_vars):
     for i, aut in enumerate(system.automata):
         P, PP = pos_terms[i], pos2_vars[i]
         parts.append(_run(sc, aut, aut.broadcasting, sigma[i], sigma2[i], K, P, PP, Tv))
-    return exists(T, land(*parts))
+    return exists("_T", land(*parts))
 
 
 def _run_caps(system):
@@ -770,19 +762,19 @@ def _patterns(n):
     return itertools.product("LMR", repeat=n)
 
 
-def _pattern_guard(pattern, pos, Nv):
+def _pattern_guard(pattern, pos):
     parts = []
     for sym, pv in zip(pattern, pos):
         if sym == "L":
             parts.append(eq(pv))
         elif sym == "R":
-            parts.append(eq(pv - Nv - 1))
+            parts.append(eq(pv - _N - 1))
         else:
-            parts.append(land(ge(pv, 1), le(pv, Nv)))
+            parts.append(land(ge(pv, 1), le(pv, _N)))
     return land(*parts)
 
 
-def _stepped(system, sigma, pattern, Nv, pos):
+def _stepped(system, sigma, pattern, pos):
     """Apply one synchronous step under an endmarker pattern; returns
     (states, position terms)."""
     states, terms = [], []
@@ -793,7 +785,7 @@ def _stepped(system, sigma, pattern, Nv, pos):
             terms.append(Term(d))
         elif sym == "R":
             t, d = aut.delta_right[sigma[i]]
-            terms.append(Nv + 1 + d)
+            terms.append(_N + 1 + d)
         else:
             t, d = aut.delta_inner[sigma[i]]
             terms.append(pos[i] + d)
@@ -849,7 +841,6 @@ def advance_frontier(sc, system, frontier: PhaseFrontier) -> list:
     if frontier.messages_spent >= system.message_bound:
         raise ValueError("frontier has no messages left to advance")
     n = system.n
-    Nv = var("N")
     pos = [var(x) for x in _pi_names(n)]
     pos2 = [var(x) for x in _pip_names(n)]
     initial = frontier.messages_spent == 0
@@ -860,8 +851,8 @@ def advance_frontier(sc, system, frontier: PhaseFrontier) -> list:
             start_states, start_terms = frontier.sigma, [Term(0)] * n
             guard = TRUE
         else:
-            start_states, start_terms = _stepped(system, frontier.sigma, pattern, Nv, pos)
-            guard = _pattern_guard(pattern, pos, Nv)
+            start_states, start_terms = _stepped(system, frontier.sigma, pattern, pos)
+            guard = _pattern_guard(pattern, pos)
         body = land(
             frontier.position_graph.formula,
             guard,
@@ -897,10 +888,8 @@ def advance_frontier(sc, system, frontier: PhaseFrontier) -> list:
 def phase_frontiers(sc, system, depth, live=None):
     """Every frontier reachable with at most ``depth`` messages, breadth first.
 
-    A frontier is advanced only after the caller has taken it, so work the
-    caller does per frontier runs in a fixed order with the advances (which
-    keeps the fresh variable names of every formula built stable).  Every
-    advance works in ``sc``, so the caller's builds share its tables.
+    Every advance works in ``sc``, so the caller's builds share its
+    tables.
 
     ``live``, automaton 1's live states (:func:`dynamics.live_states`),
     prunes the search to the frontiers where the system can still accept.
@@ -957,8 +946,8 @@ def accept_formula(sc, system, frontier: PhaseFrontier) -> Formula:
     matches, for any N, is left out: its branch is unsatisfiable.
 
     The final phase has no guard and no broadcast to end it, so its runs
-    keep the empty stop set, and nothing reads their time: each is the
-    untimed Run, exists T_a. Run.
+    keep the empty stop set; like every other phase it binds T_a with
+    ``exists``.
 
     Every acceptance run ends at automaton 1's first accepting visit
     (:func:`_run_expr` with ``accepting``), and so holds no walk that goes
@@ -975,45 +964,43 @@ def accept_formula(sc, system, frontier: PhaseFrontier) -> Formula:
         return FALSE
     K = _run_caps(system)
     n = system.n
-    Nv = var("N")
     names = list(_pi_names(n))
     initial = frontier.messages_spent == 0
     pos = [Term(0)] * n if initial else [var(x) for x in names]
     graph = frontier.position_graph.formula
     final_phase = frontier.messages_spent == system.message_bound
 
-    ta = None if final_phase else sc.fresh("T")
     start = frontier.sigma[0]
     stop = frozenset() if final_phase else aut1.broadcasting
-    Ta = None if final_phase else var(ta)
+    Ta = var("_T")
     final_hit = lor(
         *[
-            _run(sc, aut1, stop, start, fstate, K, pos[0], Nv + 1, Ta, accepting=True)
+            _run(sc, aut1, stop, start, fstate, K, pos[0], _N + 1, Ta, accepting=True)
             for fstate in sorted(aut1.finals)
         ]
     )
 
     branches = []
     if final_phase:
-        branches.append(final_hit)
+        branches.append(exists("_T", final_hit))
     elif initial:
         guards = [
-            lnot(_broadcast_by_expr(sc, aut, frontier.sigma[i], K, pos[i], var(ta)))
+            lnot(_broadcast_by_expr(sc, aut, frontier.sigma[i], K, pos[i], Ta))
             for i, aut in enumerate(system.automata)
         ]
-        branches.append(exists(ta, land(final_hit, *guards)))
+        branches.append(exists("_T", land(final_hit, *guards)))
     else:
         # Automaton i's stepped start depends on pattern[i] alone, so its
         # guard is built once per (i, pattern[i]) and shared by the patterns.
         silent: dict = {}
         for pattern in _patterns(n):
-            guard = _pattern_guard(pattern, pos, Nv)
+            guard = _pattern_guard(pattern, pos)
             if guard is FALSE:
                 continue
             matched = eliminate(exists(names, land(graph, guard)))
             if matched is FALSE or not _n_sat(matched):
                 continue
-            start_states, start_terms = _stepped(system, frontier.sigma, pattern, Nv, pos)
+            start_states, start_terms = _stepped(system, frontier.sigma, pattern, pos)
             # A broadcast at stepped-relative time t happens at time 1 + t;
             # acceptance needs T_a < 1 + t for every possible broadcast.
             conds = []
@@ -1021,12 +1008,10 @@ def accept_formula(sc, system, frontier: PhaseFrontier) -> Formula:
                 cond = silent.get((i, pattern[i]))
                 if cond is None:
                     cond = silent[i, pattern[i]] = lnot(
-                        _broadcast_by_expr(
-                            sc, aut, start_states[i], K, start_terms[i], var(ta) - 1
-                        )
+                        _broadcast_by_expr(sc, aut, start_states[i], K, start_terms[i], Ta - 1)
                     )
                 conds.append(cond)
-            branches.append(land(guard, exists(ta, land(final_hit, *conds))))
+            branches.append(land(guard, exists("_T", land(final_hit, *conds))))
     return eliminate(exists(names, land(graph, lor(*branches))))
 
 
@@ -1052,7 +1037,7 @@ def recognized_set(system, sc=None) -> UltimatelyPeriodicSet:
     live = dynamics.live_states(system.automata[0])
     sc = sc or Scope()
     parts = [accept_formula(sc, system, fr) for fr in phase_frontiers(sc, system, m, live)]
-    phi = land(lor(*parts), ge(var("N"), nmin))
+    phi = land(lor(*parts), ge(_N, nmin))
     ups = solution_set(phi, "N")
     width = max(ups.threshold, nmin)
     bits = [

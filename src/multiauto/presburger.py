@@ -58,9 +58,10 @@ long as that call (a raised :class:`BudgetExceeded` drops them too);
 nothing is cached across calls, so a result never depends on what ran
 earlier in the process.  The formula
 builders of :mod:`multiauto.construction` follow the same pattern one level
-up: their memo tables and the numbering of their fresh variable names live
-in a ``construction.Scope`` object, one per extraction, that each builder
-takes as an argument.
+up: their memo tables live in a ``construction.Scope`` object, one per
+extraction, that each memoized builder takes as an argument, and their
+bound variables have fixed names, so what they build depends on their
+arguments alone.
 """
 
 from __future__ import annotations

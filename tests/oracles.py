@@ -172,9 +172,9 @@ def traversal_slope(automaton):
 
 def ever_qf(sc, aut, stop, s, s2, K):
     """exists T, pp. Run: s2 is ever occupied from (s, p), built in the
-    ``construction.Scope`` ``sc`` from the untimed Run."""
-    run = C._run_qf(sc, aut, stop, s, s2, K, var("p"), var("pp"), False, False)
-    return eliminate(exists("pp", run))
+    ``construction.Scope`` ``sc``."""
+    run = C._run_qf(sc, aut, stop, s, s2, K, var("p"), var("pp"), False)
+    return eliminate(exists(["T", "pp"], run))
 
 
 def mute_expr(sc, aut, s, K, P):
@@ -197,39 +197,39 @@ def free_run_phase_expr(sc, system, sigma, sigma2, I, pos_terms, pos2_vars):
     Run with the empty stop set, as the paper displays it, built in the
     ``construction.Scope`` ``sc``."""
     K = C._run_caps(system)
-    T = sc.fresh("T")
+    T = var("_T")
     parts = []
     for i, aut in enumerate(system.automata):
         s, P = sigma[i], pos_terms[i]
         if i in I:
-            parts.append(C._race_expr(sc, aut, s, K, P, var(T)))
+            parts.append(C._race_expr(sc, aut, s, K, P, T))
         else:
-            parts.append(lnot(C._broadcast_by_expr(sc, aut, s, K, P, var(T))))
-        parts.append(C._run(sc, aut, frozenset(), s, sigma2[i], K, P, pos2_vars[i], var(T)))
-    return exists(T, land(*parts))
+            parts.append(lnot(C._broadcast_by_expr(sc, aut, s, K, P, T)))
+        parts.append(C._run(sc, aut, frozenset(), s, sigma2[i], K, P, pos2_vars[i], T))
+    return exists("_T", land(*parts))
 
 
 def _canonical_run(sc, aut, stop, s, s2, K, P, PP, Tm):
     """The Run from (s, P) to (s2, PP) in Tm steps: its canonical over p,
     pp and T with the terms substituted.  It is not the acceptance Run, so
     its chains go on past every accepting visit."""
-    f = C._run_qf(sc, aut, frozenset(stop), s, s2, K, var("p"), var("pp"), True, False)
+    f = C._run_qf(sc, aut, frozenset(stop), s, s2, K, var("p"), var("pp"), False)
     return substitute(f, {"p": P, "pp": PP, "T": Tm})
 
 
 def _canonical_broadcast_by(sc, aut, s, K, P, Bound):
     """``construction._broadcast_by_expr`` from the occupancy canonical over
     p and T."""
-    t = sc.fresh("t")
+    t = var("_t")
     if s in aut.broadcasting:
-        race = eq(var(t))
+        race = eq(t)
     else:
         occupancy = [
             C._occupancy_qf(sc, aut, aut.broadcasting, s, b, K, var("p"))
             for b in sorted(aut.broadcasting)
         ]
-        race = lor(*[substitute(f, {"p": P, "T": var(t)}) for f in occupancy])
-    return exists(t, land(race, le(var(t), Bound)))
+        race = lor(*[substitute(f, {"p": P, "T": t}) for f in occupancy])
+    return exists("_t", land(race, le(t, Bound)))
 
 
 def canonical_accept_formula(sc, system, frontier):
@@ -246,8 +246,7 @@ def canonical_accept_formula(sc, system, frontier):
     N = var("N")
     names = list(C._pi_names(n))
     pos = [var(x) for x in names]
-    t = sc.fresh("T")
-    ta = var(t)
+    ta = var("_T")
     final_phase = frontier.messages_spent == system.message_bound
     stop = frozenset() if final_phase else aut1.broadcasting
     hit = lor(
@@ -267,13 +266,13 @@ def canonical_accept_formula(sc, system, frontier):
     else:
         branches = []
         for pattern in C._patterns(n):
-            states, terms = C._stepped(system, frontier.sigma, pattern, N, pos)
+            states, terms = C._stepped(system, frontier.sigma, pattern, pos)
             guards = [
                 lnot(_canonical_broadcast_by(sc, aut, states[i], K, terms[i], ta - 1))
                 for i, aut in enumerate(system.automata)
             ]
-            branches.append(land(C._pattern_guard(pattern, pos, N), hit, *guards))
-    body = exists(t, lor(*branches))
+            branches.append(land(C._pattern_guard(pattern, pos), hit, *guards))
+    body = exists("_T", lor(*branches))
     return eliminate(exists(names, land(frontier.position_graph.formula, body)))
 
 

@@ -30,29 +30,6 @@ def _layers_by_messages(system):
     return layers
 
 
-def test_phase_frontiers_advance_each_frontier_after_it_is_taken(monkeypatch):
-    # recognized_set builds a frontier's acceptance formula before that
-    # frontier is advanced, and the fresh names of both depend on the order.
-    system = load_fixture("crosser2")
-    m = system.message_bound
-    log = []
-    advance = C.advance_frontier
-
-    def logged_advance(sc, system, fr):
-        log.append(("advance", id(fr)))
-        return advance(sc, system, fr)
-
-    monkeypatch.setattr(C, "advance_frontier", logged_advance)
-    expected = []
-    for fr in C.phase_frontiers(C.Scope(), system, m):
-        log.append(("take", id(fr)))
-        expected.append(("take", id(fr)))
-        if fr.messages_spent < m:
-            expected.append(("advance", id(fr)))
-    assert log == expected
-    assert [kind for kind, _ in log].count("take") > 2
-
-
 def test_initial_frontier_pins_heads_to_zero():
     system = load_fixture("trio")
     fr = C.initial_frontier(system)
@@ -151,8 +128,8 @@ def test_free_runs_only_in_final_phase_acceptance():
     # Every run inside a phase stops at the broadcasting states; only
     # automaton 1's acceptance in the final phase runs free, and so does
     # every run of an automaton that never broadcasts.
-    # Those acceptance runs end on the right endmarker and nothing reads
-    # their time, so they are built with end N + 1 and untimed.
+    # Those acceptance runs end on the right endmarker, so they are built
+    # with end N + 1.
     rng = random.Random(20240817)
     systems = [load_fixture(name) for name in ("crosser2", "racer2", "trio")]
     systems += [cli.generate_system(rng, 4, 3, 3) for _ in range(12)]
@@ -160,12 +137,12 @@ def test_free_runs_only_in_final_phase_acceptance():
     for system in systems:
         aut1 = system.automata[0]
         free, last = _free_run_keys(system)
-        for aut, _stop, s, s2, _K, start, end, timed, accepting in free:
+        for aut, _stop, s, s2, _K, start, end, accepting in free:
             if not aut.broadcasting:
                 continue
             assert aut == aut1 and s in last and s2 in aut1.finals, (aut.name, s, s2)
-            want = (var("p"), var("N") + 1, False, True)
-            assert (start, end, timed, accepting) == want, (aut.name, s, s2)
+            want = (var("p"), var("N") + 1, True)
+            assert (start, end, accepting) == want, (aut.name, s, s2)
             n_checked += 1
     assert n_checked >= 5
 
@@ -181,7 +158,6 @@ def test_phase_runs_stopping_at_broadcasts_match_free_runs():
             continue
         sc = C.Scope()
         n = system.n
-        Nv = var("N")
         pos = [var(x) for x in _pi_names(n)]
         pos2 = [var(f"pip{i}") for i in range(1, n + 1)]
         for fr in C.phase_frontiers(sc, system, system.message_bound - 1):
@@ -189,7 +165,7 @@ def test_phase_runs_stopping_at_broadcasts_match_free_runs():
                 if fr.messages_spent == 0:
                     states, terms = fr.sigma, [Term(0)] * n
                 else:
-                    states, terms = C._stepped(system, fr.sigma, pattern, Nv, pos)
+                    states, terms = C._stepped(system, fr.sigma, pattern, pos)
                 new = eliminate(C._phase_expr(sc, system, states, sigma2, I, terms, pos2))
                 ref = eliminate(free_run_phase_expr(sc, system, states, sigma2, I, terms, pos2))
                 assert differ_witness(new, ref) is FALSE, (name, fr.sigma, sorted(I), sigma2)
@@ -243,8 +219,8 @@ def _left_final(broadcasting):
     final state f and walks in f to the right endmarker, where it accepts:
     its first endmarker visit in a final state is not an accepting one.
     With ``broadcasting`` its initial state sends the one message at time
-    0, so acceptance falls in the final phase, untimed; without, in the
-    initial one, timed."""
+    0, so acceptance falls in the final phase; without, in the initial
+    one."""
     rows = [
         ("A1.s", "L", "A1.s", 1), ("A1.s", "a", "A1.f", -1), ("A1.s", "R", "A1.s", 0),
         ("A1.f", "L", "A1.f", 1), ("A1.f", "a", "A1.f", 1), ("A1.f", "R", "A1.f", 0),
@@ -270,12 +246,12 @@ def _two_accepting_visits():
 
 
 def test_accept_formulas_match_the_canonical_runs_for_every_n():
-    # Each acceptance Run is built at its end N + 1, the final phase's
-    # untimed, the initial frontier's runs and guards from start 0, a
-    # later frontier leaves out the endmarker patterns its position graph
-    # rules out, and every acceptance Run ends at automaton 1's first
-    # accepting visit: on every frontier the formula is the one built from
-    # the Run canonicals over p, pp and T, for every N.
+    # Each acceptance Run is built at its end N + 1, the initial
+    # frontier's runs and guards from start 0, a later frontier leaves out
+    # the endmarker patterns its position graph rules out, and every
+    # acceptance Run ends at automaton 1's first accepting visit: on every
+    # frontier the formula is the one built from the Run canonicals over
+    # p, pp and T, for every N.
     crafted = [_bouncer(), _left_final(False), _left_final(True), _two_accepting_visits()]
     for system in crafted:
         ups = C.recognized_set(system)
@@ -298,16 +274,16 @@ def test_acceptance_runs_end_at_the_first_accepting_visit(monkeypatch):
     # No acceptance Run builds a chain segment from an accepting junction,
     # automaton 1 in a final state on the right endmarker: its chains end
     # there.  Automaton 1 of these systems broadcasts, so its acceptance
-    # Runs are timed before the final phase and untimed in it, and its
-    # phase Runs, which are not acceptance Runs, do go on from such a
-    # junction.
+    # Runs stop at its broadcasting states before the final phase and have
+    # the empty stop set in it, and its phase Runs, which are not
+    # acceptance Runs, do go on from such a junction.
     N = var("N")
     building = []
     run_expr, reach = C._run_expr, C._reach
 
-    def recording_build(sc, aut, stop, s, s2, K, P, PP, Tm, Nv, accepting):
-        building.append((accepting, Tm is not None, []))
-        out = run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, Nv, accepting)
+    def recording_build(sc, aut, stop, s, s2, K, P, PP, Tm, accepting):
+        building.append((accepting, bool(stop), []))
+        out = run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, accepting)
         builds.append(building.pop())
         return out
 
@@ -320,17 +296,17 @@ def test_acceptance_runs_end_at_the_first_accepting_visit(monkeypatch):
     monkeypatch.setattr(C, "_reach", recording_reach)
     systems = {name: load_fixture(name) for name in ("crosser2", "racer2")}
     systems["two_accepting_visits"] = _two_accepting_visits()
-    timings = set()
+    stopping = set()
     for name, system in systems.items():
         aut1 = system.automata[0]
         assert aut1.broadcasting
         builds = []
         C.recognized_set(system)
-        accepting = [(timed, segments) for acc, timed, segments in builds if acc]
-        timings |= {timed for timed, _ in accepting}
+        accepting = [(stops, segments) for acc, stops, segments in builds if acc]
+        stopping |= {stops for stops, _ in accepting}
         assert accepting and all(not segments for _, segments in accepting), name
         assert any(segments for acc, _, segments in builds if not acc), name
-    assert timings == {False, True}
+    assert stopping == {False, True}
 
 
 def test_recognized_set_matches_step_loop_on_wider_systems():

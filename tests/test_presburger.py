@@ -597,10 +597,10 @@ REACH_RUN_DUMPS = {
 
 @pytest.mark.parametrize("name", sorted(REACH_RUN_DUMPS))
 def test_reach_and_run_dumps_golden(capsys, name):
-    """Reach/Run formulas (with construction names), byte for byte as first
-    recorded.  Fresh names are numbered per ``construction.Scope``, one per
-    extraction, so the dump does not depend on what ran before in the
-    process: two runs in a row print the same bytes."""
+    """Reach/Run formulas (with construction names), byte for byte as
+    recorded.  Every bound variable has a fixed name, so the dump does not
+    depend on what ran before in the process: two runs in a row print the
+    same bytes."""
     argv = ["extract", str(fixture_path(name))]
     for stage in REACH_RUN_DUMPS[name]:
         argv += ["--dump-formula", stage]
@@ -608,6 +608,33 @@ def test_reach_and_run_dumps_golden(capsys, name):
     for _ in range(2):
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("name", sorted(REACH_RUN_DUMPS))
+def test_each_dump_prints_alone_what_it_prints_among_others(capsys, name):
+    """A stage's dump does not depend on what else the extraction built:
+    each ``run:``/``reach:`` stage dumped alone prints the line it prints
+    among the golden's others, and each ``frontier:k``/``accept:k`` stage
+    dumped alone prints the lines it prints after all of them."""
+    spec = str(fixture_path(name))
+    stages = list(REACH_RUN_DUMPS[name])
+    for k in range(load_fixture(name).message_bound + 1):
+        stages += [f"frontier:{k}", f"accept:{k}"]
+
+    def dump(*stages):
+        argv = ["extract", spec]
+        for stage in stages:
+            argv += ["--dump-formula", stage]
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out.splitlines()
+
+    def lines_of(lines, stage):
+        return [line for line in lines if line.startswith((f"[{stage}]", f"[{stage} "))]
+
+    together = dump(*stages)
+    assert all(lines_of(together, stage) for stage in REACH_RUN_DUMPS[name])
+    for stage in stages:
+        assert lines_of(dump(stage), stage) == lines_of(together, stage), stage
 
 
 def _dump_formulas(system):

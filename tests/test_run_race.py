@@ -135,7 +135,7 @@ def test_no_broadcast_by_T_is_the_displayed_non_racer_clause():
 def test_races_stop_at_every_broadcasting_state():
     """Every occupancy a race builds stops at all of its automaton's
     broadcasting states, not at the occupied one alone, and projects the
-    timed Run from the same start with its end left free."""
+    Run from the same start with its end left free."""
     sc = C.Scope()
     C.recognized_set(_fuzz(10), sc)
     keys = list(sc.tables["_occupancy_qf"])
@@ -143,7 +143,7 @@ def test_races_stop_at_every_broadcasting_state():
     runs = sc.tables["_run_qf"]
     for aut, stop, s, b, K, start in keys:
         assert stop == aut.broadcasting
-        assert (aut, stop, s, b, K, start, P.var("pp"), True, False) in runs
+        assert (aut, stop, s, b, K, start, P.var("pp"), False) in runs
 
 
 def test_mute_formula():
@@ -182,8 +182,8 @@ def test_occupancy_and_ever_projections_match_trajectory():
     """exists pp. Run and exists T, pp. Run stopping at every broadcasting
     state, against the replayed run, for every start position and T <= 80;
     in the same scope, the occupancy from the endmarker starts 0 and N + 1
-    and the untimed Run to each endmarker end, which are built with those
-    terms in their chains."""
+    and exists T. Run to each endmarker end, whose Runs are built with
+    those terms in their chains."""
     tmax = 80
     ends = (P.Term(0), P.var("N") + 1)
     for name in ("crosser2", "racer2", "slowracer"):
@@ -198,7 +198,9 @@ def test_occupancy_and_ever_projections_match_trajectory():
                     ever = ever_qf(sc, aut, stop, s, b, K)
                     occ_at = [C._occupancy_qf(sc, aut, stop, s, b, K, e) for e in ends]
                     ever_at = [
-                        C._run_qf(sc, aut, stop, s, b, K, P.var("p"), e, False, False)
+                        eliminate(
+                            P.exists("T", C._run_qf(sc, aut, stop, s, b, K, P.var("p"), e, False))
+                        )
                         for e in ends
                     ]
                     for N in range(_nmin(aut), _nmin(aut) + 7):
@@ -245,7 +247,7 @@ def _key_term(term, name):
 
 def test_each_run_is_built_and_eliminated_once(monkeypatch):
     """One extraction of trio builds each Run once per key (automaton,
-    stop set, s, s', K, start, end, timed, accepting), with every start
+    stop set, s, s', K, start, end, accepting), with every start
     and end that depends on N alone in the key, hands each Run built to
     eliminate once, and no other eliminate input holds a run chain.
 
@@ -258,16 +260,16 @@ def test_each_run_is_built_and_eliminated_once(monkeypatch):
     built, wanted, inputs = {}, [], []
     run_expr, run, eliminate_ = C._run_expr, C._run, C.eliminate
 
-    def recording_build(sc, aut, stop, s, s2, K, start, end, Tm, Nv, accepting):
-        out = run_expr(sc, aut, stop, s, s2, K, start, end, Tm, Nv, accepting)
-        key = (aut, frozenset(stop), s, s2, K, start, end, Tm is not None, accepting)
+    def recording_build(sc, aut, stop, s, s2, K, start, end, Tm, accepting):
+        out = run_expr(sc, aut, stop, s, s2, K, start, end, Tm, accepting)
+        key = (aut, frozenset(stop), s, s2, K, start, end, accepting)
         assert key not in built
         built[key] = out
         return out
 
     def recording_run(sc, aut, stop, s, s2, K, start, end, Tm, accepting=False):
         key_start, key_end = _key_term(start, "p"), _key_term(end, "pp")
-        key = (aut, frozenset(stop), s, s2, K, key_start, key_end, Tm is not None, accepting)
+        key = (aut, frozenset(stop), s, s2, K, key_start, key_end, accepting)
         wanted.append(key)
         return run(sc, aut, stop, s, s2, K, start, end, Tm, accepting)
 
@@ -280,12 +282,11 @@ def test_each_run_is_built_and_eliminated_once(monkeypatch):
     monkeypatch.setattr(C, "eliminate", recording_eliminate)
     C.recognized_set(load_fixture("trio"))
     assert set(wanted) <= set(built)
-    # Acceptance ends on the right endmarker, final-phase acceptance is
-    # untimed, and some phase run starts on an endmarker.
+    # Acceptance ends on the right endmarker, and some phase run starts on
+    # an endmarker.
     N = P.var("N")
-    assert any(end == N + 1 and timed and acc for *_, end, timed, acc in wanted)
-    assert any(end == N + 1 and not timed and acc for *_, end, timed, acc in wanted)
-    assert any(not start.coeffs for *_, start, _end, _timed, _acc in built)
+    assert any(end == N + 1 and acc for *_, end, acc in wanted)
+    assert any(not start.coeffs for *_, start, _end, _acc in built)
     for f in built.values():
         assert sum(f is g for g in inputs) == 1
     chained = [f for f in inputs if C._chain_time(0) in _bound_vars(f, set())]
