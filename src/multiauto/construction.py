@@ -25,11 +25,13 @@ the same satisfiable formulas and gives the same set.
 All formulas are exact descriptions of the simulator for sufficiently long
 inputs; the recognized set patches the short inputs by direct simulation.
 
-Which branches get built is decided by sampling: ``_phase_trace`` records
-the broadcast events of the run on each sampled length.  It steps no quiet
-stretch: ``sim.broadcast_events`` walks each automaton from endmarker to
-endmarker in closed form (``dynamics.Hops``), and every broadcasting step,
-and so every message rule, is left to ``sim.global_step``.  How far a run
+Which branches get built is decided by sampling: ``_sampled_branches``
+simulates each sampled length once and files every broadcast event under
+the messages spent and the global state before it, and each frontier
+builds the branches filed under its own.  No quiet stretch is stepped:
+``sim.broadcast_events`` walks each automaton from endmarker to endmarker
+in closed form (``dynamics.Hops``), and every broadcasting step, and so
+every message rule, is left to ``sim.global_step``.  How far a run
 unrolls is not sampled: every run is capped at the analysis bound K
 (``_run_caps`` gives the argument).
 
@@ -71,10 +73,10 @@ chain takes ``_d<i>`` steps and a chain closed by a rebound cycle runs
 
 Reach/Run canonicals, the Reach instances that run chains are made of,
 the Runs with their quantifiers eliminated and their projection to
-occupancy at time T, segment constraints and the sampling results are
-memoized in a :class:`Scope`, one per extraction, which every builder that
-reads a table takes first.  A chain names its segment times by
-position, so chains that share segments share the formula objects, and an
+occupancy at time T, segment constraints and the table of sampled
+branches are memoized in a :class:`Scope`, one per extraction, which every
+builder that reads a table takes first.  A chain names its segment times
+by position, so chains that share segments share the formula objects, and an
 elimination meets each shared segment once.  A Run is eliminated once per
 key: its automaton, stop set, states and cap, and each end as the term the
 caller fixes when that term depends on N alone (0, N + 1, a stepped
@@ -173,7 +175,7 @@ class Scope:
     arguments after the scope to its result.  Every memoized helper is a
     pure function of those arguments, so a hit returns what recomputing
     would.  Pass one scope to several builder calls on the same system so
-    that they share Reach/Run canonicals and phase traces.
+    that they share Reach/Run canonicals and the sampled branches.
     """
 
     def __init__(self):
@@ -721,8 +723,14 @@ def _run_caps(system):
     return bounds_profile(system).K
 
 
-@_per_scope
-def _sample_lengths(sc, system):
+def _sample_lengths(system):
+    """Every N up to max(320, N_min + 30·period + 60) + K·M: period is the
+    lcm of the net cycle displacements, K the run cap, M the message bound.
+
+    A cycle that broadcasts once per lap sends one message per at most q
+    cells, q its automaton's state count, so the runs that spend all M
+    messages in one traversal begin by N ≈ q·M < K·M.  This is not a proof
+    that the window is enough (ROADMAP item 3)."""
     nmin = dynamics.min_sufficient_length(system)
     period = 1
     for aut in system.automata:
@@ -730,21 +738,25 @@ def _sample_lengths(sc, system):
             c = abs(inner.c)
             if c:
                 period = period * c // gcd(period, c)
-    return tuple(range(0, max(320, nmin + 30 * period + 60) + 1))
+    end = max(320, nmin + 30 * period + 60) + _run_caps(system) * system.message_bound
+    return tuple(range(0, end + 1))
 
 
 @_per_scope
-def _phase_trace(sc, system, N):
-    """Broadcast events of the run on a^N: list of (time, indices, config),
-    stopping once no further broadcast can occur.
-
-    The entry point of the sampling, memoized in the scope, so each
-    length is simulated once per extraction.  The run itself goes through
-    the kernel :func:`sim.broadcast_events`, which walks quiet stretches
-    hop by hop while every broadcasting step, and so every message rule,
-    goes through :func:`sim.global_step`.
-    """
-    return sim.broadcast_events(system, N)
+def _sampled_branches(sc, system):
+    """The (pattern, I, sigma') branches that the runs on the sampled
+    lengths take, keyed by (messages spent, global state) before the
+    broadcast: the endmarker pattern of the heads before it, the
+    broadcasters I and the global state at it.  Each length goes through
+    :func:`sim.broadcast_events` once per scope."""
+    table = defaultdict(set)
+    for N in _sample_lengths(system):
+        sigma, pi = tuple(a.initial for a in system.automata), (0,) * system.n
+        for k, (_, I, cfg) in enumerate(sim.broadcast_events(system, N)):
+            pattern = tuple("L" if p == 0 else "R" if p == N + 1 else "M" for p in pi)
+            table[k, sigma].add((pattern, I, cfg.sigma))
+            sigma, pi = cfg.sigma, cfg.pi
+    return table
 
 
 def initial_frontier(system) -> PhaseFrontier:
@@ -793,41 +805,15 @@ def _stepped(system, sigma, pattern, pos):
     return tuple(states), terms
 
 
-def _frontier_matches(frontier, N, positions):
-    asg = {"N": N}
-    for name, p in zip(_pi_names(len(positions)), positions):
-        asg[name] = p
-    return evaluate(frontier.position_graph.formula, asg)
-
-
 def _realized_branches(sc, system, frontier):
-    """(pattern, I, sigma') triples realized by the simulator on the sampled
-    lengths, used to avoid eliminating obviously empty branches."""
-    out = set()
-    spent = frontier.messages_spent
-    for N in _sample_lengths(sc, system):
-        events = _phase_trace(sc, system, N)
-        if len(events) <= spent:
-            continue
-        if spent == 0:
-            t0 = 0
-            cfg = sim.GlobalConfiguration(
-                tuple(a.initial for a in system.automata),
-                tuple(0 for _ in system.automata),
-                0,
-            )
-        else:
-            t0, _, cfg = events[spent - 1]
-        if cfg.sigma != frontier.sigma:
-            continue
-        if not _frontier_matches(frontier, N, cfg.pi):
-            continue
-        _, idxs, bcfg = events[spent]
-        pattern = tuple(
-            "L" if p == 0 else "R" if p == N + 1 else "M" for p in cfg.pi
-        )
-        out.add((pattern, frozenset(idxs), bcfg.sigma))
-    return sorted(out, key=lambda x: (x[0], sorted(x[1]), x[2]))
+    """The branches to build from a frontier: those sampled runs take from
+    its messages spent and global state, sorted.  One that only another
+    frontier's runs take, or that is taken only below N_min, costs one
+    more elimination but cannot change the set: its phase formula is
+    conjoined with the frontier's position graph, which is exact for
+    N >= N_min, and shorter inputs are simulated."""
+    branches = _sampled_branches(sc, system).get((frontier.messages_spent, frontier.sigma), ())
+    return sorted(branches, key=lambda x: (x[0], sorted(x[1]), x[2]))
 
 
 def advance_frontier(sc, system, frontier: PhaseFrontier) -> list:
@@ -835,7 +821,10 @@ def advance_frontier(sc, system, frontier: PhaseFrontier) -> list:
 
     Returns [((I, sigma'), PhaseFrontier), ...].  A non-initial frontier sits
     on its broadcast step, so the phase starts after one synchronous step,
-    case-split over the endmarker pattern of the frontier positions.
+    case-split over the endmarker pattern of the frontier positions.  Only
+    the branches that sampled runs take from the frontier's messages spent
+    and global state are built (:func:`_realized_branches`), and a
+    successor whose graph holds for no N is dropped.
     """
     system = validate_system(system)
     if frontier.messages_spent >= system.message_bound:

@@ -183,12 +183,14 @@ class BoundsProfile:
     broadcast ends: once the message bound is spent, a sweeper crosses the
     tape without end.
 
-    N_min is the largest state amplitude (inputs must be strictly longer
-    to be "sufficiently large").  G bounds the per-length slope of a
-    traversal's duration: on a^N with N > N_min a traversal launched from
-    an endmarker takes at most G*N + G steps, so the traversals of one
-    automaton inside a phase that ends at a broadcast take at most
-    G*K*(N + 1) steps together.
+    N_min is the largest state amplitude, which ``analyze`` prints; inputs
+    must be strictly longer to be "sufficiently large".  Elsewhere N_min
+    names that sufficient length, one more (``dynamics.Hops.nmin``,
+    :func:`dynamics.min_sufficient_length`).  G bounds the per-length
+    slope of a traversal's duration: on a^N with N > N_min a traversal
+    launched from an endmarker takes at most G*N + G steps, so the
+    traversals of one automaton inside a phase that ends at a broadcast
+    take at most G*K*(N + 1) steps together.
     """
 
     K: int
@@ -280,7 +282,9 @@ def validate_system(raw) -> MultiSystem:
 def bounds_profile(system: MultiSystem) -> BoundsProfile:
     """Phase constants read off each automaton's :class:`dynamics.Hops`:
     K = 2 * max state count, G = max traversal slope and N_min = max state
-    amplitude, one below :func:`dynamics.min_sufficient_length`."""
+    amplitude, one below the sufficient length
+    :func:`dynamics.min_sufficient_length` that the construction calls
+    N_min."""
     hops = [a.hops for a in validate_system(system).automata]
     return BoundsProfile(
         K=2 * max(len(h.names) for h in hops),

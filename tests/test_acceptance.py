@@ -188,7 +188,6 @@ def test_criterion_6_phase_branch_uniqueness(systems):
         samples = sorted(set(range(nmin, 201, 7)) | {nmin, 200})
         pis = [f"pi{i}" for i in range(1, system.n + 1)]
         layer = [C.initial_frontier(system)]
-        # One scope per system: the advances share its phase traces.
         sc = C.Scope()
         for _depth in range(system.message_bound):
             nxt = []
@@ -203,7 +202,7 @@ def test_criterion_6_phase_branch_uniqueness(systems):
                     if not evaluate(reachable, {"N": n}):
                         continue
                     live = sum(evaluate(g, {"N": n}) for g in projections)
-                    next_exists = len(C._phase_trace(sc, system, n)) > fr.messages_spent
+                    next_exists = len(sim.broadcast_events(system, n)) > fr.messages_spent
                     assert live == (1 if next_exists else 0), (name, fr.sigma, n)
                 nxt.extend(child for _theta, child in branches)
             layer = nxt

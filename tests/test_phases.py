@@ -55,14 +55,15 @@ def test_frontier_positions_match_simulation():
         layers = _layers_by_messages(system)
         for depth, layer in enumerate(layers[1:], start=1):
             for N in (3, 8, 15, 24):
-                events = C._phase_trace(C.Scope(), system, N)
+                events = sim.broadcast_events(system, N)
                 if len(events) < depth:
                     continue
                 _t, _idxs, cfg = events[depth - 1]
+                heads = dict(zip(_pi_names(system.n), cfg.pi), N=N)
                 matching = [
                     fr
                     for fr in layer
-                    if fr.sigma == cfg.sigma and C._frontier_matches(fr, N, cfg.pi)
+                    if fr.sigma == cfg.sigma and evaluate(fr.position_graph.formula, heads)
                 ]
                 assert len(matching) == 1, (name, depth, N)
 

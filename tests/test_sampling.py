@@ -3,18 +3,20 @@
 ``sim.broadcast_events`` walks quiet stretches hop by hop in closed form
 (``dynamics.Hops``) and takes only the broadcasting steps through
 ``sim.global_step``; ``oracles.phase_trace`` takes every step through
-``global_step``.  Their events must be equal.
+``global_step``.  Their events must be equal, and so must the branches
+that the phase pipeline files from them (``construction._sampled_branches``).
 """
 
 import random
+from collections import Counter, defaultdict
 
 import pytest
 
-from multiauto import cli, construction as C, sim
+from multiauto import cli, construction as C, dynamics, sim
 from multiauto.model import validate_system
 
 import oracles
-from conftest import FIXTURE_NAMES, load_fixture
+from conftest import FIXTURE_NAMES, load_fixture, spec_automaton
 
 # The criterion-1 fuzz batch; its first systems include both slow-tailed
 # runs (message bound never spent) and runs that spend it at once.
@@ -54,11 +56,8 @@ def _sweeper():
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_kernel_matches_reference_on_fixtures(name):
     system = load_fixture(name)
-    sc = C.Scope()
-    for N in C._sample_lengths(sc, system):
-        want = oracles.phase_trace(system, N)
-        assert sim.broadcast_events(system, N) == want, (name, N)
-        assert C._phase_trace(sc, system, N) == want, (name, N)
+    for N in C._sample_lengths(system):
+        assert sim.broadcast_events(system, N) == oracles.phase_trace(system, N), (name, N)
 
 
 def test_kernel_matches_reference_across_long_quiet_gaps():
@@ -73,7 +72,7 @@ def test_kernel_matches_reference_across_long_quiet_gaps():
 def test_kernel_matches_reference_on_fuzz_slice():
     events = 0
     for i, system in enumerate(_fuzz_slice()):
-        lengths = C._sample_lengths(C.Scope(), system)
+        lengths = C._sample_lengths(system)
         for N in lengths:
             want = oracles.phase_trace(system, N)
             assert sim.broadcast_events(system, N) == want, (i, N)
@@ -140,8 +139,88 @@ def test_patience_is_exact():
     # new.
     systems = [load_fixture(name) for name in FIXTURE_NAMES] + _fuzz_slice()
     for system in systems:
-        lengths = C._sample_lengths(C.Scope(), system)
+        lengths = C._sample_lengths(system)
         for N in lengths[::5]:
             assert oracles.phase_trace(system, N, stretch=2) == oracles.phase_trace(
                 system, N
             ), (system, N)
+
+
+def _drifter():
+    """One automaton that steps right through a cycle of 8 states, on the
+    letter and on the left endmarker, and stays on the right one.  Every
+    state is final and s0 broadcasts, once per 8-cell lap.  With message
+    bound 45 every N >= 8·44 spends every message before it accepts, in
+    the final phase, which no N of a window of 320 lengths reaches."""
+    states = [f"s{i}" for i in range(8)]
+    delta = []
+    for s, nxt in zip(states, states[1:] + states[:1]):
+        delta += [(s, "L", nxt, 1), (s, "a", nxt, 1), (s, "R", s, 0)]
+    automaton = spec_automaton("A1", states, ["s0"], delta)
+    return validate_system({"version": 1, "automata": [automaton], "message_bound": 45})
+
+
+def test_sample_window_covers_runs_that_spend_the_message_bound():
+    system = _drifter()
+    ups = C.recognized_set(system)
+    for N in range(800):
+        assert ups.member(N) == oracles.accepts(system, N), N
+
+
+def _step_loop_branches(system):
+    """The (pattern, I, sigma') triples that the step loop's runs on the
+    sampled lengths take, by (messages spent, global state) before the
+    broadcast."""
+    table = defaultdict(set)
+    for N in C._sample_lengths(system):
+        sigma, pi = tuple(a.initial for a in system.automata), (0,) * system.n
+        for k, (_, I, cfg) in enumerate(oracles.phase_trace(system, N)):
+            pattern = tuple("L" if p == 0 else "R" if p == N + 1 else "M" for p in pi)
+            table[k, sigma].add((pattern, I, cfg.sigma))
+            sigma, pi = cfg.sigma, cfg.pi
+    return table
+
+
+# fuzz-50's runs take (R, {0}, A1.q2) from the keys of its depth-1 and
+# depth-2 frontiers only at N = 1, below N_min; fuzz-49 and fuzz-51 start
+# dead.
+BRANCH_SLICE = range(48, 53)
+
+
+def _system(name):
+    if not name.startswith("fuzz-"):
+        return load_fixture(name)
+    rng = random.Random(FUZZ_SEED)
+    return [cli.generate_system(rng, 4, 3, 3) for _ in range(int(name[5:]) + 1)][-1]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + [f"fuzz-{i}" for i in BRANCH_SLICE])
+def test_frontiers_build_the_branches_the_step_loop_takes(name, monkeypatch):
+    # Each advanced frontier builds every branch the step loop takes from
+    # its messages spent and global state, and no other; each sampled
+    # length is simulated once per extraction, and none when automaton 1
+    # starts dead.
+    system = _system(name)
+    simulated = Counter()
+    kernel, advance = sim.broadcast_events, C.advance_frontier
+
+    def counting(system, N):
+        simulated[N] += 1
+        return kernel(system, N)
+
+    advanced = []
+
+    def recording(sc, system, fr):
+        advanced.append((fr, C._realized_branches(sc, system, fr)))
+        return advance(sc, system, fr)
+
+    monkeypatch.setattr(sim, "broadcast_events", counting)
+    monkeypatch.setattr(C, "advance_frontier", recording)
+    C.recognized_set(system)
+    aut = system.automata[0]
+    live = aut.initial in dynamics.live_states(aut)
+    assert simulated == Counter(C._sample_lengths(system) if live else ())
+    assert bool(advanced) == live
+    want = _step_loop_branches(system)
+    for fr, got in advanced:
+        assert set(got) == want.get((fr.messages_spent, fr.sigma), set()), (name, fr.sigma)
