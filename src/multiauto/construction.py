@@ -28,7 +28,13 @@ inputs; the recognized set patches the short inputs by direct simulation.
 Which branches get built is decided by sampling: ``_sampled_branches``
 simulates each sampled length once and files every broadcast event under
 the messages spent and the global state before it, and each frontier
-builds the branches filed under its own.  No quiet stretch is stepped:
+builds the branches filed under its own.  The sampled lengths are every N
+up to a window derived for each system (``_sample_lengths``): on each
+residue class of N modulo the lcm of the cycle displacements, every
+automaton's walk has its endmarker visits and broadcasts at times affine
+in N (``dynamics.AffineWalk``), so past the last crossing of the times a
+run's branches depend on, the filed branches repeat, and the window ends
+one period later.  No quiet stretch is stepped:
 ``sim.broadcast_events`` walks each automaton from endmarker to endmarker
 in closed form (``dynamics.Hops``), and every broadcasting step, and so
 every message rule, is left to ``sim.global_step``.  How far a run
@@ -97,7 +103,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import wraps
-from math import gcd
+from math import lcm
 
 from . import dynamics, sim
 from .model import bounds_profile, validate_system
@@ -724,22 +730,90 @@ def _run_caps(system):
 
 
 def _sample_lengths(system):
-    """Every N up to max(320, N_min + 30·period + 60) + K·M: period is the
-    lcm of the net cycle displacements, K the run cap, M the message bound.
+    """Every N up to a window that holds every branch that any run files.
 
-    A cycle that broadcasts once per lap sends one message per at most q
-    cells, q its automaton's state count, so the runs that spend all M
-    messages in one traversal begin by N ≈ q·M < K·M.  This is not a proof
-    that the window is enough (ROADMAP item 3)."""
+    Let P be the lcm of the net cycle displacements of every state, and
+    write each N >= N_min as r + P·q with N_min <= r < N_min + P.  On each
+    class r every automaton's walk is a :class:`dynamics.AffineWalk`: the
+    same marks, at times affine in q.  A run's branches are read off the
+    first M broadcasting times of the system (M the message bound), and
+    these are the first M distinct ones among each automaton's own first
+    M (:meth:`~dynamics.AffineWalk.loud_times`), merged in their order at
+    large q (:func:`_settling`).  Past a q_0, every comparison that the
+    merge and the branches depend on keeps its sign, and every residue
+    they depend on repeats with a period Q; then the runs on r + P·q and
+    r + P·(q + Q) file the same branches, so every q >= q_0 + Q files what
+    q - Q files, and q < q_0 + Q covers every branch of the class.  A
+    branch is what :func:`_sampled_branches` files: the messages spent and
+    the global state before a broadcast, the endmarker pattern of the
+    heads then, the broadcasters and the global state at the broadcast.
+    So the window ends at the largest r + P·(q_0 + Q - 1), and every N
+    below N_min is simulated too.
+
+    A traversal that broadcasts once per lap of its cycle holds as many
+    broadcasts as it has laps, about N/|c|, so a run that spends all M
+    messages in one traversal only files its branches from N of about
+    M·|c| on; q_0 reaches it through the index at which the traversal
+    holds its M-th broadcast."""
     nmin = dynamics.min_sufficient_length(system)
-    period = 1
-    for aut in system.automata:
-        for inner in aut.hops.inner:
-            c = abs(inner.c)
-            if c:
-                period = period * c // gcd(period, c)
-    end = max(320, nmin + 30 * period + 60) + _run_caps(system) * system.message_bound
+    hops = [aut.hops for aut in system.automata]
+    starts = [h.index[aut.initial] for h, aut in zip(hops, system.automata)]
+    period = lcm(*(abs(inner.c) for h in hops for inner in h.inner if inner.c))
+    end = nmin - 1
+    for r in range(nmin, nmin + period):
+        walks = [dynamics.AffineWalk(h, s, r, period) for h, s in zip(hops, starts)]
+        q0, repeat = _settling(walks, system.message_bound)
+        end = max(end, r + period * (q0 + repeat - 1))
     return tuple(range(0, end + 1))
+
+
+def _settling(walks, m):
+    """(q_0, Q) for the runs on one class of lengths (:func:`_sample_lengths`).
+
+    What a run files is a function of its first m broadcasting times, the
+    broadcasters at each, and every automaton's state and endmarker at
+    each.  The merge takes the automata's broadcasting times in their order
+    at large q, the equal ones as one broadcast, until it has m of them;
+    each automaton's next time then comes later.  From q_0 on:
+
+    - every time the merge takes, and each automaton's next one, is a real
+      time of its walk, and the walk broadcasts at no other time before
+      its next one (:meth:`dynamics.AffineWalk.loud_times` lists them in
+      order), so the first m broadcasting times of the run are the merged
+      ones;
+    - consecutive merged times keep their order, and each automaton's next
+      time stays after the last merged one, so no broadcast falls between
+      them and no two merged times meet;
+    - at each merged time, each automaton that does not broadcast there
+      sits in one hop or on one mark for good, and its state and endmarker
+      repeat with a period that divides Q
+      (:meth:`dynamics.AffineWalk.settles`); one that broadcasts is at a
+      fixed index of a fixed hop.
+
+    So nothing the run files changes from q to q + Q.  Each bound is where
+    an affine difference changes sign (:func:`dynamics.settled_from`)."""
+    streams = [w.loud_times() for w in walks]
+    heads = [next(g, None) for g in streams]
+    events, q0 = [], 0
+    while len(events) < m and any(heads):
+        t = min(h[0] for h in heads if h)
+        fired = [i for i, h in enumerate(heads) if h and h[0] == t]
+        for i in fired:
+            q0 = max(q0, heads[i][1])
+            heads[i] = next(streams[i], None)
+        if events:
+            q0 = max(q0, dynamics.settled_from(events[-1][0], t))
+        events.append((t, fired))
+    for h in heads:
+        if h:
+            q0 = max(q0, h[1], dynamics.settled_from(events[-1][0], h[0]))
+    repeat = 1
+    for t, fired in events:
+        for i, w in enumerate(walks):
+            if i not in fired:
+                q, lap = w.settles(t)
+                q0, repeat = max(q0, q), lcm(repeat, lap)
+    return q0, repeat
 
 
 @_per_scope

@@ -11,14 +11,18 @@ the automaton's walk from endmarker to endmarker in closed form.  The
 simulator's sampling kernel and :func:`sim.accepts` walk with it, and
 :func:`takeoff` reads a launch off it: one endmarker step and at most one
 hop, because on a^N with N >= 1 a launch ends at its first endmarker
-contact.  :func:`live_states` gives the states from which an automaton can
-still accept.
+contact.  :class:`AffineWalk` states the same walk on a whole residue
+class of lengths, with its times affine in the length; the phase
+pipeline derives its sample window from it.  :func:`live_states` gives
+the states from which an automaton can still accept.
 """
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -32,6 +36,8 @@ __all__ = [
     "InputTooShort",
     "basic_sequence",
     "Hops",
+    "AffineWalk",
+    "settled_from",
     "live_states",
     "takeoff",
     "min_sufficient_length",
@@ -248,6 +254,146 @@ class Hops:
             u = end[1] + (u - end[1]) % (end[2] - end[1])
         t, s, p = marks[bisect_right(marks, u, key=_time) - 1]
         return self.after(s, p, u - t) if u > t else (s, p)
+
+    def loud_indices(self, s):
+        """The indices i of the basic sequence of s, extended lap by lap,
+        whose state broadcasts, in increasing order; endless when a state
+        of the cycle broadcasts."""
+        seq, _, ell = self.inner[s][:3]
+        lap = len(seq) - 1 - ell
+        yield from (i for i in range(ell) if self.loud[seq[i]])
+        cycle = [j for j in range(ell, ell + lap) if self.loud[seq[j]]]
+        for base in itertools.count(0, lap) if cycle else ():
+            yield from (base + j for j in cycle)
+
+
+def settled_from(f, g):
+    """The least q >= 0 from which f(q) < g(q) for every later q, where f
+    and g are affine in q, given as (slope, intercept) with f < g at
+    infinity: a smaller slope, or the same slope and a smaller intercept."""
+    d = g[0] - f[0]
+    return max(0, (f[1] - g[1]) // d + 1) if d else 0
+
+
+def _minus(f, g):
+    return f[0] - g[0], f[1] - g[1]
+
+
+class AffineWalk:
+    """One automaton's walk from its initial configuration on the lengths
+    N = r + P·q, q >= 0, with r >= N_min and P a multiple of every net
+    cycle displacement of the automaton: its marks (:meth:`Hops.walk`)
+    with their times as affine functions (slope, intercept) of q.
+
+    Every launch keeps its kind for N >= N_min (:func:`takeoff`), and a
+    Return or a trap is the same on every such N.  A traversal with cycle
+    displacement c and lap length L reaches the far endmarker at the
+    first index of the basic sequence at which the head is N cells on
+    (:meth:`Hops.hop`).  That index is a cycle index j that depends on
+    N mod |c| alone, plus ceil((N - d_j)/|c|) laps of L steps, d_j the
+    displacement at j towards the far endmarker, so
+    the arrival state is the same on every N of the class and the
+    duration is affine in q, |c| dividing P.  So the marks' states and
+    sides, and the way the walk ends, are the same for every q, and each
+    mark time is a sum of affine durations; the walks on N = r and
+    N = r + P give the two coefficients.
+
+    ``marks`` holds (time, state, side) with side "L", "R", or None at the
+    start of a hop inside the tape.  ``cycle`` is None for a walk that ends
+    trapped in its last hop, else (e, period): the marks from index e on
+    repeat every ``period`` steps, a constant one when the repeated
+    stretch crosses the tape nowhere.
+    """
+
+    def __init__(self, hops, s, r, P):
+        self.hops = hops
+        (m0, end0), (m1, end1) = (hops.walk(s, 0, 0, N, False) for N in (r, r + P))
+        self.marks = [
+            ((t1 - t0, t0), s, "L" if p == 0 else "R" if p == r + 1 else None)
+            for (t0, s, p), (t1, _, _) in zip(m0, m1)
+        ]
+        self.cycle = None
+        if end0[0] == "cycle":
+            e = next(j for j, (t, _, _) in enumerate(m0) if t == end0[1])
+            per0, per1 = end0[2] - end0[1], end1[2] - end1[1]
+            self.cycle = e, (per1 - per0, per0)
+
+    def mark(self, j):
+        """The j-th mark of the walk, unrolled through its cycle; None past
+        the last hop of a trapped walk."""
+        if j < len(self.marks):
+            return self.marks[j]
+        if self.cycle is None:
+            return None
+        e, per = self.cycle
+        laps, i = divmod(j - e, len(self.marks) - e)
+        t, s, side = self.marks[e + i]
+        return (t[0] + laps * per[0], t[1] + laps * per[1]), s, side
+
+    def loud_times(self):
+        """The times at which the automaton broadcasts, in increasing order
+        at large q, each as (time, q_0): from q_0 on the time is a real one
+        of the walk.  A hop that crosses the tape lasts longer the larger
+        q is, and it holds a broadcast at index i from the q on which it
+        lasts more than i steps.  Endless when a state that the walk keeps
+        coming back to broadcasts; it stops after a lap of the walk's cycle
+        without a broadcast, since every later lap repeats it."""
+        hops, j, found, lap_start = self.hops, 0, 0, None
+        while (m := self.mark(j)) is not None:
+            if self.cycle is not None and j >= self.cycle[0]:
+                if (j - self.cycle[0]) % (len(self.marks) - self.cycle[0]) == 0:
+                    if lap_start == found:
+                        return
+                    lap_start = found
+            t, s, side = m
+            if side is not None:
+                if hops.loud[s]:
+                    found += 1
+                    yield t, 0
+            else:
+                nxt = self.mark(j + 1)
+                span = None if nxt is None else _minus(nxt[0], t)
+                for i in hops.loud_indices(s):
+                    if span is not None and not span[0] and i >= span[1]:
+                        break
+                    found += 1
+                    yield (t[0], t[1] + i), 0 if span is None else settled_from((0, i), span)
+            j += 1
+
+    def settles(self, t):
+        """(q_0, period) for the automaton's configuration at time t, affine
+        in q and at or after its first mark: from q_0 on, which endmarker
+        the head is on, if any, and its state are the same at q and at
+        q + period.
+
+        The time falls into one hop or onto one mark for good, once it is
+        past the mark before it and short of the one after.  Inside a hop
+        at index u, the state from the loop entry l on is the cycle state
+        at (u - l) mod L, L the lap length, and with slope x the index comes
+        back to each residue every L/gcd(x, L) values of q.  A repeated
+        stretch of constant period Pi that crosses the tape nowhere is
+        handled the same way, by the residue of the time since its start
+        modulo Pi."""
+        if self.cycle is not None and not self.cycle[1][0]:
+            e, (_, lap) = self.cycle
+            u = _minus(t, self.marks[e][0])
+            if u >= (0, 0):
+                if u[0]:
+                    return settled_from((0, -1), u), lap // gcd(u[0], lap)
+                t = (t[0], t[1] - u[1] // lap * lap)
+        j = 0
+        while (m := self.mark(j + 1)) is not None and m[0] <= t:
+            j += 1
+        tj, s, _ = self.mark(j)
+        q0 = settled_from((tj[0], tj[1] - 1), t)
+        if m is not None:
+            q0 = max(q0, settled_from(t, m[0]))
+        u = _minus(t, tj)
+        if not u[0]:
+            return q0, 1
+        seq, _, ell = self.hops.inner[s][:3]
+        lap = len(seq) - 1 - ell
+        return max(q0, settled_from((0, ell - 1), u)), lap // gcd(u[0], lap)
 
 
 def live_states(automaton: Automaton) -> frozenset:
