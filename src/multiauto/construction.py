@@ -71,21 +71,22 @@ chain takes ``_d<i>`` steps and a chain closed by a rebound cycle runs
   and ``_t`` and the chain names enclose a Reach's ``_h``.
 - Each binder's body is instantiated only at terms over N, p, pp, T,
   pi<i>/pip<i>, ``_t`` and the chain names.  Only :func:`_reach`
-  substitutes into a formula that still has a binder, a Reach canonical,
-  whose one binder is ``_h``; every other substitution is into an
-  eliminated formula.
+  substitutes into a formula that still has a binder, a Reach canonical
+  or one of its endmarker branches, whose one binder is ``_h``; every
+  other substitution is into an eliminated formula.
 - :func:`presburger.substitute` renames on capture anyway, so a clash
   could cost bytes but never soundness.
 
-Reach/Run canonicals, the Reach instances that run chains are made of,
-the Runs with their quantifiers eliminated and their projection to
-occupancy at time T, segment constraints and the table of sampled
-branches are memoized in a :class:`Scope`, one per extraction, which every
-builder that reads a table takes first.  A chain names its segment times
-by position, so chains that share segments share the formula objects, and an
-elimination meets each shared segment once.  A Run is eliminated once per
-key: its automaton, stop set, states and cap, and each end as the term the
-caller fixes when that term depends on N alone (0, N + 1, a stepped
+Reach/Run canonicals, the endmarker-start branches of the Reach ones, the
+Reach instances that run chains are made of, the Runs with their
+quantifiers eliminated and their projection to occupancy at time T,
+segment constraints and the table of sampled branches are memoized in a
+:class:`Scope`, one per extraction, which every builder that reads a
+table takes first.  A chain names its segment times by position, so chains
+that share segments share the formula objects, and an elimination meets
+each shared segment once.  A Run is eliminated once per key: its
+automaton, stop set, states and cap, and each end as the term the caller
+fixes when that term depends on N alone (0, N + 1, a stepped
 endmarker start) and as the variable p or pp otherwise (:func:`_run_qf`).
 Every use substitutes its remaining terms into the eliminated form, so
 Cooper sees each Run once per key and extraction, and never meets as a
@@ -283,8 +284,11 @@ def _interior_expr(aut, stop, s, s2, P, PP, Tm):
     return lor(*disjuncts)
 
 
-def _endmarker_start_expr(aut, stop, s, s2, side, PP, Tm):
-    """Reach from (s, 0) or (s, N+1); position at time 0 is the endmarker."""
+@_per_scope
+def _endmarker_start(sc, aut, stop, s, s2, side):
+    """Reach from (s, 0) or (s, N+1) to (s2, pp) in T steps: the branch of
+    the Reach canonical whose start is the ``side`` endmarker."""
+    PP, Tm = var("pp"), var("T")
     start_pos = _side_pos(side)
     t0 = land(eq(Tm), eq(PP - start_pos)) if s2 == s else FALSE
     table = aut.delta_left if side == "L" else aut.delta_right
@@ -303,32 +307,35 @@ def _endmarker_start_expr(aut, stop, s, s2, side, PP, Tm):
     return lor(t0, n0, cont)
 
 
-def _reach_expr(aut, stop, s, s2, P, PP, Tm):
-    """Reach from (s, P) to (s2, PP) in exactly T steps, interior en route."""
-    branches = []
-    # p = 0, p = N + 1
-    for side in ("L", "R"):
-        g = eq(P - _side_pos(side))
-        if g is not FALSE:
-            start = _endmarker_start_expr(aut, stop, s, s2, side, PP, Tm)
-            branches.append(land(g, start))
-    # 1 <= p <= N
-    g = land(ge(P, 1), le(P, _N))
-    if g is not FALSE:
-        branches.append(land(g, _interior_expr(aut, stop, s, s2, P, PP, Tm)))
-    return lor(*branches)
-
-
 @_per_scope
 def _reach_canonical(sc, aut, stop, s, s2):
-    return _reach_expr(aut, stop, s, s2, var("p"), var("pp"), var("T"))
+    """Reach from (s, p) to (s2, pp) in exactly T steps, interior en route:
+    a branch per endmarker start (p = 0, p = N + 1) and one for 1 <= p <= N."""
+    p = var("p")
+    branches = [
+        land(eq(p - _side_pos(side)), _endmarker_start(sc, aut, stop, s, s2, side))
+        for side in ("L", "R")
+    ]
+    interior = _interior_expr(aut, stop, s, s2, p, var("pp"), var("T"))
+    branches.append(land(ge(p, 1), le(p, _N), interior))
+    return lor(*branches)
 
 
 @_per_scope
 def _reach(sc, aut, stop, s, s2, P, PP, Tm):
     """The Reach canonical at the given terms, built once per scope: a run
     chain restates every segment of its prefix, and chains of different
-    runs share their segments too."""
+    runs share their segments too.
+
+    A start that is exactly an endmarker, 0 or N + 1, is substituted into
+    that endmarker's branch alone (:func:`_endmarker_start`).  That is the
+    whole canonical at that start: the other endmarker's guard becomes
+    N + 1 = 0 and the interior guard 1 <= N + 1 <= N or 1 <= 0, which no
+    natural N satisfies, so the smart constructors fold both branches to
+    ``FALSE``."""
+    for side in ("L", "R"):
+        if P == _side_pos(side):
+            return substitute(_endmarker_start(sc, aut, stop, s, s2, side), {"pp": PP, "T": Tm})
     return substitute(_reach_canonical(sc, aut, stop, s, s2), {"p": P, "pp": PP, "T": Tm})
 
 

@@ -1,8 +1,23 @@
-"""Linear integer arithmetic: terms, formulas, Cooper elimination, periodic sets.
+"""Presburger arithmetic over the naturals: terms, formulas, Cooper
+elimination, periodic sets.
 
-Formulas are immutable trees over integer-valued variables.  The atoms are
-``t <= 0``, ``t = 0`` and ``d | t`` for a linear term ``t``; everything else
-is built with the boolean connectives and the two quantifiers.
+Formulas are immutable trees over variables that range over the naturals:
+a free variable is read at natural values only, and both quantifiers range
+over the naturals.  The atoms are ``t <= 0``, ``t = 0`` and ``d | t`` for a
+linear term ``t``; everything else is built with the boolean connectives
+and the two quantifiers.
+
+The smart constructors fold what no natural satisfies: :func:`le` and
+:func:`eq` return ``FALSE`` for an atom whose constant and variable
+coefficients are all positive, since its term is positive at every natural
+point.  They never fold an atom to ``TRUE`` on the same grounds: ``v >= 0``,
+true at every natural point, is the relativization that Cooper's integer
+core below needs, and must stay an atom.  So a formula means what its
+constructor calls say at natural points only, and :func:`substitute` is
+exact where every image is a natural.  Elimination loses nothing by the
+fold: Cooper's core is exact over the integers for the formula it is
+given, that formula holds ``v >= 0``, and every result is read at natural
+points only.
 
 :func:`eliminate` works bottom-up, one quantifier ``Q v. body`` at a time,
 in this order:
@@ -436,12 +451,17 @@ def free_vars(f: Formula) -> frozenset:
 
 
 def le(t, rhs=None) -> Formula:
-    """``t <= 0``, or ``t <= rhs`` when ``rhs`` is given."""
+    """``t <= 0``, or ``t <= rhs`` when ``rhs`` is given; ``FALSE`` when no
+    natural satisfies it."""
     t = _as_term(t)
     if rhs is not None:
         t = t - _as_term(rhs)
+    # A positive constant plus positive coefficients is positive at every
+    # natural point (the constant is tested first: it is rarely positive).
+    if t.const > 0 and all(c > 0 for _, c in t.coeffs):
+        return FALSE
     if not t.coeffs:
-        return TRUE if t.const <= 0 else FALSE
+        return TRUE
     g = reduce(math.gcd, (abs(c) for _, c in t.coeffs))
     if g > 1:
         # g*s + c <= 0  <=>  s <= floor(-c/g)
@@ -454,6 +474,8 @@ def ge(t, rhs=0) -> Formula:
 
 
 def eq(t, rhs=None) -> Formula:
+    """``t = 0``, or ``t = rhs`` when ``rhs`` is given; ``FALSE`` when no
+    natural satisfies it."""
     t = _as_term(t)
     if rhs is not None:
         t = t - _as_term(rhs)
@@ -466,6 +488,9 @@ def eq(t, rhs=None) -> Formula:
         t = Term(t.const // g, tuple((v, c // g) for v, c in t.coeffs))
     if t.coeffs[0][1] < 0:
         t = -t
+    # As in le, with the sign of t fixed by its first coefficient.
+    if t.const > 0 and all(c > 0 for _, c in t.coeffs):
+        return FALSE
     return Eq(t)
 
 
@@ -610,7 +635,9 @@ def substitute(f: Formula, mapping: dict) -> Formula:
     into again, so ``{x: y, y: x}`` swaps.  A quantifier drops its variable
     from the mapping; when that variable is free in an image that reaches
     its body, it is renamed to the first of ``w_1``, ``w_2``, ... free in
-    neither.
+    neither.  The result agrees with ``f`` at every point where each image
+    is a natural: ``f`` was built with every atom that no natural satisfies
+    folded to ``FALSE``, and such an atom may hold at a negative value.
     """
     active = {v: t for v, t in mapping.items() if t != var(v)}
     if not active:

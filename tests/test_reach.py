@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from multiauto import construction as C
-from multiauto.presburger import eliminate, evaluate
+from multiauto.presburger import Term, eliminate, evaluate, substitute, var
 
-from conftest import load_fixture
+from conftest import FIXTURE_NAMES, load_fixture
 from oracles import reach_trajectory, vector_eval
 
 
@@ -78,3 +78,22 @@ def test_reach_exhaustive_drift3():
                             if cs == s2:
                                 want[p, cp, t] = True
                     assert np.array_equal(got, want), (stop, s, s2, N)
+
+
+def test_endmarker_start_instance_is_the_whole_canonical_there():
+    # A Reach instance from 0 or N + 1 substitutes into that endmarker's
+    # branch alone; at that start the other two branches fold to false, so
+    # it is the very formula that substituting into the whole canonical
+    # gives.
+    for name in FIXTURE_NAMES:
+        sc = C.Scope()
+        for aut in load_fixture(name).automata:
+            for stop in (frozenset(), aut.broadcasting):
+                for s in sorted(aut.states):
+                    for s2 in sorted(aut.states):
+                        whole = C._reach_canonical(sc, aut, stop, s, s2)
+                        for start in (Term(0), C._N + 1):
+                            for PP, Tm in ((var("pp"), var("T")), (C._N + 1, var("_d1"))):
+                                got = C._reach(sc, aut, stop, s, s2, start, PP, Tm)
+                                want = substitute(whole, {"p": start, "pp": PP, "T": Tm})
+                                assert got == want, (name, s, s2, start, PP)
