@@ -34,12 +34,14 @@ residue class of N modulo the lcm of the cycle displacements, every
 automaton's walk has its endmarker visits and broadcasts at times affine
 in N (``dynamics.AffineWalk``), so past the last crossing of the times a
 run's branches depend on, the filed branches repeat, and the window ends
-one period later.  No quiet stretch is stepped:
-``sim.broadcast_events`` walks each automaton from endmarker to endmarker
-in closed form (``dynamics.Hops``), and every broadcasting step, and so
-every message rule, is left to ``sim.global_step``.  How far a run
-unrolls is not sampled: every run is capped at the analysis bound K
-(``_run_caps`` gives the argument).
+one period later.  The window and the samples read the same broadcasting
+times: each automaton's own come from its ``dynamics.AffineWalk``, and
+``dynamics.first_broadcasts`` merges them into the run's first M, on a
+class of lengths for the window (``_settling``) and on one length for
+``sim.broadcast_events``.  That kernel steps no quiet stretch; it takes
+only the broadcasting steps, and so every message rule, through
+``sim.global_step``.  How far a run unrolls is not sampled: every run is
+capped at the analysis bound K (``_run_caps`` gives the argument).
 
 Every run inside a phase stops at the broadcasting states of its
 automaton: a race, a silence guard, the run that advances an automaton in
@@ -114,10 +116,8 @@ from .presburger import (
     Formula,
     Term,
     UltimatelyPeriodicSet,
-    _window,
     eliminate,
     eq,
-    evaluate,
     exists,
     free_vars,
     ge,
@@ -125,6 +125,7 @@ from .presburger import (
     le,
     lnot,
     lor,
+    satisfiable,
     solution_set,
     substitute,
     var,
@@ -386,21 +387,6 @@ def _edge_n_constraint(sc, aut, stop, u, side, v):
     return eliminate(exists("_t", _reach(sc, aut, stop, u, v, here, there, var("_t"))))
 
 
-def _n_sat(f) -> bool:
-    """Satisfiability over naturals of a quantifier-free formula in N, on
-    the window that :func:`presburger.solution_set` scans."""
-    threshold, period = _window(f, "N")
-    return any(evaluate(f, {"N": n}) for n in range(threshold + period))
-
-
-def _crossing_targets(sc, aut, stop, u, side):
-    out = []
-    for v in sorted(aut.states):
-        if _edge_n_constraint(sc, aut, frozenset(stop), u, side, v) is not FALSE:
-            out.append(v)
-    return out
-
-
 def _chain_time(i):
     """The name of the time variable of segment ``i`` of a run chain."""
     return f"_d{i}"
@@ -549,13 +535,12 @@ def _run_expr(sc, aut, stop, s, s2, K, P, PP, Tm, accepting):
         if crossings >= K:
             return
         far = "R" if side == "L" else "L"
-        for v in _crossing_targets(sc, aut, stop, u, side):
-            nxt = (v, far)
+        for v in sorted(aut.states):
             cons = _edge_n_constraint(sc, aut, stop, u, side, v)
             acc = land(*nconstraints, cons)
-            if acc is FALSE or not _n_sat(acc):
+            if acc is FALSE or not satisfiable(acc, "N"):
                 continue
-            extend(path + [nxt], nconstraints + [cons], crossings + 1)
+            extend(path + [(v, far)], nconstraints + [cons], crossings + 1)
 
     for v in sorted(aut.states):
         for side in ("L", "R"):
@@ -779,9 +764,11 @@ def _settling(walks, m):
 
     What a run files is a function of its first m broadcasting times, the
     broadcasters at each, and every automaton's state and endmarker at
-    each.  The merge takes the automata's broadcasting times in their order
-    at large q, the equal ones as one broadcast, until it has m of them;
-    each automaton's next time then comes later.  From q_0 on:
+    each.  The merge (:func:`dynamics.first_broadcasts`, which the sampling
+    kernel :func:`sim.broadcast_events` runs on each length too) takes the
+    automata's broadcasting times in their order at large q, the equal ones
+    as one broadcast, until it has m of them; each automaton's next time
+    then comes later.  From q_0 on:
 
     - every time the merge takes, and each automaton's next one, is a real
       time of its walk, and the walk broadcasts at no other time before
@@ -799,23 +786,15 @@ def _settling(walks, m):
 
     So nothing the run files changes from q to q + Q.  Each bound is where
     an affine difference changes sign (:func:`dynamics.settled_from`)."""
-    streams = [w.loud_times() for w in walks]
-    heads = [next(g, None) for g in streams]
-    events, q0 = [], 0
-    while len(events) < m and any(heads):
-        t = min(h[0] for h in heads if h)
-        fired = [i for i, h in enumerate(heads) if h and h[0] == t]
-        for i in fired:
-            q0 = max(q0, heads[i][1])
-            heads[i] = next(streams[i], None)
-        if events:
-            q0 = max(q0, dynamics.settled_from(events[-1][0], t))
-        events.append((t, fired))
+    events, heads = dynamics.first_broadcasts(walks, m)
+    q0 = max((q for _, _, q in events), default=0)
+    for (t, _, _), (u, _, _) in zip(events, events[1:]):
+        q0 = max(q0, dynamics.settled_from(t, u))
     for h in heads:
         if h:
             q0 = max(q0, h[1], dynamics.settled_from(events[-1][0], h[0]))
     repeat = 1
-    for t, fired in events:
+    for t, fired, _ in events:
         for i, w in enumerate(walks):
             if i not in fired:
                 q, lap = w.settles(t)
@@ -940,7 +919,7 @@ def advance_frontier(sc, system, frontier: PhaseFrontier) -> list:
         graphs.items(), key=lambda kv: (sorted(kv[0][0]), kv[0][1])
     ):
         proj = eliminate(exists(list(_pip_names(n)), g))
-        if proj is FALSE or not _n_sat(proj):
+        if proj is FALSE or not satisfiable(proj, "N"):
             continue
         out.append(
             (
@@ -1068,7 +1047,7 @@ def accept_formula(sc, system, frontier: PhaseFrontier) -> Formula:
             if guard is FALSE:
                 continue
             matched = eliminate(exists(names, land(graph, guard)))
-            if matched is FALSE or not _n_sat(matched):
+            if matched is FALSE or not satisfiable(matched, "N"):
                 continue
             start_states, start_terms = _stepped(system, frontier.sigma, pattern, pos)
             # A broadcast at stepped-relative time t happens at time 1 + t;

@@ -7,14 +7,18 @@ is the one home of the per-automaton constants: it walks the basic
 sequences once, holds each state's sequence, displacements, loop entry
 and net cycle displacement, and derives the sufficient length N_min and
 the traversal slope G from them.  It also turns the basic sequences into
-the automaton's walk from endmarker to endmarker in closed form.  The
-simulator's sampling kernel and :func:`sim.accepts` walk with it, and
-:func:`takeoff` reads a launch off it: one endmarker step and at most one
-hop, because on a^N with N >= 1 a launch ends at its first endmarker
-contact.  :class:`AffineWalk` states the same walk on a whole residue
-class of lengths, with its times affine in the length; the phase
-pipeline derives its sample window from it.  :func:`live_states` gives
-the states from which an automaton can still accept.
+the automaton's walk from endmarker to endmarker in closed form.
+:func:`sim.accepts` walks with it, and :func:`takeoff` reads a launch off
+it: one endmarker step and at most one hop, because on a^N with N >= 1 a
+launch ends at its first endmarker contact.  :class:`AffineWalk` states
+the same walk on a whole residue class of lengths, with its times affine
+in the length, or on one length with every time constant, and it is the
+one source of an automaton's broadcasting times.
+:func:`first_broadcasts` merges those of the automata into the run's
+first M: on one length for the simulator's sampling kernel
+(:func:`sim.broadcast_events`), and on a class for the phase pipeline,
+which derives its sample window from them.  :func:`live_states` gives the
+states from which an automaton can still accept.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ __all__ = [
     "Hops",
     "AffineWalk",
     "settled_from",
+    "first_broadcasts",
     "live_states",
     "takeoff",
     "min_sufficient_length",
@@ -108,7 +113,6 @@ class _Inner(NamedTuple):
     lambdas: tuple  # head displacement after i steps, i = 0 .. k
     entry: int
     c: int  # net displacement of one lap of the cycle
-    first: int | None  # index of the first broadcasting state
     reach: dict  # displacement -> first index 1 .. k at which it is reached
     # Past the first lap the head reaches displacement v first at a cycle
     # index j plus whole laps; which j depends only on v mod c.
@@ -161,8 +165,7 @@ class Hops:
                 v: min(range(ell, k), key=lambda j: j - (lam[j] - v) // c * (k - ell))
                 for v in range(0, c, 1 if c > 0 else -1)
             }
-            first = next((i for i, q in enumerate(seq[:-1]) if self.loud[q]), None)
-            self.inner.append(_Inner(seq, lam, ell, c, first, reach, exits))
+            self.inner.append(_Inner(seq, lam, ell, c, reach, exits))
         self.nmin = 1 + amplitude
         self.slope = slope
 
@@ -179,33 +182,29 @@ class Hops:
         """The walk from state s at interior position p (1 <= p <= N) on
         a^N up to its next endmarker arrival, in O(1).
 
-        Returns (T, state, position, b): the head arrives after T steps, in
-        ``state`` at ``position`` (0 or N + 1), and b < T is the index of
-        the first broadcasting state on the way (the start is index 0), or
-        None.  T, state and position are None when the head never arrives:
-        the cycle displacement is 0 and the first lap stays inside [1, N].
-        With b also None the walk is trapped: it never broadcasts and never
-        reaches an endmarker.
+        Returns (T, state, position): the head arrives after T steps, in
+        ``state`` at ``position`` (0 or N + 1).  All three are None when the
+        head never arrives: the cycle displacement is 0 and the first lap
+        stays inside [1, N].
 
         Moves are -1, 0 or +1, so the first step out of [1, N] lands on an
         endmarker: an inner move cannot leave the tape.
         """
-        seq, lam, ell, c, first, reach, exits = self.inner[s]
+        seq, lam, ell, c, reach, exits = self.inner[s]
         k = len(seq) - 1
         lo, hi = -p, N + 1 - p
         i = min(reach.get(lo, k + 1), reach.get(hi, k + 1))
         if i > k:
             if not c:
-                return None, None, None, first
+                return None, None, None
             # Every later index is a cycle index j plus whole laps, and each
             # lap moves the head by c towards the one endmarker it can reach.
             end = hi if c > 0 else lo
             j = exits[end % c]
             i = j - (lam[j] - end) // c * (k - ell)
-        s2, p2 = self.after(s, p, i)
-        return i, s2, p2, first if first is not None and first < i else None
+        return (i, *self.after(s, p, i))
 
-    def walk(self, s, p, t, N, to_loud):
+    def walk(self, s, p, t, N):
         """The walk from (s, p) at time t on a^N, hop by hop.
 
         Returns (marks, end).  ``marks`` holds the configuration (time,
@@ -213,28 +212,18 @@ class Hops:
         hop; :meth:`at` rebuilds the ones in between.  ``end`` says how the
         walk goes on after its last mark:
 
-        - ``("loud", t1)``: only with ``to_loud``, the first broadcasting
-          state, at time t1;
         - ``("cycle", t0, t1)``: the endmarker visit at t1 repeats the
           (state, side) of the one at t0, so the walk repeats with period
           t1 - t0 forever;
         - ``("trap",)``: the head never reaches an endmarker again.
-
-        With ``to_loud`` a cycle or a trap means that no state up to it
-        broadcasts, and so none ever will.
         """
         marks = []
         seen = {}
         right = N + 1
         while True:
-            if to_loud and self.loud[s]:
-                marks.append((t, s, p))
-                return marks, ("loud", t)
             if 0 < p < right:
                 marks.append((t, s, p))
-                T, s, p, b = self.hop(s, p, N)
-                if to_loud and b is not None:
-                    return marks, ("loud", t + b)
+                T, s, p = self.hop(s, p, N)
                 if T is None:
                     return marks, ("trap",)
                 t += T
@@ -249,7 +238,7 @@ class Hops:
 
     def at(self, marks, end, u):
         """The (state, position) at time u of a walk from :meth:`walk`; u
-        is at or after its first mark, and not after a loud end."""
+        is at or after its first mark."""
         if end[0] == "cycle" and u >= end[1]:
             u = end[1] + (u - end[1]) % (end[2] - end[1])
         t, s, p = marks[bisect_right(marks, u, key=_time) - 1]
@@ -298,16 +287,21 @@ class AffineWalk:
     mark time is a sum of affine durations; the walks on N = r and
     N = r + P give the two coefficients.
 
-    ``marks`` holds (time, state, side) with side "L", "R", or None at the
-    start of a hop inside the tape.  ``cycle`` is None for a walk that ends
-    trapped in its last hop, else (e, period): the marks from index e on
-    repeat every ``period`` steps, a constant one when the repeated
-    stretch crosses the tape nowhere.
+    With P = 0 it is the walk on the one length N = r, which may then be
+    any length: every time is (0, t) and every q_0 is 0.
+
+    ``walk`` is the walk on N = r as :meth:`Hops.walk` gives it, for
+    :meth:`Hops.at`.  ``marks`` holds (time, state, side) with side "L",
+    "R", or None at the start of a hop inside the tape.  ``cycle`` is None
+    for a walk that ends trapped in its last hop, else (e, period): the
+    marks from index e on repeat every ``period`` steps, a constant one
+    when the repeated stretch crosses the tape nowhere.
     """
 
     def __init__(self, hops, s, r, P):
         self.hops = hops
-        (m0, end0), (m1, end1) = (hops.walk(s, 0, 0, N, False) for N in (r, r + P))
+        m0, end0 = self.walk = hops.walk(s, 0, 0, r)
+        m1, end1 = hops.walk(s, 0, 0, r + P) if P else self.walk
         self.marks = [
             ((t1 - t0, t0), s, "L" if p == 0 else "R" if p == r + 1 else None)
             for (t0, s, p), (t1, _, _) in zip(m0, m1)
@@ -394,6 +388,32 @@ class AffineWalk:
         seq, _, ell = self.hops.inner[s][:3]
         lap = len(seq) - 1 - ell
         return max(q0, settled_from((0, ell - 1), u)), lap // gcd(u[0], lap)
+
+
+def first_broadcasts(walks, m):
+    """The first m broadcasting times of the run whose automata walk
+    ``walks`` (:class:`AffineWalk`, one per automaton, on the same
+    lengths), in their order at large q.
+
+    Messages never change a transition, so each automaton broadcasts at the
+    times of its own walk (:meth:`AffineWalk.loud_times`), and the run at
+    each time at which some automaton does; the automata that broadcast at
+    the same time share one message.  Returns (events, heads): ``events``
+    holds (t, fired, q_0) per broadcast, fired the automata that broadcast
+    at t and q_0 the least q from which each of their times at t is real;
+    ``heads`` holds each walk's next (time, q_0), or None where it
+    broadcasts no more.  There are fewer than m events only when every
+    stream ends first."""
+    streams = [w.loud_times() for w in walks]
+    heads = [next(g, None) for g in streams]
+    events = []
+    while len(events) < m and any(heads):
+        t = min(h[0] for h in heads if h)
+        fired = [i for i, h in enumerate(heads) if h and h[0] == t]
+        events.append((t, fired, max(heads[i][1] for i in fired)))
+        for i in fired:
+            heads[i] = next(streams[i], None)
+    return events, heads
 
 
 def live_states(automaton: Automaton) -> frozenset:
@@ -487,7 +507,7 @@ def takeoff(automaton: Automaton, state: str, end: str, N: int):
     if not d:
         return Return(state=hops.names[s], T=1)
     p = (N + 1 if right else 0) + d
-    T, s2, p2, _ = hops.hop(s, p, N)
+    T, s2, p2 = hops.hop(s, p, N)
     if T is None:
         seq, lam, ell = hops.inner[s][:3]
         return Oscillate(p=p + lam[ell], T1=1 + ell, T2=len(seq) - 1 - ell)

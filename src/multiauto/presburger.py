@@ -115,6 +115,7 @@ __all__ = [
     "eliminate",
     "qe_budget",
     "solution_set",
+    "satisfiable",
     "UltimatelyPeriodicSet",
     "to_sexpr",
     "UnboundVariable",
@@ -1241,11 +1242,11 @@ class UltimatelyPeriodicSet:
     __repr__ = __str__
 
 
-def _window(g: Formula, v: str):
-    """(threshold, period) for a quantifier-free ``g`` free in ``v`` alone:
-    from the threshold on, every atom's truth depends only on v mod the
-    period, so the values of ``g`` on [0, threshold + period) decide it for
-    every natural v."""
+def _scan(g: Formula, v: str):
+    """(threshold, period, values) for a quantifier-free ``g`` free in ``v``
+    alone: from the threshold on, every atom's truth depends only on v mod
+    the period, so the values of ``g`` on [0, threshold + period), which
+    ``values`` yields in order, decide it for every natural v."""
     threshold = 0
     period = 1
     atoms: list = []
@@ -1255,7 +1256,7 @@ def _window(g: Formula, v: str):
             threshold = max(threshold, abs(a.t.const) // abs(a.t.coeff(v)) + 1)
         elif isinstance(a, Dvd):
             period = _lcm(period, a.d)
-    return threshold, period
+    return threshold, period, (evaluate(g, {v: n}) for n in range(threshold + period))
 
 
 def solution_set(f: Formula, free_var: str) -> UltimatelyPeriodicSet:
@@ -1263,9 +1264,14 @@ def solution_set(f: Formula, free_var: str) -> UltimatelyPeriodicSet:
     if not f.fv <= {free_var}:
         raise ValueError(f"unexpected free variables: {sorted(f.fv - {free_var})}")
     g = eliminate(land(f, ge(var(free_var), 0)))
-    threshold, period = _window(g, free_var)
-    bits = [evaluate(g, {free_var: n}) for n in range(threshold + period)]
-    return UltimatelyPeriodicSet.from_bits(bits, threshold, period)
+    threshold, period, values = _scan(g, free_var)
+    return UltimatelyPeriodicSet.from_bits(list(values), threshold, period)
+
+
+def satisfiable(g: Formula, v: str) -> bool:
+    """Whether some natural v satisfies a quantifier-free ``g`` free in
+    ``v`` alone, decided on the window that :func:`solution_set` scans."""
+    return any(_scan(g, v)[2])
 
 
 # ---------------------------------------------------------------------------

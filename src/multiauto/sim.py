@@ -7,12 +7,18 @@ accepts when automaton 1 is in a final state scanning the right endmarker.
 Validation keeps every head on the tape (an endmarker move never points
 outward), so a step needs no bounds check.  Every simulation either
 accepts or revisits a global configuration, so runs always terminate.
+
+:func:`run` takes every step.  :func:`accepts` walks automaton 1 alone,
+and :func:`broadcast_events`, the phase pipeline's sampling kernel,
+merges each automaton's broadcasting times from its own walk and steps
+only at them, through :func:`global_step`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .dynamics import AffineWalk, first_broadcasts
 from .model import MultiSystem, validate_system
 
 __all__ = [
@@ -140,7 +146,7 @@ def accepts(system: MultiSystem, N: int) -> bool:
     system = validate_system(system)
     aut = system.automata[0]
     hops = aut.hops
-    marks, _ = hops.walk(hops.index[aut.initial], 0, 0, N, False)
+    marks, _ = hops.walk(hops.index[aut.initial], 0, 0, N)
     return any(p == N + 1 and hops.names[s] in aut.finals for _, s, p in marks)
 
 
@@ -151,47 +157,38 @@ def broadcast_events(system: MultiSystem, N: int) -> tuple:
     automaton will ever be in a broadcasting state again.
 
     Messages never change a transition, so each automaton walks alone and
-    deterministically, whatever the others broadcast.  Its walk
-    (:meth:`dynamics.Hops.walk`) starts at time 0 or right after its own
-    broadcasting step and goes from endmarker visit to endmarker visit in
-    closed form, up to its next broadcasting state; no quiet step is taken
-    one at a time.  A quiet stretch ends at the earliest of these states.
-    Every automaton's configuration at that time is rebuilt from its walk,
-    and the broadcasting step is taken by :func:`global_step`, the one
-    place that applies the message rules.
+    deterministically from time 0, whatever the others broadcast.  Its
+    walk on the one length N (:class:`dynamics.AffineWalk` with period 0)
+    goes from endmarker visit to endmarker visit in closed form and lists
+    its broadcasting times in order (:meth:`~dynamics.AffineWalk.loud_times`);
+    no quiet step is taken one at a time.  The run's broadcasting times are
+    the first ``message_bound`` of these streams merged
+    (:func:`dynamics.first_broadcasts`, the merge that the phase pipeline's
+    sample window is derived from).  At each of them every automaton's
+    configuration is rebuilt from its walk (:meth:`dynamics.Hops.at`), and
+    the broadcasting step is taken by :func:`global_step`, the one place
+    that applies the message rules.
 
-    The stop is exact.  An automaton has settled when its walk repeats an
-    endmarker (state, side), or when it is trapped: a lap of its basic
-    sequence stays inside the tape with cycle displacement 0 and no state
-    of the sequence broadcasts.  A settled walk repeats forever what it did
-    since the first visit of the repeated pair (or since the trapped lap
-    began), and none of that broadcast, so it admits no later broadcast.
-    Once every automaton has settled the run has no event left.  No
-    patience cap remains: each stretch ends in a message or in the settled
-    stop, so the run takes at most ``message_bound`` stretches.
+    The stop is exact: each stream lists every broadcasting time of its
+    walk and ends only once the walk broadcasts no more.  A walk that ends
+    in a cycle of endmarker visits repeats each lap of it forever, so after
+    a lap without a broadcast it has none left; one that ends trapped
+    inside the tape stays in its last hop, whose broadcasting indices the
+    stream lists, without end when a state of the hop's cycle broadcasts.
+    So the run stops at its ``message_bound``-th event, or once every
+    stream has ended, when it has no event left.
     """
-    automata = system.automata
-    hops = [a.hops for a in automata]
-    walks = [None] * len(automata)
-    starts = [(i, h.index[a.initial], 0) for i, (h, a) in enumerate(zip(hops, automata))]
-    t = -1
+    hops = [a.hops for a in system.automata]
+    walks = [AffineWalk(h, h.index[a.initial], N, 0) for h, a in zip(hops, system.automata)]
     used = 0
     events = []
-    while used < system.message_bound:
-        # Walks start at t + 1 = 0, and after that only the broadcasters'
-        # walks end at t; every other walk runs past t or has settled.
-        for i, s, p in starts:
-            walks[i] = hops[i].walk(s, p, t + 1, N, True)
-        t = min((end[1] for _, end in walks if end[0] == "loud"), default=None)
-        if t is None:
-            break
-        states, pi = zip(*[h.at(marks, end, t) for h, (marks, end) in zip(hops, walks)])
+    for (_, t), _, _ in first_broadcasts(walks, system.message_bound)[0]:
+        states, pi = zip(*[h.at(*w.walk, t) for h, w in zip(hops, walks)])
         sigma = tuple([h.names[s] for h, s in zip(hops, states)])
         config = GlobalConfiguration(sigma, pi, used)
         after, broadcasters = global_step(system, config, N)
         events.append((t, broadcasters, config))
         used = after.messages_used
-        starts = [(i, hops[i].index[after.sigma[i]], after.pi[i]) for i in broadcasters]
     return tuple(events)
 
 

@@ -1,12 +1,14 @@
 """The phase pipeline's sampling kernel against the step-by-step reference.
 
-``sim.broadcast_events`` walks quiet stretches hop by hop in closed form
-(``dynamics.Hops``) and takes only the broadcasting steps through
-``sim.global_step``; ``oracles.phase_trace`` takes every step through
-``global_step``.  Their events must be equal, and so must the branches
-that the phase pipeline files from them (``construction._sampled_branches``).
-The window of lengths the pipeline samples (``construction._sample_lengths``)
-must file every branch that a long fixed window files.
+``sim.broadcast_events`` merges each automaton's broadcasting times from
+its closed-form walk (``dynamics.first_broadcasts``) and takes only the
+broadcasting steps through ``sim.global_step``; ``oracles.phase_trace``
+takes every step through ``global_step``.  Their events must be equal, and
+so must the branches that the phase pipeline files from them
+(``construction._sampled_branches``).  The window of lengths the pipeline
+samples (``construction._sample_lengths``) must file every branch that a
+long fixed window files, and the merge it is derived from, on a residue
+class of lengths, must give the kernel's times.
 """
 
 import random
@@ -133,14 +135,11 @@ def test_kernel_matches_reference_on_fuzz_slice():
 def _hop_by_steps(aut, s, p, N):
     """What ``Hops.hop`` must return, stepped with ``_step_one``: a walk
     that reaches no endmarker within q·(N + 2) steps never does."""
-    b = None
     for i in range(len(aut.states) * (N + 2) + 1):
         if i and p in (0, N + 1):
-            return i, s, p, b
-        if b is None and s in aut.broadcasting:
-            b = i
+            return i, s, p
         s, p = sim._step_one(aut, s, p, N)
-    return None, None, None, b
+    return None, None, None
 
 
 def test_hop_follows_step_one():
@@ -151,10 +150,10 @@ def test_hop_follows_step_one():
             for s in sorted(aut.states):
                 for N in (0, 1, 5, 13, 40):
                     for p in range(1, N + 1):
-                        T, s2, p2, b = hops.hop(hops.index[s], p, N)
-                        got = (T, None if s2 is None else hops.names[s2], p2, b)
+                        T, s2, p2 = hops.hop(hops.index[s], p, N)
+                        got = (T, None if s2 is None else hops.names[s2], p2)
                         assert got == _hop_by_steps(aut, s, p, N), (name, s, p, N)
-                        trapped += T is None and b is None
+                        trapped += T is None
     assert trapped
 
 
@@ -305,3 +304,39 @@ def test_derived_window_files_every_branch_of_the_long_window():
     # The drifter at M = 45 spends every message in its first traversal
     # from N = 8·44 on.
     assert C._sample_lengths(_drifter(45))[-1] > 8 * 44
+
+
+def _premise_systems():
+    """The fixtures, fuzz-0..99, the hand-built runs of the window test
+    and a seeded batch of larger systems with message bounds up to 8."""
+    systems = [load_fixture(name) for name in FIXTURE_NAMES]
+    rng = random.Random(FUZZ_SEED)
+    systems += [cli.generate_system(rng, 4, 3, 3) for _ in range(100)]
+    systems += [_sweeper()] + [_drifter(M) for M in (1, 8, 45)]
+    systems += [_racers(), _sweeper(_trapped()), _sweeper(_left_stepper(5, [], back=True))]
+    rng = random.Random(11)
+    return systems + [cli.generate_system(rng, 6, 4, 8) for _ in range(100)]
+
+
+def test_merged_affine_times_match_the_kernel():
+    # The window's premise (construction._settling): from q_0 on, the first
+    # M broadcasting times of the run on r + P·q are the affine ones that
+    # dynamics.first_broadcasts merges, with the same broadcasters.  Checked
+    # over two repeat periods past q_0 on every class r.
+    checked = 0
+    for i, system in enumerate(_premise_systems()):
+        hops = [aut.hops for aut in system.automata]
+        starts = [h.index[aut.initial] for h, aut in zip(hops, system.automata)]
+        period = lcm(*(abs(inner.c) for h in hops for inner in h.inner if inner.c))
+        nmin, m = dynamics.min_sufficient_length(system), system.message_bound
+        for r in range(nmin, nmin + period):
+            walks = [dynamics.AffineWalk(h, s, r, period) for h, s in zip(hops, starts)]
+            events, _ = dynamics.first_broadcasts(walks, m)
+            q0, repeat = C._settling(walks, m)
+            for q in range(q0, q0 + 2 * repeat + 2):
+                N = r + period * q
+                want = [(t, I) for t, I, _ in sim.broadcast_events(system, N)]
+                got = [(a * q + b, frozenset(fired)) for (a, b), fired, _ in events]
+                assert got == want, (i, r, q)
+                checked += 1
+    assert checked > 1000
