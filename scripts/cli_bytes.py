@@ -36,9 +36,11 @@ It fails on any byte difference outside the formula lines
 prints one verdict, and fails unless it holds:
 
 - ``alpha``: both parse to the same formula once every bound variable is
-  renamed by its quantifier nesting depth and the formula is rebuilt with
-  the smart constructors (``land``/``lor`` merge the disjuncts that the
-  renaming makes equal).
+  renamed by its quantifier nesting depth and the arguments of each
+  conjunction or disjunction, with those of the nested ones of its kind,
+  are taken as a set (``alpha_normal``).  Nothing is rebuilt with the
+  smart constructors, so a line that gains or loses an atom, even one that
+  no natural N satisfies, is ``NOT equal``.
 
 For each pair of ``frontier``/``accept`` lines that differ it parses both
 s-expressions and prints two verdicts, and fails unless both hold:
@@ -197,22 +199,33 @@ def _equivalent_all(f, g):
 
 
 def alpha_normal(f):
-    """``f`` with each bound variable renamed to ``@<depth>``, its number of
-    enclosing quantifiers, rebuilt with the smart constructors."""
+    """``f`` as nested tuples, built with no constructor of the checking
+    tree, so that no fold rule of that tree can make two lines equal: every
+    bound variable is renamed to ``@<depth>``, its number of enclosing
+    quantifiers, in each term by ``Term.subst``, and the arguments of a
+    conjunction or disjunction, with those of the nested ones of its own
+    kind, become a frozenset.  Nothing is folded."""
     from multiauto import presburger as P
 
     def walk(g, names, depth):
-        if isinstance(g, (P.Le, P.Eq, P.Dvd)):
-            return P._atom(g, g.t.subst(names))
+        if isinstance(g, (P.Le, P.Eq)):
+            return type(g).__name__, g.t.subst(names)
+        if isinstance(g, P.Dvd):
+            return "Dvd", g.d, g.t.subst(names)
         if isinstance(g, P.Not):
-            return P.lnot(walk(g.f, names, depth))
+            return "Not", walk(g.f, names, depth)
         if isinstance(g, (P.And, P.Or)):
-            join = P.land if isinstance(g, P.And) else P.lor
-            return join(*[walk(a, names, depth) for a in g.args])
+            args, todo = set(), list(g.args)
+            while todo:
+                a = todo.pop()
+                if type(a) is type(g):
+                    todo.extend(a.args)
+                else:
+                    args.add(walk(a, names, depth))
+            return type(g).__name__, frozenset(args)
         if isinstance(g, (P.Exists, P.Forall)):
             v = f"@{depth}"
-            body = walk(g.f, {**names, g.v: P.var(v)}, depth + 1)
-            return (P.exists if isinstance(g, P.Exists) else P.forall)(v, body)
+            return type(g).__name__, v, walk(g.f, {**names, g.v: P.var(v)}, depth + 1)
         return g
 
     return walk(f, {}, 0)

@@ -61,6 +61,14 @@ past it (:func:`_run_expr`).  The ``run:`` dump does go on past it.  Every
 Run is timed: each phase and each acceptance formula binds its time with
 ``exists``, the final phase's too.
 
+Each head starts a phase at one place per endmarker symbol it can be on
+(:func:`_head_starts`): on the initial frontier at the frontier itself,
+and on a later one a step after the broadcast.  A phase branch takes each
+head's start by the symbol its sampled pattern gives it.  An acceptance
+formula states each head's silence as a disjunction over its starts, so
+it is one elimination of a product over the heads, not one per endmarker
+pattern of the heads (:func:`accept_formula`).
+
 Every builder is a function of what varies alone: N is the one
 module-level variable :data:`_N`, and every bound variable has a fixed
 name.  A Reach cycle count is ``_h``, a crossing time and a race time
@@ -102,7 +110,6 @@ arguments alone, not on what else ran in the scope or the process.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import wraps
@@ -773,26 +780,32 @@ def _settling(walks, m):
     - every time the merge takes, and each automaton's next one, is a real
       time of its walk, and the walk broadcasts at no other time before
       its next one (:meth:`dynamics.AffineWalk.loud_times` lists them in
-      order), so the first m broadcasting times of the run are the merged
-      ones;
-    - consecutive merged times keep their order, and each automaton's next
-      time stays after the last merged one, so no broadcast falls between
-      them and no two merged times meet;
+      order);
     - at each merged time, each automaton that does not broadcast there
       sits in one hop or on one mark for good, and its state and endmarker
       repeat with a period that divides Q
       (:meth:`dynamics.AffineWalk.settles`); one that broadcasts is at a
       fixed index of a fixed hop.
 
+    These two bounds also keep every merged time t before the time u that
+    follows it, the next merged one or, after the last, each automaton's
+    next time, so no broadcast falls between them and the first m
+    broadcasting times of the run are the merged ones.  Let j broadcast at
+    u.  A walk's marks come in increasing time on every q, and a real time
+    of its walk lies on a mark or in the hop from it, before the next mark.
+
+    - If j broadcasts at t too, t and u are consecutive real times of its
+      walk, listed in order, so t < u.
+    - Else, by the second bound, t lies on j's mark k or in the hop from
+      it, before mark k + 1.  u comes after t at large q, so it is no time
+      before mark k, and no time of hop k at a fixed offset when t's offset
+      in hop k grows with q.  So u is at or past mark k + 1, which comes
+      after t, or in hop k at a fixed offset larger than t's fixed one.
+
     So nothing the run files changes from q to q + Q.  Each bound is where
     an affine difference changes sign (:func:`dynamics.settled_from`)."""
     events, heads = dynamics.first_broadcasts(walks, m)
-    q0 = max((q for _, _, q in events), default=0)
-    for (t, _, _), (u, _, _) in zip(events, events[1:]):
-        q0 = max(q0, dynamics.settled_from(t, u))
-    for h in heads:
-        if h:
-            q0 = max(q0, h[1], dynamics.settled_from(events[-1][0], h[0]))
+    q0 = max([q for _, _, q in events] + [h[1] for h in heads if h], default=0)
     repeat = 1
     for t, fired, _ in events:
         for i, w in enumerate(walks):
@@ -830,39 +843,24 @@ def initial_frontier(system) -> PhaseFrontier:
     )
 
 
-def _patterns(n):
-    return itertools.product("LMR", repeat=n)
+def _head_starts(aut, s, P, initial):
+    """Where a head in state s at position P starts the phase, by each
+    endmarker symbol P can be on: {symbol: (guard, state, position term)}.
 
-
-def _pattern_guard(pattern, pos):
-    parts = []
-    for sym, pv in zip(pattern, pos):
-        if sym == "L":
-            parts.append(eq(pv))
-        elif sym == "R":
-            parts.append(eq(pv - _N - 1))
-        else:
-            parts.append(land(ge(pv, 1), le(pv, _N)))
-    return land(*parts)
-
-
-def _stepped(system, sigma, pattern, pos):
-    """Apply one synchronous step under an endmarker pattern; returns
-    (states, position terms)."""
-    states, terms = [], []
-    for i, aut in enumerate(system.automata):
-        sym = pattern[i]
-        if sym == "L":
-            t, d = aut.delta_left[sigma[i]]
-            terms.append(Term(d))
-        elif sym == "R":
-            t, d = aut.delta_right[sigma[i]]
-            terms.append(_N + 1 + d)
-        else:
-            t, d = aut.delta_inner[sigma[i]]
-            terms.append(pos[i] + d)
-        states.append(t)
-    return tuple(states), terms
+    The initial frontier is the initial configuration, every head on the
+    left endmarker, and the phase starts there.  A later frontier sits on
+    its broadcasting step, so the phase starts one step later, by the
+    transition of the symbol under the head: "L" when P = 0, "M" when
+    1 <= P <= N, "R" when P = N + 1.  The three guards are exclusive, and
+    one of them holds at every position of the tape."""
+    if initial:
+        return {"L": (TRUE, s, P)}
+    (sl, dl), (sm, dm), (sr, dr) = aut.delta_left[s], aut.delta_inner[s], aut.delta_right[s]
+    return {
+        "L": (eq(P), sl, Term(dl)),
+        "M": (land(ge(P, 1), le(P, _N)), sm, P + dm),
+        "R": (eq(P - _N - 1), sr, _N + 1 + dr),
+    }
 
 
 def _realized_branches(sc, system, frontier):
@@ -879,33 +877,34 @@ def _realized_branches(sc, system, frontier):
 def advance_frontier(sc, system, frontier: PhaseFrontier) -> list:
     """All satisfiable one-phase successors of a frontier.
 
-    Returns [((I, sigma'), PhaseFrontier), ...].  A non-initial frontier sits
-    on its broadcast step, so the phase starts after one synchronous step,
-    case-split over the endmarker pattern of the frontier positions.  Only
-    the branches that sampled runs take from the frontier's messages spent
-    and global state are built (:func:`_realized_branches`), and a
-    successor whose graph holds for no N is dropped.
+    Returns [((I, sigma'), PhaseFrontier), ...].  Only the branches that
+    sampled runs take from the frontier's messages spent and global state
+    are built (:func:`_realized_branches`), and each head starts the phase
+    where :func:`_head_starts` puts it for the endmarker symbol the
+    branch's pattern gives it: on the initial frontier every head is on the
+    left endmarker and starts there, and on a later one the guard of its
+    symbol holds and it starts one step after the broadcast.  A successor
+    whose graph holds for no N is dropped.
     """
     system = validate_system(system)
     if frontier.messages_spent >= system.message_bound:
         raise ValueError("frontier has no messages left to advance")
     n = system.n
-    pos = [var(x) for x in _pi_names(n)]
-    pos2 = [var(x) for x in _pip_names(n)]
     initial = frontier.messages_spent == 0
+    pos = [Term(0)] * n if initial else [var(x) for x in _pi_names(n)]
+    pos2 = [var(x) for x in _pip_names(n)]
+    starts = [
+        _head_starts(aut, s, P, initial)
+        for aut, s, P in zip(system.automata, frontier.sigma, pos)
+    ]
 
     graphs: dict = {}
     for pattern, I, sigma2 in _realized_branches(sc, system, frontier):
-        if initial:
-            start_states, start_terms = frontier.sigma, [Term(0)] * n
-            guard = TRUE
-        else:
-            start_states, start_terms = _stepped(system, frontier.sigma, pattern, pos)
-            guard = _pattern_guard(pattern, pos)
+        guards, states, terms = zip(*[st[sym] for st, sym in zip(starts, pattern)])
         body = land(
             frontier.position_graph.formula,
-            guard,
-            _phase_expr(sc, system, start_states, sigma2, I, start_terms, pos2),
+            *guards,
+            _phase_expr(sc, system, states, sigma2, I, terms, pos2),
         )
         g = eliminate(exists(list(_pi_names(n)), body))
         key = (I, sigma2)
@@ -985,14 +984,31 @@ def accept_formula(sc, system, frontier: PhaseFrontier) -> Formula:
 
     - On the initial frontier automaton 1's guard rules out B at every
       time 0..T_a.
-    - On a later frontier the guards are stated from the stepped start at
-      time 1, so automaton 1's guard rules out B at times 1..T_a.  Time 0,
-      the frontier's broadcast step, may be in B, and no run forbids its
-      stop states at time 0.
+    - On a later frontier the guards are stated from the phase start one
+      step after the broadcast, at time 1, so automaton 1's guard rules
+      out B at times 1..T_a.  Time 0, the frontier's broadcast step, may
+      be in B, and no run forbids its stop states at time 0.
 
-    A later frontier's guards are split by the endmarker pattern of its
-    positions, and a pattern that no head tuple of the position graph
-    matches, for any N, is left out: its branch is unsatisfiable.
+    Each head's guard is stated from its phase start (:func:`_head_starts`):
+    a broadcast at time t from there comes at time delay + t, delay 0 on
+    the initial frontier and 1 on a later one, so the guard says that it
+    broadcasts by no time T_a - delay.  Messages never change a transition,
+    so a head's start depends on the symbol under it alone, and its
+    silence is the disjunction over its starts of the start's guard and
+    silence:
+
+        exists T_a. hit and AND_i OR_sym (guard_i,sym and silent_i,sym)
+
+    That is the sum over the 3^n endmarker patterns of the heads of the
+    pattern's guard, hit and silences, each head stepped by its symbol:
+
+    - A pattern's guard and starts are the product of each head's own, so
+      the sum over every pattern of those products is the product over
+      the heads of their sums (distributivity).  A head's three guards are
+      exclusive, so its sum takes the one start its position gives.
+    - exists T_a distributes over the sum, since no guard mentions T_a.
+    - Leaving out the patterns that the position graph rules out for
+      every N would only drop disjuncts that the graph makes false.
 
     The final phase has no guard and no broadcast to end it, so its runs
     keep the empty stop set; like every other phase it binds T_a with
@@ -1016,52 +1032,28 @@ def accept_formula(sc, system, frontier: PhaseFrontier) -> Formula:
     names = list(_pi_names(n))
     initial = frontier.messages_spent == 0
     pos = [Term(0)] * n if initial else [var(x) for x in names]
-    graph = frontier.position_graph.formula
     final_phase = frontier.messages_spent == system.message_bound
-
-    start = frontier.sigma[0]
     stop = frozenset() if final_phase else aut1.broadcasting
     Ta = var("_T")
-    final_hit = lor(
+    hit = lor(
         *[
-            _run(sc, aut1, stop, start, fstate, K, pos[0], _N + 1, Ta, accepting=True)
-            for fstate in sorted(aut1.finals)
+            _run(sc, aut1, stop, frontier.sigma[0], f, K, pos[0], _N + 1, Ta, accepting=True)
+            for f in sorted(aut1.finals)
         ]
     )
-
-    branches = []
-    if final_phase:
-        branches.append(exists("_T", final_hit))
-    elif initial:
-        guards = [
-            lnot(_broadcast_by_expr(sc, aut, frontier.sigma[i], K, pos[i], Ta))
-            for i, aut in enumerate(system.automata)
-        ]
-        branches.append(exists("_T", land(final_hit, *guards)))
-    else:
-        # Automaton i's stepped start depends on pattern[i] alone, so its
-        # guard is built once per (i, pattern[i]) and shared by the patterns.
-        silent: dict = {}
-        for pattern in _patterns(n):
-            guard = _pattern_guard(pattern, pos)
-            if guard is FALSE:
-                continue
-            matched = eliminate(exists(names, land(graph, guard)))
-            if matched is FALSE or not satisfiable(matched, "N"):
-                continue
-            start_states, start_terms = _stepped(system, frontier.sigma, pattern, pos)
-            # A broadcast at stepped-relative time t happens at time 1 + t;
-            # acceptance needs T_a < 1 + t for every possible broadcast.
-            conds = []
-            for i, aut in enumerate(system.automata):
-                cond = silent.get((i, pattern[i]))
-                if cond is None:
-                    cond = silent[i, pattern[i]] = lnot(
-                        _broadcast_by_expr(sc, aut, start_states[i], K, start_terms[i], Ta - 1)
-                    )
-                conds.append(cond)
-            branches.append(land(guard, exists("_T", land(final_hit, *conds))))
-    return eliminate(exists(names, land(graph, lor(*branches))))
+    parts = [hit]
+    if not final_phase:
+        # A broadcast at time t from a phase start happens at time
+        # delay + t, and acceptance needs T_a < delay + t for each one.
+        delay = 0 if initial else 1
+        for aut, s, P in zip(system.automata, frontier.sigma, pos):
+            silent = [
+                land(guard, lnot(_broadcast_by_expr(sc, aut, state, K, start, Ta - delay)))
+                for guard, state, start in _head_starts(aut, s, P, initial).values()
+            ]
+            parts.append(lor(*silent))
+    body = exists("_T", land(*parts))
+    return eliminate(exists(names, land(frontier.position_graph.formula, body)))
 
 
 def recognized_set(system, sc=None) -> UltimatelyPeriodicSet:

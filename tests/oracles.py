@@ -19,8 +19,12 @@ formula as displayed, with every automaton advanced by the unrestricted
 Run, the reference for the construction's runs that stop at the
 broadcasting states.  ``canonical_accept_formula`` builds acceptance from
 the Run canonicals alone, the reference for the construction's Runs built
-at the terms their callers fix.
+at the terms their callers fix, and on a later frontier sums over every
+endmarker pattern of the heads, each stepped by ``stepped_start``, the
+reference for the construction's product of per-head phase starts.
 """
+
+import itertools
 
 import numpy as np
 
@@ -232,12 +236,36 @@ def _canonical_broadcast_by(sc, aut, s, K, P, Bound):
     return exists("_t", land(race, le(t, Bound)))
 
 
+def stepped_start(system, sigma, pattern, pos):
+    """One synchronous step from the global state ``sigma`` with the heads
+    at ``pos`` on the endmarker pattern ``pattern`` ("L", "M" or "R" per
+    head): (guard, states, position terms).  The guard says that each head
+    is on its pattern's symbol: at 0, inside 1..N, or at N + 1."""
+    N = var("N")
+    guards, states, terms = [], [], []
+    for aut, s, sym, p in zip(system.automata, sigma, pattern, pos):
+        if sym == "L":
+            t, d = aut.delta_left[s]
+            guards.append(eq(p))
+            terms.append(Term(d))
+        elif sym == "R":
+            t, d = aut.delta_right[s]
+            guards.append(eq(p - N - 1))
+            terms.append(N + 1 + d)
+        else:
+            t, d = aut.delta_inner[s]
+            guards.append(land(ge(p, 1), le(p, N)))
+            terms.append(p + d)
+        states.append(t)
+    return land(*guards), tuple(states), terms
+
+
 def canonical_accept_formula(sc, system, frontier):
     """``construction.accept_formula`` built from the Run canonicals, in the
     ``construction.Scope`` ``sc``: every start and end is substituted into
     the canonical over p, pp and T, the final phase binds the acceptance
     time with ``exists``, and a later frontier is split over all 3^n
-    endmarker patterns of its positions."""
+    endmarker patterns of its positions (:func:`stepped_start`)."""
     aut1 = system.automata[0]
     if not aut1.finals:
         return FALSE
@@ -265,13 +293,13 @@ def canonical_accept_formula(sc, system, frontier):
         branches = [land(hit, *guards)]
     else:
         branches = []
-        for pattern in C._patterns(n):
-            states, terms = C._stepped(system, frontier.sigma, pattern, pos)
+        for pattern in itertools.product("LMR", repeat=n):
+            guard, states, terms = stepped_start(system, frontier.sigma, pattern, pos)
             guards = [
                 lnot(_canonical_broadcast_by(sc, aut, states[i], K, terms[i], ta - 1))
                 for i, aut in enumerate(system.automata)
             ]
-            branches.append(land(C._pattern_guard(pattern, pos), hit, *guards))
+            branches.append(land(guard, hit, *guards))
     body = exists("_T", lor(*branches))
     return eliminate(exists(names, land(frontier.position_graph.formula, body)))
 

@@ -13,6 +13,7 @@ from oracles import (
     canonical_accept_formula,
     differ_witness,
     free_run_phase_expr,
+    stepped_start,
     vector_eval,
 )
 
@@ -166,7 +167,7 @@ def test_phase_runs_stopping_at_broadcasts_match_free_runs():
                 if fr.messages_spent == 0:
                     states, terms = fr.sigma, [Term(0)] * n
                 else:
-                    states, terms = C._stepped(system, fr.sigma, pattern, pos)
+                    _, states, terms = stepped_start(system, fr.sigma, pattern, pos)
                 new = eliminate(C._phase_expr(sc, system, states, sigma2, I, terms, pos2))
                 ref = eliminate(free_run_phase_expr(sc, system, states, sigma2, I, terms, pos2))
                 assert differ_witness(new, ref) is FALSE, (name, fr.sigma, sorted(I), sigma2)
@@ -248,18 +249,18 @@ def _two_accepting_visits():
 
 def test_accept_formulas_match_the_canonical_runs_for_every_n():
     # Each acceptance Run is built at its end N + 1, the initial
-    # frontier's runs and guards from start 0, a later frontier leaves out
-    # the endmarker patterns its position graph rules out, and every
+    # frontier's runs and guards from start 0, a later frontier's silence
+    # is a product over the heads of each head's phase starts, and every
     # acceptance Run ends at automaton 1's first accepting visit: on every
     # frontier the formula is the one built from the Run canonicals over
-    # p, pp and T, for every N.
+    # p, pp and T and summed over every endmarker pattern, for every N.
     crafted = [_bouncer(), _left_final(False), _left_final(True), _two_accepting_visits()]
     for system in crafted:
         ups = C.recognized_set(system)
         assert [ups.member(N) for N in range(40)] == [accepts(system, N) for N in range(40)]
     rng = random.Random(20240817)
     systems = [load_fixture(name) for name in FIXTURE_NAMES] + crafted
-    systems += [cli.generate_system(rng, 4, 3, 3) for _ in range(16)]
+    systems += [cli.generate_system(rng, 4, 3, 3) for _ in range(40)]
     n_checked = 0
     for system in systems:
         sc = C.Scope()
@@ -269,6 +270,34 @@ def test_accept_formulas_match_the_canonical_runs_for_every_n():
             assert differ_witness(new, ref) is FALSE, (fr.sigma, fr.messages_spent)
             n_checked += new is not FALSE
     assert n_checked >= 20
+
+
+def test_warm_accept_formula_eliminates_once(monkeypatch):
+    # Every Run and race that an acceptance formula reads is memoized in
+    # the scope, and the silence of each head is one disjunction over its
+    # phase starts, so a second build in the same scope hands the whole
+    # formula to one elimination, on every frontier.
+    calls = []
+    real_eliminate = C.eliminate
+
+    def counting(f, *args, **kw):
+        calls.append(f)
+        return real_eliminate(f, *args, **kw)
+
+    n_checked = 0
+    for name in ("trio", "crosser2", "racer2"):
+        system = load_fixture(name)
+        sc = C.Scope()
+        frontiers = list(C.phase_frontiers(sc, system, system.message_bound))
+        cold = [C.accept_formula(sc, system, fr) for fr in frontiers]
+        with monkeypatch.context() as m:
+            m.setattr(C, "eliminate", counting)
+            for fr, want in zip(frontiers, cold):
+                calls.clear()
+                assert C.accept_formula(sc, system, fr) == want
+                assert len(calls) == 1, (name, fr.sigma, fr.messages_spent, len(calls))
+                n_checked += 0 < fr.messages_spent < system.message_bound
+    assert n_checked >= 5
 
 
 def test_acceptance_runs_end_at_the_first_accepting_visit(monkeypatch):

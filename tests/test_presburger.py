@@ -768,7 +768,8 @@ def _import_cli_bytes():
 
 def test_cli_bytes_alpha_verdict(tmp_path, capsys):
     """``--against`` passes a Run/Reach dump line whose bound variables are
-    renamed and fails one with a changed constant."""
+    renamed and fails one with a changed constant or with a disjunct that
+    the smart constructors would fold away."""
     cli_bytes = _import_cli_bytes()
     d, laps, h = var("_d0"), var("_laps"), var("_h3")
     inner = exists("_h3", land(ge(h, 1), eq(d - 2 * h), le(var("p") + h - var("N"))))
@@ -776,12 +777,13 @@ def test_cli_bytes_alpha_verdict(tmp_path, capsys):
     line = f"[run:1:a:b] {to_sexpr(f)}"
     renamed = line.replace("_d0", "_t7").replace("_laps", "_h9").replace("_h3", "_h1")
     changed = line.replace("(+ (* -1 _laps) 1)", "(+ (* -1 _laps) 2)")
+    gained = f"[run:1:a:b] (or {to_sexpr(f)} (= (+ N 1) 0))"
     assert renamed != line and changed != line
     old = tmp_path / "old"
     old.mkdir()
     (old / "x.txt").write_text(f"$ multiauto extract x\n{line}\n")
-    for text, bad in ((renamed, 0), (changed, 1)):
-        new = tmp_path / f"new{bad}"
+    for i, (text, bad) in enumerate(((renamed, 0), (changed, 1), (gained, 1))):
+        new = tmp_path / f"new{i}"
         new.mkdir()
         (new / "x.txt").write_text(f"$ multiauto extract x\n{text}\n")
         assert cli_bytes.against(new, old) == bad
