@@ -35,7 +35,12 @@ in this order:
    equality shortcut, which removes most variables the builders introduce);
 6. otherwise distribute over the smallest disjunctive conjunct that
    mentions ``v`` and eliminate each arm;
-7. otherwise apply Cooper's method (divisibility atoms, no DNF expansion).
+7. otherwise apply Cooper's method (divisibility atoms, no DNF expansion):
+   one ``_rewrite`` gives every atom on ``v`` a unit coefficient and turns
+   an equality on ``v`` into two bounds, one walk lists the bounds and
+   moduli, the projection to infinity is built once, and a constant
+   witness that a conjunct on the new variable alone rules out is never
+   substituted, since :func:`substitute` would return ``false`` for it.
 
 The quantifier-free result is simplified once more.
 
@@ -62,8 +67,8 @@ mapping are replaced simultaneously and an image is never substituted into
 again.  It avoids capture: a quantifier whose variable is free in an image
 that reaches its body is renamed to the first of ``w_1``, ``w_2``, ... free
 in neither, a name chosen locally rather than from a global counter.  The
-equality shortcut, Cooper's two atom passes and the projection to infinity
-of :func:`eliminate` are ``_rewrite`` calls with leaves of their own.
+equality shortcut, Cooper's atom pass and the projection to infinity of
+:func:`eliminate` are ``_rewrite`` calls with leaves of their own.
 
 One outermost :func:`eliminate` call computes each elimination of a
 quantified subformula, each ``exists v`` step of Cooper's method and each
@@ -180,14 +185,26 @@ class Term:
         return Term(self.const, tuple(p for p in self.coeffs if p[0] != v))
 
     def __add__(self, other):
+        if type(other) is int:
+            return Term(self.const + other, self.coeffs)
         other = _as_term(other)
+        if not other.coeffs:
+            return Term(self.const + other.const, self.coeffs)
+        if not self.coeffs:
+            return Term(self.const + other.const, other.coeffs)
         acc = dict(self.coeffs)
         for v, c in other.coeffs:
             acc[v] = acc.get(v, 0) + c
         return Term.make(self.const + other.const, acc)
 
     def __sub__(self, other):
-        return self + _as_term(other) * -1
+        if type(other) is int:
+            return Term(self.const - other, self.coeffs)
+        other = _as_term(other)
+        acc = dict(self.coeffs)
+        for v, c in other.coeffs:
+            acc[v] = acc.get(v, 0) - c
+        return Term.make(self.const - other.const, acc)
 
     def __mul__(self, k: int):
         if k == 0:
@@ -211,6 +228,19 @@ class Term:
 
     def subst(self, mapping: dict) -> "Term":
         """Replace every variable that ``mapping`` names by its term, at once."""
+        const = self.const
+        kept = []
+        for p in self.coeffs:
+            t = mapping.get(p[0])
+            if t is None:
+                kept.append(p)
+            elif t.coeffs:
+                break
+            else:
+                const += p[1] * t.const
+        else:
+            # No image has a variable: the unmapped pairs stay sorted.
+            return self if len(kept) == len(self.coeffs) else Term(const, tuple(kept))
         const = self.const
         acc: dict = {}
         for v, c in self.coeffs:
@@ -535,20 +565,21 @@ def _flatten(fs, absorb, dual, node_type):
     stack.reverse()
     while stack:
         f = stack.pop()
-        if isinstance(f, (list, tuple)):
+        t = type(f)
+        if t is list or t is tuple:
             stack.extend(reversed(f))
             continue
         if f is absorb:
             continue
         if f is dual:
             return dual, None, False
-        if type(f) is node_type:
+        if t is node_type:
             stack.extend(reversed(f.args))
             continue
         if f not in seen:
             seen.add(f)
             args.append(f)
-            if type(f) is Le:
+            if t is Le:
                 k = f.t.coeffs
                 if k in keys:
                     shared = True
@@ -656,10 +687,11 @@ def _rewrite(f: Formula, leaf, names) -> Formula:
     so the arguments after it are never handed to ``leaf``."""
     if f.fv.isdisjoint(names):
         return f
-    if isinstance(f, Not):
+    t = type(f)
+    if t is Not:
         return lnot(_rewrite(f.f, leaf, names))
-    if isinstance(f, _Junction):
-        stop = FALSE if isinstance(f, And) else TRUE
+    if t is And or t is Or:
+        stop = FALSE if t is And else TRUE
         args = []
         for a in f.args:
             g = _rewrite(a, leaf, names)
@@ -798,24 +830,44 @@ def _subst_eq(f: Formula, v: str, a: int, rest: Term) -> Formula:
 def _atoms_on(f: Formula, v: str, out: list) -> None:
     if v not in f.fv:
         return
-    if isinstance(f, (Le, Eq, Dvd)):
+    t = type(f)
+    if t is Le or t is Eq or t is Dvd:
         out.append(f)
-    elif isinstance(f, Not):
+    elif t is Not:
         _atoms_on(f.f, v, out)
-    elif isinstance(f, _Junction):
+    elif t is And or t is Or:
         for a in f.args:
             _atoms_on(a, v, out)
 
 
 def _cooper_one(v: str, f: Formula, budget: int) -> Formula:
-    """Eliminate ``exists v`` from quantifier-free NNF ``f`` (Cooper's method)."""
+    """Eliminate ``exists v`` from quantifier-free NNF ``f`` (Cooper's method).
 
-    def lower_eq(a):
-        if isinstance(a, Eq) and a.t.coeff(v) != 0:
-            return land(Le(a.t), Le(-a.t))
-        return a
+    Computed once per step, in this order:
 
-    f = _rewrite(f, lower_eq, (v,))
+    - m, the lcm of v's coefficients, from one walk of ``f``;
+    - the body: one ``_rewrite`` scales every atom on v so that v occurs as
+      ``m*v``, renamed ``u``, so ``c*v + r`` becomes ``+-u + (m/|c|)*r``
+      (a divisibility's modulus times m/|c|), and an equality on v becomes
+      the two bounds ``t <= 0`` and ``-t <= 0`` of its scaled term ``t``;
+      the result is conjoined with ``m | u``;
+    - from one walk of the body, its bounds on u, in order and with their
+      multiplicity, and delta, the lcm of its moduli on u; the side with
+      fewer bounds gives the witnesses;
+    - the projection of the body to that side's infinity (``_at_inf``),
+      and for it and for the body the top-level atoms on u alone.
+
+    The disjuncts are the projection at u = -+j and the body at u = b -+ j,
+    for j in [0, delta) and each bound b of the chosen side, in that order.
+    Two kinds of witness are skipped, and neither changes the disjunction:
+    a projection that is already ``false``, and a constant witness w at
+    which an atom on u alone (``m | u``, a constant bound, a constant
+    congruence) is false, which integer arithmetic decides.  Substituting
+    w folds that closed atom to ``false`` exactly, and ``_rewrite``
+    returns ``false`` for a conjunction with a ``false`` argument, so
+    :func:`substitute` would return ``false``, which is never a disjunct.
+    A witness whose term has a variable is always built.
+    """
     if v not in f.fv:
         return f
     atoms: list = []
@@ -831,21 +883,23 @@ def _cooper_one(v: str, f: Formula, budget: int) -> Formula:
     while u in f.fv:
         i += 1
         u = f"_c{i}"
-    uvar = var(u)
 
     def unit(a):
         c = a.t.coeff(v)
         if c == 0:
             return a
         k = m // abs(c)
-        t = a.t.drop(v) * k + uvar * (1 if c > 0 else -1)
-        if isinstance(a, Le):
+        coeffs = [(w, d * k) for w, d in a.t.coeffs if w != v]
+        coeffs.append((u, 1 if c > 0 else -1))
+        coeffs.sort()
+        t = Term(a.t.const * k, tuple(coeffs))
+        if type(a) is Le:
             return Le(t)
-        if isinstance(a, Eq):
-            return Eq(t)
+        if type(a) is Eq:
+            return land(Le(t), Le(-t))
         return Dvd(a.d * k, t)
 
-    body = land(_rewrite(f, unit, (v,)), dvd(m, uvar))
+    body = land(_rewrite(f, unit, (v,)), dvd(m, var(u)))
     # u has coefficient +1 or -1 in every atom now: bounds[-1] holds each
     # lower bound b (b <= u), bounds[1] each upper bound b' (u <= b').
     bounds: dict = {-1: [], 1: []}
@@ -853,10 +907,10 @@ def _cooper_one(v: str, f: Formula, budget: int) -> Formula:
     atoms = []
     _atoms_on(body, u, atoms)
     for a in atoms:
-        if isinstance(a, Le):
+        if type(a) is Le:
             side = 1 if a.t.coeff(u) > 0 else -1
             bounds[side].append(a.t.drop(u) * -side)
-        elif isinstance(a, Dvd):
+        elif type(a) is Dvd:
             delta = _lcm(delta, a.d)
 
     # Bounds are non-strict, so the witnesses are b + j with -infinity, or
@@ -864,13 +918,18 @@ def _cooper_one(v: str, f: Formula, budget: int) -> Formula:
     # bounds.
     sign = -1 if len(bounds[-1]) <= len(bounds[1]) else 1
     base = _at_inf(body, u, sign)
+    at_base = _closed_tests(base, u)
+    at_body = _closed_tests(body, u)
     disjuncts: list[Formula] = []
     size = 0
     for j in range(delta):
-        shift = Term(-sign * j)
-        for g in [substitute(base, {u: shift})] + [
-            substitute(body, {u: b + shift}) for b in bounds[sign]
+        shift = -sign * j
+        for g, tests, w in [(base, at_base, Term(shift))] + [
+            (body, at_body, b + shift) for b in bounds[sign]
         ]:
+            if g is FALSE or not w.coeffs and _fails(tests, w.const):
+                continue
+            g = substitute(g, {u: w})
             if g is not FALSE:
                 disjuncts.append(g)
                 size += node_count(g)
@@ -879,14 +938,45 @@ def _cooper_one(v: str, f: Formula, budget: int) -> Formula:
     return lor(*disjuncts)
 
 
+def _closed_tests(f: Formula, u: str) -> list:
+    """``(c, k, d, holds)`` for each top-level conjunct of NNF ``f`` that is
+    an atom or a negated atom on ``u`` alone: it says that ``c*u + k <= 0``
+    when ``d`` is 0, else ``d | c*u + k``, is ``holds``."""
+    out = []
+    for a in f.args if type(f) is And else (f,):
+        if len(a.fv) != 1 or u not in a.fv:
+            continue
+        holds = type(a) is not Not
+        if not holds:
+            a = a.f
+        if type(a) is Le:
+            d = 0
+        elif type(a) is Dvd:
+            d = a.d
+        else:
+            continue
+        ((_, c),) = a.t.coeffs
+        out.append((c, a.t.const, d, holds))
+    return out
+
+
+def _fails(tests: list, w: int) -> bool:
+    """Whether one of :func:`_closed_tests`' conjuncts is false at u = w."""
+    for c, k, d, holds in tests:
+        n = c * w + k
+        if (n <= 0 if d == 0 else n % d == 0) is not holds:
+            return True
+    return False
+
+
 def _at_inf(f: Formula, v: str, sign: int) -> Formula:
     """NNF ``f`` with v taken to -infinity (sign -1) or +infinity (sign 1):
     every bound on v becomes a constant, congruences stay."""
 
     def leaf(a):
-        if isinstance(a, Le):
+        if type(a) is Le:
             return TRUE if a.t.coeff(v) * sign < 0 else FALSE
-        return FALSE if isinstance(a, Eq) else a
+        return FALSE if type(a) is Eq else a
 
     return _rewrite(f, leaf, (v,))
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import pathlib
@@ -310,6 +311,96 @@ def test_rewrite_keeps_untouched_subtrees_identical():
         asg = {"y": a, "z": b}
         assert evaluate(g, asg) == evaluate(exists("x", qf), asg, domain_bound=30)
 
+    # With no lower bound on x the witnesses are those of the projection to
+    # -infinity, which keeps every subtree free of x as well.
+    g = P._cooper_one("x", land(le(x, y), dvd(2, x + z), free), P.DEFAULT_BUDGET)
+    assert g == lor(land(dvd(2, z), free), land(dvd(2, z + 1), free)), to_sexpr(g)
+    for arm in g.args:
+        assert arm.args[1] is free, to_sexpr(arm)
+
+
+def _cooper_atom(rng, x, lean, closed):
+    """A random atom on x: a bound (lower with probability ``lean``), an
+    equality with |coefficient| > 1, or a (negated) divisibility with
+    modulus up to 6; ``closed`` leaves out the other variables."""
+    c = rng.choice((1, 2, 3))
+    rest = Term(rng.randint(-8, 8))
+    if not closed:
+        for w in ("y", "z"):
+            rest = rest + var(w) * rng.choice((-1, 0, 1))
+    k = rng.random()
+    if k < 0.55:
+        return le(rest - c * x) if rng.random() < lean else le(c * x + rest)
+    if k < 0.7:
+        return eq(rng.choice((2, 3)) * x * rng.choice((1, -1)) + rest)
+    atom = dvd(rng.randint(2, 6), c * x * rng.choice((1, -1)) + rest)
+    return lnot(atom) if rng.random() < 0.3 else atom
+
+
+def test_cooper_step_matches_bounded_evaluation(monkeypatch):
+    """``_cooper_one`` against bounded evaluation on bodies that the
+    criterion-7 stream rarely builds: coefficients of x in +-{1, 2, 3},
+    moduli up to 6, equalities on x with |c| > 1, more lower than upper
+    bounds, conjuncts on x alone (whose constant witnesses the step skips)
+    and bounds with other free variables (whose witnesses it builds).  A
+    constant witness that reaches ``substitute`` satisfies every top-level
+    atom on the auxiliary variable alone."""
+    rng = random.Random(30)
+    bound = 12
+    x = var("x")
+    substituted = []
+    original = P.substitute
+
+    def spy(f, mapping):
+        ((u, w),) = mapping.items()
+        substituted.append(w)
+        if not w.coeffs:
+            conj = f.args if isinstance(f, P.And) else (f,)
+            closed = [a for a in conj if a.fv == {u} and isinstance(a, (P.Le, P.Dvd, P.Not))]
+            assert all(original(a, mapping) is not FALSE for a in closed), (to_sexpr(f), w)
+        return original(f, mapping)
+
+    skipped = []
+    fails = P._fails
+
+    def skip(tests, w):
+        if fails(tests, w):
+            skipped.append(w)
+            return True
+        return False
+
+    monkeypatch.setattr(P, "substitute", spy)
+    monkeypatch.setattr(P, "_fails", skip)
+    more_lower = 0
+    for _ in range(300):
+        lean = rng.choice((0.3, 0.8))
+        parts = [ge(x, 0), le(x, bound)]
+        for _ in range(rng.randint(1, 4)):
+            parts.append(_cooper_atom(rng, x, lean, rng.random() < 0.35))
+        if rng.random() < 0.4:
+            parts.append(lor(_cooper_atom(rng, x, lean, False), _cooper_atom(rng, x, lean, True)))
+        body = land(*parts)
+        if "x" not in body.fv:
+            continue
+        sides = [0, 0]
+        for a in _atoms(body):
+            c = a.t.coeff("x") if isinstance(a, (P.Le, P.Eq)) else 0
+            if isinstance(a, P.Eq) and c:
+                sides = [sides[0] + 1, sides[1] + 1]
+            elif c:
+                sides[c > 0] += 1
+        more_lower += sides[0] > sides[1]
+        g = P._cooper_one("x", body, P.DEFAULT_BUDGET)
+        assert g.qf and "x" not in g.fv, to_sexpr(g)
+        for a, b in itertools.product(range(6), repeat=2):
+            asg = {"y": a, "z": b}
+            want = evaluate(exists("x", body), asg, domain_bound=bound)
+            assert evaluate(g, asg) == want, (to_sexpr(body), asg)
+    assert more_lower >= 50
+    assert len([w for w in substituted if w.coeffs]) >= 1000
+    assert len([w for w in substituted if not w.coeffs]) >= 200
+    assert len(skipped) >= 1000
+
 
 def test_rewrite_stops_at_the_absorbing_argument(monkeypatch):
     # Substituting x := 5 makes the first conjunct false (the first
@@ -613,6 +704,19 @@ def test_eliminate_returns_quantifier_free_input():
     for f, _ in criterion7_formulas(50):
         g = eliminate(f)
         assert eliminate(g) is g
+
+
+def test_elimination_bytes_golden():
+    """Every byte that ``eliminate`` gives on the first 1000 criterion-7
+    formulas, alone and relativized as ``solution_set`` hands them over,
+    as first recorded: a change to elimination that moves one byte fails."""
+    plain, natural = hashlib.sha256(), hashlib.sha256()
+    for f, (v,) in criterion7_formulas(1000):
+        plain.update(to_sexpr(eliminate(f)).encode() + b"\n")
+        natural.update(to_sexpr(eliminate(land(f, ge(var(v), 0)))).encode() + b"\n")
+    golden = TESTS / "data" / "golden" / "criterion7-eliminate.txt"
+    want = dict(line.split() for line in golden.read_text().splitlines())
+    assert {"eliminate": plain.hexdigest(), "eliminate_natural": natural.hexdigest()} == want
 
 
 def test_budget_exceeded_leaves_no_state_behind(monkeypatch):
