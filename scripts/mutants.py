@@ -51,11 +51,18 @@ MUTANTS = (
         "a later phase's silence guards count broadcasts from its start, not one step later",
     ),
     (
-        "no-final-frontier",
+        "accept-strict",
         "src/multiauto/construction.py",
-        "if alive or (k and fr.sigma[0] in finals):",
-        "if alive:",
-        "phase_frontiers drops a dead frontier that sits on a broadcast in a final state",
+        "k = sum(t <= accept for t, _, _ in events)",
+        "k = sum(t < accept for t, _, _ in events)",
+        "a broadcast at the first accepting time is not counted toward its frontier",
+    ),
+    (
+        "no-accept-bound",
+        "src/multiauto/construction.py",
+        "accept = walks[0].first_acceptance()",
+        "accept = None",
+        "the sample window ignores the order of automaton 1's first acceptance",
     ),
     (
         "cap-K-1",

@@ -10,11 +10,13 @@ message bounds drawn from 1..12, it prints one line:
 
 W is the last length of the derived window
 (``construction._sample_lengths``), and L the last length of a long
-window that files a branch (``construction._sampled_branches``'s key and
-value) that no shorter length files, or -1 when no run files any.  The
+window that files something no shorter length files, or -1 when no run
+files anything: a branch (``construction._sampled_runs``' ``branches``,
+key and value), or a first-acceptance or leading frontier key (its
+``first`` and ``lead``).  The
 long window runs up to the larger of twice W and
 max(320, N_min + 30·period + 60) + K·M, the fixed window that the derived
-one replaced.  It exits 1 if any branch first appears past the derived
+one replaced.  It exits 1 if anything is first filed past the derived
 window, that is, if any margin is negative, and prints the number of
 systems and the smallest margin last:
 
@@ -43,18 +45,27 @@ def long_end(system):
     return max(320, nmin + 30 * period + 60) + cap * system.message_bound
 
 
-def last_new_branch(system, end):
-    """The last N <= end whose run files a branch that no shorter N files."""
+def last_new_key(system, end):
+    """The last N <= end whose run files a branch or an acceptance key that
+    no shorter N files."""
+    nmin = dynamics.min_sufficient_length(system)
     seen, last = set(), -1
     for N in range(end + 1):
         sigma, pi = tuple(a.initial for a in system.automata), (0,) * system.n
-        for k, (_, I, cfg) in enumerate(sim.broadcast_events(system, N)):
+        filed, keys = [], [(0, sigma)]
+        events = sim.broadcast_events(system, N)
+        for k, (_, I, cfg) in enumerate(events):
             pattern = tuple("L" if p == 0 else "R" if p == N + 1 else "M" for p in pi)
-            branch = (k, sigma, pattern, I, cfg.sigma)
-            if branch not in seen:
-                seen.add(branch)
-                last = N
+            filed.append((k, sigma, pattern, I, cfg.sigma))
             sigma, pi = cfg.sigma, cfg.pi
+            keys.append((k + 1, sigma))
+        accept = sim.first_acceptance(system, N) if N >= nmin else None
+        if accept is not None:
+            k = sum(t <= accept for t, _, _ in events)
+            filed += [("lead", *key) for key in keys[:k]] + [("first", *keys[k])]
+        if not seen.issuperset(filed):
+            seen.update(filed)
+            last = N
     return last
 
 
@@ -69,7 +80,7 @@ def main():
         for i in range(args.count):
             system = cli.generate_system(rng, states, automata, MAX_MESSAGES)
             window = construction._sample_lengths(system)[-1]
-            last = last_new_branch(system, max(2 * window, long_end(system)))
+            last = last_new_key(system, max(2 * window, long_end(system)))
             margins.append(window - last)
             print(f"({states},{automata}) {i} window={window} last={last} margin={window - last}")
     print(f"{len(margins)} systems, smallest margin {min(margins)}")

@@ -13,35 +13,40 @@ breadth first; and ``recognized_set`` ORs their acceptance formulas into a
 single one-variable formula that is lowered to an ultimately periodic set.
 
 Only automaton 1 decides acceptance, and messages never change a
-transition, so ``recognized_set`` searches only the frontiers where
-automaton 1 is in a live state (``dynamics.live_states``: one from which a
-step into a final state on the right endmarker is reachable).  Every
-frontier after a dead one is dead too, and a dead frontier's acceptance
-formula is unsatisfiable, unless automaton 1 is in a final state at the
-frontier's broadcast, which may itself be the accepting step;
-``phase_frontiers`` keeps that one case.  The pruned search therefore ORs
-the same satisfiable formulas and gives the same set.
+transition, so ``recognized_set`` builds only the phases in which some
+length is accepted.  The sampled runs that decide which branches get built
+(below) also file, for each accepted length N >= N_min, the frontier of its
+first accepting visit: the one on the last broadcast at or before that
+visit, keyed by the messages spent and the global state there.  They file
+the frontiers that lead to it too.  ``phase_frontiers`` advances only
+leading frontiers, and ``recognized_set`` ORs the acceptance formulas of
+first-acceptance frontiers alone.  That is the same set
+(:func:`recognized_set`), and the window files every such frontier
+(:func:`_settling`).
 
 All formulas are exact descriptions of the simulator for sufficiently long
 inputs; the recognized set patches the short inputs by direct simulation.
 
-Which branches get built is decided by sampling: ``_sampled_branches``
+Which branches get built is decided by sampling: ``_sampled_runs``
 simulates each sampled length once and files every broadcast event under
 the messages spent and the global state before it, and each frontier
-builds the branches filed under its own.  The sampled lengths are every N
-up to a window derived for each system (``_sample_lengths``): on each
-residue class of N modulo the lcm of the cycle displacements, every
-automaton's walk has its endmarker visits and broadcasts at times affine
-in N (``dynamics.AffineWalk``), so past the last crossing of the times a
-run's branches depend on, the filed branches repeat, and the window ends
-one period later.  The window and the samples read the same broadcasting
-times: each automaton's own come from its ``dynamics.AffineWalk``, and
-``dynamics.first_broadcasts`` merges them into the run's first M, on a
-class of lengths for the window (``_settling``) and on one length for
-``sim.broadcast_events``.  That kernel steps no quiet stretch; it takes
-only the broadcasting steps, and so every message rule, through
-``sim.global_step``.  How far a run unrolls is not sampled: every run is
-capped at the analysis bound K (``_run_caps`` gives the argument).
+builds the branches filed under its own.  The same pass files each
+accepted length's first-acceptance frontier and its leading ones.  The
+sampled lengths are every N up to a window derived for each system
+(``_sample_lengths``): on each residue class of N modulo the lcm of the
+cycle displacements, every automaton's walk has its endmarker visits and
+broadcasts at times affine in N (``dynamics.AffineWalk``), and so has
+automaton 1's first accepting visit.  Past the last crossing of the times
+a run's branches and frontiers depend on, what it files repeats, and the
+window ends one period later.  The window and the samples read the same
+broadcasting times: each automaton's own come from its
+``dynamics.AffineWalk``, and ``dynamics.first_broadcasts`` merges them into
+the run's first M, on a class of lengths for the window (``_settling``)
+and on one length for ``sim.broadcast_events``.  That kernel steps no
+quiet stretch; it takes only the broadcasting steps, and so every message
+rule, through ``sim.global_step``.  How far a run unrolls is not sampled:
+every run is capped at the analysis bound K (``_run_caps`` gives the
+argument).
 
 Every run inside a phase stops at the broadcasting states of its
 automaton: a race, a silence guard, the run that advances an automaton in
@@ -90,7 +95,7 @@ chain takes ``_d<i>`` steps and a chain closed by a rebound cycle runs
 Reach/Run canonicals, the endmarker-start branches of the Reach ones, the
 Reach instances that run chains are made of, the Runs with their
 quantifiers eliminated and their projection to occupancy at time T,
-segment constraints and the table of sampled branches are memoized in a
+segment constraints and the tables of the sampled runs are memoized in a
 :class:`Scope`, one per extraction, which every builder that reads a
 table takes first.  A chain names its segment times by position, so chains
 that share segments share the formula objects, and an elimination meets
@@ -114,6 +119,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import wraps
 from math import lcm
+from typing import NamedTuple
 
 from . import dynamics, sim
 from .model import bounds_profile, validate_system
@@ -743,11 +749,13 @@ def _sample_lengths(system):
     they depend on repeats with a period Q; then the runs on r + P·q and
     r + P·(q + Q) file the same branches, so every q >= q_0 + Q files what
     q - Q files, and q < q_0 + Q covers every branch of the class.  A
-    branch is what :func:`_sampled_branches` files: the messages spent and
+    branch is what :func:`_sampled_runs` files: the messages spent and
     the global state before a broadcast, the endmarker pattern of the
     heads then, the broadcasters and the global state at the broadcast.
-    So the window ends at the largest r + P·(q_0 + Q - 1), and every N
-    below N_min is simulated too.
+    A run also files its first-acceptance frontier and the ones leading to
+    it (:func:`_sampled_runs`), which repeat from the same q_0 on with the
+    same period.  So the window ends at the largest r + P·(q_0 + Q - 1),
+    and every N below N_min is simulated too.
 
     A traversal that broadcasts once per lap of its cycle holds as many
     broadcasts as it has laps, about N/|c|, so a run that spends all M
@@ -785,14 +793,20 @@ def _settling(walks, m):
       sits in one hop or on one mark for good, and its state and endmarker
       repeat with a period that divides Q
       (:meth:`dynamics.AffineWalk.settles`); one that broadcasts is at a
-      fixed index of a fixed hop.
+      fixed index of a fixed hop;
+    - automaton 1's first accepting visit, one mark of its walk, the same
+      on every q, at a time A affine in q
+      (:meth:`dynamics.AffineWalk.first_acceptance`), keeps its order
+      against each merged time t: A and t are the same function, or their
+      difference keeps its sign.
 
-    These two bounds also keep every merged time t before the time u that
-    follows it, the next merged one or, after the last, each automaton's
-    next time, so no broadcast falls between them and the first m
-    broadcasting times of the run are the merged ones.  Let j broadcast at
-    u.  A walk's marks come in increasing time on every q, and a real time
-    of its walk lies on a mark or in the hop from it, before the next mark.
+    The first two bounds also keep every merged time t before the time u
+    that follows it, the next merged one or, after the last, each
+    automaton's next time, so no broadcast falls between them and the
+    first m broadcasting times of the run are the merged ones.  Let j
+    broadcast at u.  A walk's marks come in increasing time on every q, and
+    a real time of its walk lies on a mark or in the hop from it, before
+    the next mark.
 
     - If j broadcasts at t too, t and u are consecutive real times of its
       walk, listed in order, so t < u.
@@ -802,12 +816,35 @@ def _settling(walks, m):
       in hop k grows with q.  So u is at or past mark k + 1, which comes
       after t, or in hop k at a fixed offset larger than t's fixed one.
 
+    The third bound keeps the number k of merged times at or before A the
+    same on every q.  A run's first-acceptance frontier is keyed
+    (k, sigma_k) and its leading ones (j, sigma_j), j < k
+    (:func:`_sampled_runs`), where sigma_j is the global state at the j-th
+    merged time, which repeats with period Q by the second bound.  So they
+    repeat too.
+
+    The first two bounds do not imply the third.  Where automaton 1 sits
+    at t on a repeated stretch of constant period that crosses the tape
+    nowhere, and t grows faster than the stretch's start,
+    :meth:`~dynamics.AffineWalk.settles` bounds t only at or past that
+    start.  When A is the start, t and A can meet at the q_0 of that bound
+    alone, with Q = 1, and t comes after A at every later q: the window
+    would end on a run that files one first-acceptance frontier, and every
+    longer run on the class files another.  ``late_acceptance`` in
+    ``tests/test_sampling.py`` is such a system.  Its set would come out
+    right all the same, since automaton 1 stays in its accepting visit and
+    the frontier on the broadcast covers it too, but the argument of
+    :func:`recognized_set` needs every first-acceptance frontier.
+
     So nothing the run files changes from q to q + Q.  Each bound is where
     an affine difference changes sign (:func:`dynamics.settled_from`)."""
     events, heads = dynamics.first_broadcasts(walks, m)
     q0 = max([q for _, _, q in events] + [h[1] for h in heads if h], default=0)
     repeat = 1
+    accept = walks[0].first_acceptance()
     for t, fired, _ in events:
+        if accept is not None and t != accept:
+            q0 = max(q0, dynamics.settled_from(*sorted((t, accept))))
         for i, w in enumerate(walks):
             if i not in fired:
                 q, lap = w.settles(t)
@@ -815,21 +852,50 @@ def _settling(walks, m):
     return q0, repeat
 
 
+class _Sample(NamedTuple):
+    """What the runs on the sampled lengths file (:func:`_sampled_runs`)."""
+
+    branches: dict  # (messages spent, global state) -> {(pattern, I, sigma')}
+    lead: frozenset  # keys of the frontiers before a first-acceptance one
+    first: frozenset  # keys of the first-acceptance frontiers
+
+
 @_per_scope
-def _sampled_branches(sc, system):
-    """The (pattern, I, sigma') branches that the runs on the sampled
-    lengths take, keyed by (messages spent, global state) before the
-    broadcast: the endmarker pattern of the heads before it, the
-    broadcasters I and the global state at it.  Each length goes through
-    :func:`sim.broadcast_events` once per scope."""
-    table = defaultdict(set)
+def _sampled_runs(sc, system):
+    """What the runs on the sampled lengths file, each length through
+    :func:`sim.broadcast_events` once per scope.
+
+    ``branches`` holds the (pattern, I, sigma') branches that the runs
+    take, keyed by (messages spent, global state) before the broadcast: the
+    endmarker pattern of the heads before it, the broadcasters I and the
+    global state at it.
+
+    ``first`` and ``lead`` hold frontier keys (messages spent, global
+    state).  Let N >= N_min be accepted, with automaton 1's first accepting
+    visit at time T (:func:`sim.first_acceptance`), k the number of its
+    run's broadcasts at times <= T, sigma_0 the initial global state and
+    sigma_j the global state at the j-th broadcast.  Then (k, sigma_k) is
+    N's first-acceptance key, in ``first``, and every (j, sigma_j), j < k,
+    is in ``lead``.  The count takes the broadcasts at times <= T, not
+    < T: on a broadcast at T itself, the frontier that sits on it covers
+    the acceptance, and the phase before it demands silence through T."""
+    nmin = dynamics.min_sufficient_length(system)
+    branches, lead, first = defaultdict(set), set(), set()
     for N in _sample_lengths(system):
         sigma, pi = tuple(a.initial for a in system.automata), (0,) * system.n
-        for k, (_, I, cfg) in enumerate(sim.broadcast_events(system, N)):
+        keys = [(0, sigma)]
+        events = sim.broadcast_events(system, N)
+        for k, (_, I, cfg) in enumerate(events):
             pattern = tuple("L" if p == 0 else "R" if p == N + 1 else "M" for p in pi)
-            table[k, sigma].add((pattern, I, cfg.sigma))
+            branches[k, sigma].add((pattern, I, cfg.sigma))
             sigma, pi = cfg.sigma, cfg.pi
-    return table
+            keys.append((k + 1, sigma))
+        accept = sim.first_acceptance(system, N) if N >= nmin else None
+        if accept is not None:
+            k = sum(t <= accept for t, _, _ in events)
+            lead.update(keys[:k])
+            first.add(keys[k])
+    return _Sample(branches, frozenset(lead), frozenset(first))
 
 
 def initial_frontier(system) -> PhaseFrontier:
@@ -870,7 +936,8 @@ def _realized_branches(sc, system, frontier):
     more elimination but cannot change the set: its phase formula is
     conjoined with the frontier's position graph, which is exact for
     N >= N_min, and shorter inputs are simulated."""
-    branches = _sampled_branches(sc, system).get((frontier.messages_spent, frontier.sigma), ())
+    key = (frontier.messages_spent, frontier.sigma)
+    branches = _sampled_runs(sc, system).branches.get(key, ())
     return sorted(branches, key=lambda x: (x[0], sorted(x[1]), x[2]))
 
 
@@ -933,34 +1000,31 @@ def advance_frontier(sc, system, frontier: PhaseFrontier) -> list:
     return out
 
 
-def phase_frontiers(sc, system, depth, live=None):
-    """Every frontier reachable with at most ``depth`` messages, breadth first.
+def phase_frontiers(sc, system, depth, lead=None):
+    """Every frontier reachable with at most ``depth`` messages, breadth
+    first, each advanced right after it is yielded.
 
     Every advance works in ``sc``, so the caller's builds share its
     tables.
 
-    ``live``, automaton 1's live states (:func:`dynamics.live_states`),
-    prunes the search to the frontiers where the system can still accept.
-    A frontier whose automaton-1 state is not live is not advanced: every
-    later frontier's state is reachable from it, so none is live either, and
-    no later phase can accept.  Such a frontier is not yielded either,
-    unless it sits on a broadcast in a final state: that broadcasting step
-    may itself be the accepting configuration, which only this frontier's
-    acceptance formula covers (the phase before it requires silence up to
-    and including the accepting time).  The pruning is exact: every
-    acceptance formula it skips is unsatisfiable.
+    With ``lead``, a set of (messages spent, global state) keys, only a
+    frontier whose key is in it is advanced, and the frontiers after the
+    others are never built.  :func:`recognized_set` passes the keys of the
+    frontiers that lead to some accepted length's first-acceptance
+    frontier (:func:`_sampled_runs`).  No other frontier needs advancing:
+    an accepted N >= N_min reaches its own first-acceptance frontier
+    through frontiers keyed in that table, one per broadcast before its
+    first accepting visit, and the window files every such key
+    (:func:`_settling`), so a frontier whose key is not in it lies on no
+    accepted length's way to its first acceptance.  :func:`recognized_set`
+    gives the whole argument.
     """
     layer = [initial_frontier(system)]
-    finals = system.automata[0].finals
     for k in range(depth + 1):
         nxt = []
         for fr in layer:
-            alive = live is None or fr.sigma[0] in live
-            if alive or (k and fr.sigma[0] in finals):
-                yield fr
-            if k == depth:
-                continue
-            if alive:
+            yield fr
+            if k < depth and (lead is None or (k, fr.sigma) in lead):
                 nxt.extend(f for _, f in advance_frontier(sc, system, fr))
         layer = nxt
 
@@ -1061,23 +1125,48 @@ def recognized_set(system, sc=None) -> UltimatelyPeriodicSet:
 
     Built in ``sc``, or in a scope of its own when none is given.
 
-    Breadth-first phase expansion through at most M broadcasts, OR-ing the
+    Breadth-first phase expansion through at most M broadcasts, OR-ing
     per-frontier acceptance formulas, then lowering to a set; lengths below
-    the sufficient threshold are patched by direct simulation.
+    the sufficient threshold N_min are patched by direct simulation.
 
-    The expansion is pruned to the frontiers where automaton 1 can still
-    accept (:func:`phase_frontiers` states the rule and why it is exact):
-    messages never change a transition, so once automaton 1 is in a state
-    from which no accepting step is reachable, no later phase accepts, and
-    leaving those phases out cannot change the set.  A system whose
-    automaton 1 starts in such a state builds no formula at all.
+    Only the phases in which some length is accepted are built.  An
+    accepted N >= N_min has a first-acceptance frontier, keyed (k, sigma_k)
+    with k the number of its run's broadcasts at or before automaton 1's
+    first accepting visit T, and leading frontiers keyed (j, sigma_j),
+    j < k (:func:`_sampled_runs`).  The search advances only leading
+    frontiers (:func:`phase_frontiers`), and only first-acceptance
+    frontiers get an acceptance formula.  The OR is the language on every
+    N >= N_min:
+
+    - Every acceptance formula holds only at accepted lengths: it is the
+      frontier's position graph, which holds at N only where N's run is on
+      that frontier, with automaton 1 making an accepting visit in the
+      phase that follows (:func:`accept_formula`).
+    - Every accepted N >= N_min satisfies the formula of its own
+      first-acceptance frontier.  Its run goes through frontiers keyed
+      (0, sigma_0) .. (k, sigma_k), and the window files each key, the
+      leading ones as leading, and each branch between them
+      (:func:`_settling`, :func:`_sample_lengths`).  So the search
+      advances each leading frontier on the run and builds the branch the
+      run takes, and it yields a frontier keyed (k, sigma_k) whose position
+      graph holds at N.  Its acceptance formula holds at N: automaton 1
+      accepts at T, and every broadcast of the run after the k-th comes
+      after T, so the phase's silence guards hold up to T.
+
+    So the formulas left out, which hold only at accepted lengths too, add
+    no length.  A system that accepts no sampled N >= N_min advances no
+    frontier and builds no formula at all.
     """
     system = validate_system(system)
     nmin = dynamics.min_sufficient_length(system)
     m = system.message_bound
-    live = dynamics.live_states(system.automata[0])
     sc = sc or Scope()
-    parts = [accept_formula(sc, system, fr) for fr in phase_frontiers(sc, system, m, live)]
+    sample = _sampled_runs(sc, system)
+    parts = [
+        accept_formula(sc, system, fr)
+        for fr in phase_frontiers(sc, system, m, sample.lead)
+        if (fr.messages_spent, fr.sigma) in sample.first
+    ]
     phi = land(lor(*parts), ge(_N, nmin))
     ups = solution_set(phi, "N")
     width = max(ups.threshold, nmin)

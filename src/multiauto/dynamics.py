@@ -17,8 +17,9 @@ one source of an automaton's broadcasting times.
 :func:`first_broadcasts` merges those of the automata into the run's
 first M: on one length for the simulator's sampling kernel
 (:func:`sim.broadcast_events`), and on a class for the phase pipeline,
-which derives its sample window from them.  :func:`live_states` gives the
-states from which an automaton can still accept.
+which derives its sample window from them.  The walk's first accepting
+visit (:meth:`AffineWalk.first_acceptance`) is read off the same marks, on
+one length for :func:`sim.accepts` and on a class for the window.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "AffineWalk",
     "settled_from",
     "first_broadcasts",
-    "live_states",
     "takeoff",
     "min_sufficient_length",
 ]
@@ -124,7 +124,8 @@ class Hops:
     at a time.  Built once per automaton (:attr:`model.Automaton.hops`).
 
     States are numbered in sorted order (``names``, ``index``); ``loud[s]``
-    says whether s broadcasts and ``ends[s]`` holds its (next, move) pairs
+    says whether s broadcasts, ``final[s]`` whether it is final, and
+    ``ends[s]`` holds its (next, move) pairs
     on the left and on the right endmarker.  Away from the endmarkers every
     step reads the inner letter, so the walk from an interior (s, p) is the
     basic sequence of s (``inner[s]``): i steps later it is in the
@@ -145,6 +146,7 @@ class Hops:
         index = {s: i for i, s in enumerate(names)}
         self.names, self.index = names, index
         self.loud = [s in automaton.broadcasting for s in names]
+        self.final = [s in automaton.finals for s in names]
         self.ends = [
             tuple((index[q], d) for q, d in (automaton.delta_left[s], automaton.delta_right[s]))
             for s in names
@@ -244,6 +246,18 @@ class Hops:
         t, s, p = marks[bisect_right(marks, u, key=_time) - 1]
         return self.after(s, p, u - t) if u > t else (s, p)
 
+    def first_accepting(self, marks, N):
+        """The index in ``marks``, those of a walk on a^N (:meth:`walk`),
+        of the walk's first accepting visit, a final state on the right
+        endmarker, or None when it makes none.
+
+        The head arrives on an endmarker only at a mark, and the marks hold
+        every endmarker visit up to the first repeated one, after which the
+        walk only repeats them, so the first such mark is the first such
+        visit."""
+        right, final = N + 1, self.final
+        return next((j for j, (_, s, p) in enumerate(marks) if p == right and final[s]), None)
+
     def loud_indices(self, s):
         """The indices i of the basic sequence of s, extended lap by lap,
         whose state broadcasts, in increasing order; endless when a state
@@ -290,8 +304,8 @@ class AffineWalk:
     With P = 0 it is the walk on the one length N = r, which may then be
     any length: every time is (0, t) and every q_0 is 0.
 
-    ``walk`` is the walk on N = r as :meth:`Hops.walk` gives it, for
-    :meth:`Hops.at`.  ``marks`` holds (time, state, side) with side "L",
+    ``walk`` is the walk on N = r (``r``) as :meth:`Hops.walk` gives it,
+    for :meth:`Hops.at`.  ``marks`` holds (time, state, side) with side "L",
     "R", or None at the start of a hop inside the tape.  ``cycle`` is None
     for a walk that ends trapped in its last hop, else (e, period): the
     marks from index e on repeat every ``period`` steps, a constant one
@@ -300,6 +314,7 @@ class AffineWalk:
 
     def __init__(self, hops, s, r, P):
         self.hops = hops
+        self.r = r
         m0, end0 = self.walk = hops.walk(s, 0, 0, r)
         m1, end1 = hops.walk(s, 0, 0, r + P) if P else self.walk
         self.marks = [
@@ -323,6 +338,13 @@ class AffineWalk:
         laps, i = divmod(j - e, len(self.marks) - e)
         t, s, side = self.marks[e + i]
         return (t[0] + laps * per[0], t[1] + laps * per[1]), s, side
+
+    def first_acceptance(self):
+        """The time of the walk's first accepting visit, or None when it
+        makes none: the same mark on every q (:meth:`Hops.first_accepting`
+        finds it on N = r), since every q has the same marks."""
+        j = self.hops.first_accepting(self.walk[0], self.r)
+        return None if j is None else self.marks[j][0]
 
     def loud_times(self):
         """The times at which the automaton broadcasts, in increasing order
@@ -414,39 +436,6 @@ def first_broadcasts(walks, m):
         for i in fired:
             heads[i] = next(streams[i], None)
     return events, heads
-
-
-def live_states(automaton: Automaton) -> frozenset:
-    """The states from which the automaton can still accept.
-
-    Acceptance is a final state with the head on the right endmarker, and
-    the head starts on the left one, so the accepting configuration is
-    entered by a step: an inner move +1 (from position N), a stay on the
-    right endmarker, or a move +1 off the left endmarker (on a^0, where
-    that lands on N + 1).  A state is live when such a step into a final
-    state is reachable from it over the three transition tables.
-    Positions are ignored, so this over-approximates: a state outside the
-    set never reaches an accepting configuration later, on any a^N.
-    """
-    finals = automaton.finals
-    preds = {s: [] for s in automaton.states}
-    live = set()
-    for table, lands in (
-        (automaton.delta_inner, 1),
-        (automaton.delta_right, 0),
-        (automaton.delta_left, 1),
-    ):
-        for s, (nxt, mv) in table.items():
-            preds[nxt].append(s)
-            if mv == lands and nxt in finals:
-                live.add(s)
-    stack = list(live)
-    while stack:
-        for s in preds[stack.pop()]:
-            if s not in live:
-                live.add(s)
-                stack.append(s)
-    return frozenset(live)
 
 
 @dataclass(frozen=True)

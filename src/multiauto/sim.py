@@ -8,10 +8,11 @@ Validation keeps every head on the tape (an endmarker move never points
 outward), so a step needs no bounds check.  Every simulation either
 accepts or revisits a global configuration, so runs always terminate.
 
-:func:`run` takes every step.  :func:`accepts` walks automaton 1 alone,
-and :func:`broadcast_events`, the phase pipeline's sampling kernel,
-merges each automaton's broadcasting times from its own walk and steps
-only at them, through :func:`global_step`.
+:func:`run` takes every step.  :func:`accepts` walks automaton 1 alone to
+its first accepting visit (:func:`first_acceptance`), and
+:func:`broadcast_events`, the phase pipeline's sampling kernel, merges
+each automaton's broadcasting times from its own walk and steps only at
+them, through :func:`global_step`.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "global_step",
     "broadcast_events",
     "run",
+    "first_acceptance",
     "accepts",
     "trace_log",
 ]
@@ -131,23 +133,32 @@ def run(system: MultiSystem, N: int) -> Trace:
         t += 1
 
 
-def accepts(system: MultiSystem, N: int) -> bool:
-    """Whether a^N is accepted.
+def first_acceptance(system: MultiSystem, N: int):
+    """The time of automaton 1's first accepting visit on a^N, a final
+    state on the right endmarker, or None when a^N is rejected.
 
     Messages never alter transitions, so acceptance is decided by automaton
     1's own trajectory, walked alone.  The walk goes from endmarker visit to
     endmarker visit in closed form (:meth:`dynamics.Hops.walk`), and every
-    arrival on the right endmarker is such a visit, so a^N is accepted iff
-    one of the visits before the walk ends sits on N + 1 in a final state.
-    The walk ends in a cycle of endmarker visits or in a trap inside the
-    tape; both reject, since nothing new is visited.  The cost is a few
-    operations per endmarker visit, not one per step.
+    arrival on the right endmarker is such a visit, so the first accepting
+    visit is the first of its marks on N + 1 in a final state
+    (:meth:`dynamics.Hops.first_accepting`).  The walk ends in a cycle of
+    endmarker visits or in a trap inside the tape; neither visits anything
+    new.  The cost is a few operations per endmarker visit, not one per
+    step.
     """
     system = validate_system(system)
     aut = system.automata[0]
     hops = aut.hops
     marks, _ = hops.walk(hops.index[aut.initial], 0, 0, N)
-    return any(p == N + 1 and hops.names[s] in aut.finals for _, s, p in marks)
+    j = hops.first_accepting(marks, N)
+    return None if j is None else marks[j][0]
+
+
+def accepts(system: MultiSystem, N: int) -> bool:
+    """Whether a^N is accepted: automaton 1 makes an accepting visit
+    (:func:`first_acceptance`)."""
+    return first_acceptance(system, N) is not None
 
 
 def broadcast_events(system: MultiSystem, N: int) -> tuple:

@@ -4,8 +4,9 @@ The reach/run oracles replay one automaton's trajectory step by step and
 record exactly which (state, position, time) triples are realized under each
 predicate's side conditions; the formulas are then required to agree.
 ``phase_trace`` is the step-by-step reference for the phase pipeline's
-sampling kernel ``sim.broadcast_events``, ``accepts`` is the one for
-``sim.accepts``, and ``traversal_slope`` recomputes ``Hops.slope`` from the
+sampling kernel ``sim.broadcast_events``, ``first_acceptance`` and
+``accepts`` are the ones for ``sim.first_acceptance`` and ``sim.accepts``,
+and ``traversal_slope`` recomputes ``Hops.slope`` from the
 basic sequences.
 
 ``vector_eval`` evaluates a quantifier-free formula on a whole numpy grid
@@ -142,19 +143,26 @@ def phase_trace(system, N, stretch=1):
     return tuple(events)
 
 
-def accepts(system, N):
-    """Reference for ``sim.accepts``: automaton 1 stepped alone with
-    ``_step_one`` until it accepts or repeats a (state, position) pair."""
+def first_acceptance(system, N):
+    """Reference for ``sim.first_acceptance``: automaton 1 stepped alone
+    with ``_step_one`` until it accepts, at the time returned, or repeats a
+    (state, position) pair, None."""
     aut = system.automata[0]
     s, p = aut.initial, 0
     seen = set()
-    while True:
+    for t in itertools.count():
         if s in aut.finals and p == N + 1:
-            return True
+            return t
         if (s, p) in seen:
-            return False
+            return None
         seen.add((s, p))
         s, p = sim._step_one(aut, s, p, N)
+
+
+def accepts(system, N):
+    """Reference for ``sim.accepts``: whether :func:`first_acceptance`
+    finds an accepting visit."""
+    return first_acceptance(system, N) is not None
 
 
 def traversal_slope(automaton):

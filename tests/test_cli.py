@@ -372,8 +372,10 @@ def test_extract_closed_stdout_is_not_an_input_error(capsys, monkeypatch, tmp_pa
 
 
 def test_extract_budget_exit_three(capsys, monkeypatch):
+    # even accepts some length, so its extraction eliminates; drift3
+    # accepts none and builds no formula.
     monkeypatch.setenv("MULTIAUTO_QE_BUDGET", "1")
-    code, _, err = run_cli(capsys, "extract", fixture_path("drift3"))
+    code, _, err = run_cli(capsys, "extract", fixture_path("even"))
     assert code == 3
     assert "budget" in err
 

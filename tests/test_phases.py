@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from multiauto import cli, construction as C, dynamics, sim
+from multiauto import cli, construction as C, sim
 from multiauto.model import validate_system
 from multiauto.presburger import FALSE, Term, eliminate, evaluate, exists, var
 
@@ -112,15 +112,15 @@ def test_accept_formula_walker():
 def _free_run_keys(system):
     """The keys of the Runs with the empty stop set that an extraction
     eliminates, and the states of automaton 1 on the final-phase
-    frontiers."""
+    frontiers that its search reaches."""
     m = system.message_bound
-    live = dynamics.live_states(system.automata[0])
     sc = C.Scope()
     C.recognized_set(system, sc)
     free = [key for key in sc.tables["_run_qf"] if not key[1]]
+    lead = C._sampled_runs(sc, system).lead
     last = {
         fr.sigma[0]
-        for fr in C.phase_frontiers(C.Scope(), system, m, live)
+        for fr in C.phase_frontiers(C.Scope(), system, m, lead)
         if fr.messages_spent == m
     }
     return free, last
@@ -133,7 +133,8 @@ def test_free_runs_only_in_final_phase_acceptance():
     # Those acceptance runs end on the right endmarker, so they are built
     # with end N + 1.
     rng = random.Random(20240817)
-    systems = [load_fixture(name) for name in ("crosser2", "racer2", "trio")]
+    names = ("crosser2", "even", "racer2", "slowracer", "trio", "walker")
+    systems = [load_fixture(name) for name in names]
     systems += [cli.generate_system(rng, 4, 3, 3) for _ in range(12)]
     n_checked = 0
     for system in systems:

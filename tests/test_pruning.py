@@ -1,11 +1,12 @@
 """The pruned phase search against the unpruned one.
 
-``recognized_set`` searches only the frontiers where automaton 1 is in a
-live state (``dynamics.live_states``), plus a dead frontier that sits on a
-broadcast in a final state.  The reference is the unpruned loop:
-``accept_formula`` over every frontier ``phase_frontiers`` yields.  The two
-must give the same set, and every acceptance formula the pruning leaves out
-must be unsatisfiable for every N, N = 0 included.
+``recognized_set`` advances only the frontiers that lead to some sampled
+length's first-acceptance frontier, and builds the acceptance formulas of
+the first-acceptance frontiers alone (``construction._sampled_runs``).  The
+reference is the unpruned loop: ``accept_formula`` over every frontier
+``phase_frontiers`` yields without a table.  The two must give the same
+set, and the acceptance formulas the pruning leaves out must add no
+N >= N_min to the union of the ones it builds.
 """
 
 import random
@@ -18,6 +19,7 @@ from multiauto.presburger import (
     UltimatelyPeriodicSet,
     ge,
     land,
+    lnot,
     lor,
     satisfiable,
     solution_set,
@@ -28,12 +30,6 @@ from conftest import FIXTURE_NAMES, load_fixture
 
 FUZZ_SEED = 20240817
 FUZZ_SLICE = 40  # the systems of the benchmark's fuzz workload
-
-
-def _kept(system, live, fr):
-    """Whether the pruned search yields ``fr`` (phase_frontiers' rule)."""
-    s = fr.sigma[0]
-    return s in live or (fr.messages_spent > 0 and s in system.automata[0].finals)
 
 
 def _reference_set(system, parts):
@@ -50,18 +46,22 @@ def _reference_set(system, parts):
 
 
 def _check(system):
-    """Pruned == unpruned on one system; returns how many frontiers the
-    pruning left out."""
+    """Pruned == unpruned on one system; returns how many acceptance
+    formulas the pruning left out."""
     m = system.message_bound
-    live = dynamics.live_states(system.automata[0])
     sc = C.Scope()
-    every = [(fr, C.accept_formula(sc, system, fr)) for fr in C.phase_frontiers(sc, system, m)]
+    every = [C.accept_formula(sc, system, fr) for fr in C.phase_frontiers(sc, system, m)]
+    sample = C._sampled_runs(sc, system)
+    kept = [
+        C.accept_formula(sc, system, fr)
+        for fr in C.phase_frontiers(sc, system, m, sample.lead)
+        if (fr.messages_spent, fr.sigma) in sample.first
+    ]
     pruned = C.recognized_set(system, sc)
-    skipped = [f for fr, f in every if not _kept(system, live, fr)]
-    for f in skipped:
-        assert not satisfiable(f, "N"), f
-    assert pruned == _reference_set(system, [f for _, f in every])
-    return len(skipped)
+    nmin = ge(var("N"), dynamics.min_sufficient_length(system))
+    assert not satisfiable(land(lor(*every), lnot(lor(*kept)), nmin), "N")
+    assert pruned == _reference_set(system, every)
+    return len(every) - len(kept)
 
 
 def _spec(moves, finals, broadcasting=(), message_bound=1):
@@ -109,9 +109,10 @@ def right_stay_only():
 def accepting_broadcast():
     """Accepts every a^N at a broadcasting step: q0 sweeps right and stays
     on the right endmarker into f, which is final and broadcasts, and then
-    sinks.  f is not live, and only the frontier on f's broadcast has a
-    satisfiable acceptance formula: the phase before it requires silence
-    up to and including the accepting time."""
+    sinks.  Only the frontier on f's broadcast has a satisfiable acceptance
+    formula: the phase before it requires silence up to and including the
+    accepting time.  So the first-acceptance frontier is the one after
+    the broadcast at the accepting time, not the one before it."""
     return _spec(
         {"q0": (("L", "q0", 1), ("a", "q0", 1), ("R", "f", 0)),
          "f": (("L", "g", 0), ("a", "g", 0), ("R", "g", -1)),
@@ -121,18 +122,26 @@ def accepting_broadcast():
     )
 
 
+# (system, first-acceptance keys, leading keys, language).  a^0 alone is
+# below N_min, so left_landing_only files nothing.
 CRAFTED = {
-    "left_landing_only": (left_landing_only, {"q0"}, "t=1 p=1 low=1 residues={}"),
-    "right_stay_only": (right_stay_only, {"q0"}, "t=0 p=1 low= residues={0}"),
-    "accepting_broadcast": (accepting_broadcast, {"q0"}, "t=0 p=1 low= residues={0}"),
+    "left_landing_only": (left_landing_only, set(), set(), "t=1 p=1 low=1 residues={}"),
+    "right_stay_only": (right_stay_only, {(0, ("q0",))}, set(), "t=0 p=1 low= residues={0}"),
+    "accepting_broadcast": (
+        accepting_broadcast,
+        {(1, ("f",))},
+        {(0, ("q0",))},
+        "t=0 p=1 low= residues={0}",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CRAFTED))
 def test_crafted_landing_cases(name):
-    build, live, language = CRAFTED[name]
+    build, first, lead, language = CRAFTED[name]
     system = build()
-    assert dynamics.live_states(system.automata[0]) == live
+    sample = C._sampled_runs(C.Scope(), system)
+    assert (sample.first, sample.lead) == (first, lead)
     ups = C.recognized_set(system)
     assert str(ups) == language
     for n in range(8):
@@ -152,15 +161,16 @@ def test_pruned_matches_unpruned_on_fuzz_slice():
 
 
 def test_pruned_matches_unpruned_on_random_dead_systems():
-    # Every system has a dead state in automaton 1; two in three start
-    # live, so the search is cut below the initial frontier.
+    # One system in three is dead, accepting no sampled length >= N_min,
+    # so nothing is built; the others accept one, so the search is cut
+    # where no frontier leads to an acceptance.
     rng = random.Random(5)
     checked = skipped = 0
     while checked < 150:
         system = cli.generate_system(rng, 2, 2, 2)
-        aut = system.automata[0]
-        live = dynamics.live_states(aut)
-        if live == aut.states or (checked % 3 and aut.initial not in live):
+        nmin = dynamics.min_sufficient_length(system)
+        accepted = any(sim.accepts(system, N) for N in C._sample_lengths(system)[nmin:])
+        if accepted != bool(checked % 3):
             continue
         skipped += _check(system)
         checked += 1

@@ -5,10 +5,11 @@ its closed-form walk (``dynamics.first_broadcasts``) and takes only the
 broadcasting steps through ``sim.global_step``; ``oracles.phase_trace``
 takes every step through ``global_step``.  Their events must be equal, and
 so must the branches that the phase pipeline files from them
-(``construction._sampled_branches``).  The window of lengths the pipeline
-samples (``construction._sample_lengths``) must file every branch that a
-long fixed window files, and the merge it is derived from, on a residue
-class of lengths, must give the kernel's times.
+(``construction._sampled_runs``).  The window of lengths the pipeline
+samples (``construction._sample_lengths``) must file every branch, every
+first-acceptance frontier and every frontier leading to one that a long
+fixed window files, and the merge it is derived from, on a residue class
+of lengths, must give the kernel's times.
 """
 
 import random
@@ -49,13 +50,13 @@ def _sweeper(*others):
     return validate_system({"version": 1, "automata": automata, "message_bound": 3})
 
 
-def _automaton(name, loud, moves):
+def _automaton(name, loud, moves, finals=()):
     """The spec entry of an automaton from its (state, symbol) -> (next,
     move) rows; every other row of its states stays put.  The first row's
     state is the initial one."""
     states = dict.fromkeys([s for s, _ in moves] + [t for t, _ in moves.values()])
     delta = [(s, sym, *moves.get((s, sym), (s, 0))) for s in states for sym in "LaR"]
-    return spec_automaton(name, [], loud, delta)
+    return spec_automaton(name, list(finals), loud, delta)
 
 
 def _left_stepper(n, loud, back):
@@ -87,6 +88,32 @@ def _racers():
     a = _automaton("A", ["a1"], moves)
     b = _left_stepper(7, ["b5"], back=False)
     return validate_system({"version": 1, "automata": [a, b], "message_bound": 2})
+
+
+def late_acceptance():
+    """A crosses the tape, stays on the right endmarker through r1 .. r6
+    and then in its final state f for good: it first accepts at N + 8.  B
+    sweeps to the right endmarker and back and broadcasts its one message
+    on the left one, at 2N + 3.  The two meet at N = 5; below, the first
+    acceptance falls after the broadcast, and above, before it.  At 2N + 3
+    A sits on its repeated stretch, (f, R) again and again, which crosses
+    the tape nowhere, so the bounds on the broadcasting times alone end the
+    window at N = 5 (``construction._settling``), short of the lengths that
+    accept before the broadcast."""
+    stays = ["r1", "r2", "r3", "r4", "r5", "r6", "f"]
+    moves = {("q0", "L"): ("q0", 1), ("q0", "a"): ("q0", 1), ("q0", "R"): ("r1", 0)}
+    moves.update({(r, "R"): (nxt, 0) for r, nxt in zip(stays, stays[1:])})
+    a = _automaton("A", [], moves, finals=["f"])
+    moves = {
+        ("b0", "L"): ("b0", 1),
+        ("b0", "a"): ("b0", 1),
+        ("b0", "R"): ("b1", -1),
+        ("b1", "a"): ("b1", -1),
+        ("b1", "L"): ("z", 0),
+        ("z", "L"): ("w", 1),
+    }
+    b = _automaton("B", ["z"], moves)
+    return validate_system({"version": 1, "automata": [a, b], "message_bound": 1})
 
 
 def _long_window(system):
@@ -244,44 +271,55 @@ def _system(name):
     return [cli.generate_system(rng, 4, 3, 3) for _ in range(int(name[5:]) + 1)][-1]
 
 
+def _key(fr):
+    return fr.messages_spent, fr.sigma
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES + [f"fuzz-{i}" for i in BRANCH_SLICE])
 def test_frontiers_build_the_branches_the_step_loop_takes(name, monkeypatch):
     # Each advanced frontier builds every branch the step loop takes from
     # its messages spent and global state, and no other; each sampled
-    # length is simulated once per extraction, and none when automaton 1
-    # starts dead.
+    # length is simulated once per extraction, and the frontiers advanced
+    # are exactly those whose keys lead to a sampled first acceptance.
     system = _system(name)
     simulated = Counter()
-    kernel, advance = sim.broadcast_events, C.advance_frontier
+    kernel, advance, frontiers = sim.broadcast_events, C.advance_frontier, C.phase_frontiers
 
     def counting(system, N):
         simulated[N] += 1
         return kernel(system, N)
 
-    advanced = []
+    advanced, yielded = [], []
 
     def recording(sc, system, fr):
         advanced.append((fr, C._realized_branches(sc, system, fr)))
         return advance(sc, system, fr)
 
+    def listing(*args):
+        for fr in frontiers(*args):
+            yielded.append(fr)
+            yield fr
+
     monkeypatch.setattr(sim, "broadcast_events", counting)
     monkeypatch.setattr(C, "advance_frontier", recording)
-    C.recognized_set(system)
-    aut = system.automata[0]
-    live = aut.initial in dynamics.live_states(aut)
-    assert simulated == Counter(C._sample_lengths(system) if live else ())
-    assert bool(advanced) == live
+    monkeypatch.setattr(C, "phase_frontiers", listing)
+    sc = C.Scope()
+    C.recognized_set(system, sc)
+    assert simulated == Counter(C._sample_lengths(system))
+    lead = C._sampled_runs(sc, system).lead
+    assert [fr for fr, _ in advanced] == [fr for fr in yielded if _key(fr) in lead]
+    assert {_key(fr) for fr, _ in advanced} == lead
     # The step loop's branches over the long window too: the derived
     # window misses none that a frontier asks for.
     want = _branch_table(system, _union_window(system), oracles.phase_trace)
     for fr, got in advanced:
-        assert set(got) == want.get((fr.messages_spent, fr.sigma), set()), (name, fr.sigma)
+        assert set(got) == want.get(_key(fr), set()), (name, fr.sigma)
 
 
 def _window_systems():
     """The fixtures, fuzz-0..99, the sweeper, the drifter at three message
-    bounds and a seeded batch of larger random systems with message bounds
-    up to 12."""
+    bounds, the late acceptance and a seeded batch of larger random systems
+    with message bounds up to 12."""
     systems = [load_fixture(name) for name in FIXTURE_NAMES]
     rng = random.Random(FUZZ_SEED)
     systems += [cli.generate_system(rng, 4, 3, 3) for _ in range(100)]
@@ -291,6 +329,7 @@ def _window_systems():
     # times modulo a quiet cycle of the other automaton: one inside the
     # tape of lap length 3, one on the left endmarker of period 5.
     systems += [_racers(), _sweeper(_trapped()), _sweeper(_left_stepper(5, [], back=True))]
+    systems += [late_acceptance()]
     rng = random.Random(13)
     for shape in ((5, 3, 12), (6, 4, 12)):
         systems += [cli.generate_system(rng, *shape) for _ in range(100)]
@@ -299,11 +338,51 @@ def _window_systems():
 
 def test_derived_window_files_every_branch_of_the_long_window():
     for i, system in enumerate(_window_systems()):
-        got = C._sampled_branches(C.Scope(), system)
+        got = C._sampled_runs(C.Scope(), system).branches
         assert got == _branch_table(system, _union_window(system), sim.broadcast_events), i
     # The drifter at M = 45 spends every message in its first traversal
     # from N = 8·44 on.
     assert C._sample_lengths(_drifter(45))[-1] > 8 * 44
+
+
+def _acceptance_keys(system, lengths):
+    """The first-acceptance keys and the leading keys of the runs on the
+    ``lengths`` >= N_min that automaton 1 accepts, with its first accepting
+    time from the step loop (``oracles.first_acceptance``): the frontier on
+    the last broadcast at or before that time, and every one before it."""
+    nmin = dynamics.min_sufficient_length(system)
+    first, lead = set(), set()
+    for N in lengths:
+        accept = oracles.first_acceptance(system, N) if N >= nmin else None
+        if accept is None:
+            continue
+        keys = [(0, tuple(a.initial for a in system.automata))]
+        for k, (t, _, cfg) in enumerate(sim.broadcast_events(system, N)):
+            if t > accept:
+                break
+            keys.append((k + 1, cfg.sigma))
+        first.add(keys[-1])
+        lead.update(keys[:-1])
+    return first, lead
+
+
+def test_derived_window_files_every_first_acceptance_of_the_long_window():
+    # The first-acceptance and leading keys, with the first accepting time
+    # from the step loop, over the long window are the derived window's.
+    filed = 0
+    for i, system in enumerate(_window_systems()):
+        got = C._sampled_runs(C.Scope(), system)
+        assert (got.first, got.lead) == _acceptance_keys(system, _union_window(system)), i
+        filed += len(got.first)
+    assert filed > 100
+    # The late acceptance accepts before its broadcast from N = 6 on, and
+    # the window reaches that far only through automaton 1's acceptance
+    # mark.
+    system = late_acceptance()
+    assert C._sample_lengths(system)[-1] == 6
+    assert (0, ("q0", "b0")) in C._sampled_runs(C.Scope(), system).first
+    ups = C.recognized_set(system)
+    assert [ups.member(N) for N in range(40)] == [oracles.accepts(system, N) for N in range(40)]
 
 
 def _premise_systems():

@@ -91,8 +91,10 @@ def test_accepts_matches_full_run():
     for name in FIXTURE_NAMES:
         system = load_fixture(name)
         for n in range(0, 40):
-            full = isinstance(sim.run(system, n).outcome, Accepted)
+            outcome = sim.run(system, n).outcome
+            full = isinstance(outcome, Accepted)
             assert sim.accepts(system, n) == full, (name, n)
+            assert sim.first_acceptance(system, n) == (outcome.time if full else None), (name, n)
 
 
 def _random_one_automaton(rng):
@@ -116,7 +118,7 @@ def _random_one_automaton(rng):
 
 def test_accepts_matches_step_reference():
     # The hop-by-hop walk against the step loop, on short tapes and on
-    # tapes of about 1000 and 2000.
+    # tapes of about 1000 and 2000: the same first accepting time.
     systems = [load_fixture(name) for name in FIXTURE_NAMES]
     rng = random.Random(20240817)
     systems += [cli.generate_system(rng, 4, 3, 3) for _ in range(100)]
@@ -126,9 +128,10 @@ def test_accepts_matches_step_reference():
     seen = set()
     for i, system in enumerate(systems):
         for n in lengths:
-            want = oracles.accepts(system, n)
-            assert sim.accepts(system, n) == want, (i, n)
-            seen.add(want)
+            want = oracles.first_acceptance(system, n)
+            assert sim.first_acceptance(system, n) == want, (i, n)
+            assert sim.accepts(system, n) == (want is not None), (i, n)
+            seen.add(want is not None)
     assert seen == {True, False}
 
 
