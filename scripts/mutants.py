@@ -65,6 +65,35 @@ MUTANTS = (
         "the sample window ignores the order of automaton 1's first acceptance",
     ),
     (
+        "accept-class-short",
+        "src/multiauto/construction.py",
+        "range(nmin, nmin + period1)",
+        "range(nmin, nmin + period1 - 1)",
+        "acceptance past N_min is decided on one residue class too few",
+    ),
+    (
+        "period-no-left-drift",
+        "src/multiauto/dynamics.py",
+        "period = lcm(period, abs(c))",
+        "period = lcm(period, max(c, 1))",
+        "the cycle period leaves out the |c| of the cycles that drift left",
+    ),
+    (
+        "accept-after-repeat",
+        "src/multiauto/dynamics.py",
+        '                return marks, ("cycle", seen[s, p], t)\n'
+        "            seen[s, p] = t\n"
+        "            marks.append((t, s, p))\n"
+        "            if accept and p == right and final[s]:\n"
+        '                return marks, ("accept",)\n',
+        "                if accept and p == right and final[s]:\n"
+        '                    return marks, ("accept",)\n'
+        '                return marks, ("cycle", seen[s, p], t)\n'
+        "            seen[s, p] = t\n"
+        "            marks.append((t, s, p))\n",
+        "the stopping walk tests acceptance only once its repeat check fires",
+    ),
+    (
         "cap-K-1",
         "src/multiauto/construction.py",
         "return bounds_profile(system).K\n",

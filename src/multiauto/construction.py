@@ -22,7 +22,10 @@ the frontiers that lead to it too.  ``phase_frontiers`` advances only
 leading frontiers, and ``recognized_set`` ORs the acceptance formulas of
 first-acceptance frontiers alone.  That is the same set
 (:func:`recognized_set`), and the window files every such frontier
-(:func:`_settling`).
+(:func:`_settling`).  Before any of that, automaton 1's own walk on one
+length per residue class modulo its cycle displacements decides whether
+it accepts any N >= N_min at all (:func:`_accepts_past_nmin`); when it
+does not, nothing is sampled and no phase is built.
 
 All formulas are exact descriptions of the simulator for sufficiently long
 inputs; the recognized set patches the short inputs by direct simulation.
@@ -765,7 +768,7 @@ def _sample_lengths(system):
     nmin = dynamics.min_sufficient_length(system)
     hops = [aut.hops for aut in system.automata]
     starts = [h.index[aut.initial] for h, aut in zip(hops, system.automata)]
-    period = lcm(*(abs(inner.c) for h in hops for inner in h.inner if inner.c))
+    period = lcm(*(h.period for h in hops))
     end = nmin - 1
     for r in range(nmin, nmin + period):
         walks = [dynamics.AffineWalk(h, s, r, period) for h, s in zip(hops, starts)]
@@ -1120,6 +1123,15 @@ def accept_formula(sc, system, frontier: PhaseFrontier) -> Formula:
     return eliminate(exists(names, land(frontier.position_graph.formula, body)))
 
 
+def _accepts_past_nmin(system, nmin):
+    """Whether automaton 1 accepts some N >= ``nmin``, the system's
+    sufficient length: whether it accepts one length of a residue class
+    modulo its cycle displacements (:func:`recognized_set` gives the
+    argument)."""
+    period1 = system.automata[0].hops.period
+    return any(sim.first_acceptance(system, r) is not None for r in range(nmin, nmin + period1))
+
+
 def recognized_set(system, sc=None) -> UltimatelyPeriodicSet:
     """The full language of the system as an ultimately periodic set.
 
@@ -1154,20 +1166,42 @@ def recognized_set(system, sc=None) -> UltimatelyPeriodicSet:
       after T, so the phase's silence guards hold up to T.
 
     So the formulas left out, which hold only at accepted lengths too, add
-    no length.  A system that accepts no sampled N >= N_min advances no
-    frontier and builds no formula at all.
+    no length.
+
+    A system that accepts no N >= N_min is decided before any sampling
+    (:func:`_accepts_past_nmin`), and its set is the simulated lengths
+    below N_min alone.  Let L_1 be the lcm of automaton 1's nonzero cycle
+    displacements |c| (:attr:`dynamics.Hops.period`).  Every N >= N_min is
+    r + L_1·q for one r in [N_min, N_min + L_1) and one q >= 0, and
+    automaton 1's walk on the class of r is a :class:`dynamics.AffineWalk`,
+    since r >= N_min, at least automaton 1's own sufficient length, and
+    L_1 is a multiple of every |c| of automaton 1: its marks, each a state
+    and a side, are the same on every q.  The first accepting visit is a
+    mark, a final state on the right endmarker
+    (:meth:`dynamics.AffineWalk.first_acceptance`), so r + L_1·q is
+    accepted on every q or on none, as r is.  So automaton 1 accepts some
+    N >= N_min iff it accepts some r in [N_min, N_min + L_1).  That is
+    the decision the sampling would make, a nonempty ``first`` in
+    :func:`_sampled_runs`: the window's P is a multiple of L_1, and the
+    window takes every length up to N_min + P - 1 at least, q = 0 on each
+    of its classes (:func:`_sample_lengths`), so it holds every such r,
+    and every sampled N >= N_min that is accepted lies in the class of
+    one.  So on such a system the sampled path would advance no frontier
+    and build no formula either, and would lower the same ``FALSE``.
     """
     system = validate_system(system)
     nmin = dynamics.min_sufficient_length(system)
     m = system.message_bound
     sc = sc or Scope()
-    sample = _sampled_runs(sc, system)
-    parts = [
-        accept_formula(sc, system, fr)
-        for fr in phase_frontiers(sc, system, m, sample.lead)
-        if (fr.messages_spent, fr.sigma) in sample.first
-    ]
-    phi = land(lor(*parts), ge(_N, nmin))
+    phi = FALSE
+    if _accepts_past_nmin(system, nmin):
+        sample = _sampled_runs(sc, system)
+        parts = [
+            accept_formula(sc, system, fr)
+            for fr in phase_frontiers(sc, system, m, sample.lead)
+            if (fr.messages_spent, fr.sigma) in sample.first
+        ]
+        phi = land(lor(*parts), ge(_N, nmin))
     ups = solution_set(phi, "N")
     width = max(ups.threshold, nmin)
     bits = [

@@ -18,8 +18,10 @@ one source of an automaton's broadcasting times.
 first M: on one length for the simulator's sampling kernel
 (:func:`sim.broadcast_events`), and on a class for the phase pipeline,
 which derives its sample window from them.  The walk's first accepting
-visit (:meth:`AffineWalk.first_acceptance`) is read off the same marks, on
-one length for :func:`sim.accepts` and on a class for the window.
+visit is one of its marks: on one length :func:`sim.first_acceptance`
+stops the walk there (:meth:`Hops.walk` with ``accept``), and on a class
+the window reads it off the whole walk
+(:meth:`AffineWalk.first_acceptance`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -138,7 +140,10 @@ class Hops:
     from an endmarker takes at most G*N + G steps.  A drifting state needs
     at most ceil(k/|c|) cycles of length <= k per net unit of progress, and
     a state with a motionless cycle never traverses, so G is 0 when no
-    state drifts.
+    state drifts.  ``period`` is the lcm of the nonzero net cycle
+    displacements |c| (1 when no state drifts): from ``nmin`` on, the walk
+    has the same marks on every length of a residue class modulo it
+    (:class:`AffineWalk`).
     """
 
     def __init__(self, automaton: Automaton):
@@ -153,6 +158,7 @@ class Hops:
         ]
         self.inner = []
         amplitude = slope = 0
+        period = 1
         for s in names:
             prof = basic_sequence(automaton, s)
             seq, lam = tuple(index[q] for q in prof.sequence), prof.lambdas
@@ -160,6 +166,7 @@ class Hops:
             amplitude = max(amplitude, prof.amplitude)
             if c:
                 slope = max(slope, -(-k // abs(c)) * k)
+                period = lcm(period, abs(c))
             reach = {}
             for i in range(k, 0, -1):
                 reach[lam[i]] = i
@@ -170,6 +177,7 @@ class Hops:
             self.inner.append(_Inner(seq, lam, ell, c, reach, exits))
         self.nmin = 1 + amplitude
         self.slope = slope
+        self.period = period
 
     def after(self, s, p, i):
         """State and position i steps after (s, p), none of them on an endmarker."""
@@ -206,7 +214,7 @@ class Hops:
             i = j - (lam[j] - end) // c * (k - ell)
         return (i, *self.after(s, p, i))
 
-    def walk(self, s, p, t, N):
+    def walk(self, s, p, t, N, accept=False):
         """The walk from (s, p) at time t on a^N, hop by hop.
 
         Returns (marks, end).  ``marks`` holds the configuration (time,
@@ -217,11 +225,21 @@ class Hops:
         - ``("cycle", t0, t1)``: the endmarker visit at t1 repeats the
           (state, side) of the one at t0, so the walk repeats with period
           t1 - t0 forever;
-        - ``("trap",)``: the head never reaches an endmarker again.
+        - ``("trap",)``: the head never reaches an endmarker again;
+        - ``("accept",)``, only with ``accept``: the last mark is the
+          walk's first accepting visit, a final state on the right
+          endmarker, and the walk stops there.
+
+        The head arrives on an endmarker only at a mark, so the first
+        accepting visit is the first accepting mark
+        (:meth:`first_accepting`).  It comes before the first repeated
+        visit, if any: a repeat of it would have stopped the walk on its
+        first visit.
         """
         marks = []
         seen = {}
         right = N + 1
+        final = self.final
         while True:
             if 0 < p < right:
                 marks.append((t, s, p))
@@ -234,6 +252,8 @@ class Hops:
                 return marks, ("cycle", seen[s, p], t)
             seen[s, p] = t
             marks.append((t, s, p))
+            if accept and p == right and final[s]:
+                return marks, ("accept",)
             s, d = self.ends[s][p == right]
             p += d
             t += 1

@@ -8,8 +8,8 @@ Validation keeps every head on the tape (an endmarker move never points
 outward), so a step needs no bounds check.  Every simulation either
 accepts or revisits a global configuration, so runs always terminate.
 
-:func:`run` takes every step.  :func:`accepts` walks automaton 1 alone to
-its first accepting visit (:func:`first_acceptance`), and
+:func:`run` takes every step.  :func:`accepts` walks automaton 1 alone up
+to its first accepting visit and no further (:func:`first_acceptance`), and
 :func:`broadcast_events`, the phase pipeline's sampling kernel, merges
 each automaton's broadcasting times from its own walk and steps only at
 them, through :func:`global_step`.
@@ -138,21 +138,23 @@ def first_acceptance(system: MultiSystem, N: int):
     state on the right endmarker, or None when a^N is rejected.
 
     Messages never alter transitions, so acceptance is decided by automaton
-    1's own trajectory, walked alone.  The walk goes from endmarker visit to
-    endmarker visit in closed form (:meth:`dynamics.Hops.walk`), and every
-    arrival on the right endmarker is such a visit, so the first accepting
-    visit is the first of its marks on N + 1 in a final state
-    (:meth:`dynamics.Hops.first_accepting`).  The walk ends in a cycle of
-    endmarker visits or in a trap inside the tape; neither visits anything
-    new.  The cost is a few operations per endmarker visit, not one per
-    step.
+    1's own trajectory, walked alone.  Without a final state it makes no
+    accepting visit, and nothing is walked.  Otherwise the walk goes from
+    endmarker visit to endmarker visit in closed form
+    (:meth:`dynamics.Hops.walk`), and every arrival on the right endmarker
+    is such a visit, so the first accepting visit is the first of its marks
+    on N + 1 in a final state, and the walk stops there.  A walk that makes
+    none ends in a cycle of endmarker visits or in a trap inside the tape;
+    neither visits anything new.  The cost is a few operations per
+    endmarker visit up to the first accepting one, not one per step.
     """
     system = validate_system(system)
     aut = system.automata[0]
+    if not aut.finals:
+        return None
     hops = aut.hops
-    marks, _ = hops.walk(hops.index[aut.initial], 0, 0, N)
-    j = hops.first_accepting(marks, N)
-    return None if j is None else marks[j][0]
+    marks, end = hops.walk(hops.index[aut.initial], 0, 0, N, accept=True)
+    return marks[-1][0] if end[0] == "accept" else None
 
 
 def accepts(system: MultiSystem, N: int) -> bool:

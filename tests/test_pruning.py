@@ -26,6 +26,7 @@ from multiauto.presburger import (
     var,
 )
 
+import oracles
 from conftest import FIXTURE_NAMES, load_fixture
 
 FUZZ_SEED = 20240817
@@ -178,14 +179,73 @@ def test_pruned_matches_unpruned_on_random_dead_systems():
 
 
 def test_dead_system_builds_no_formula(monkeypatch):
-    # Automaton 1 has no final state: nothing is built, the set is empty.
+    # Automaton 1 has no final state: nothing is sampled or built, the set
+    # is empty.
     system = right_stay_only()
     raw = cli.serialize_system(system)
     raw["automata"][0]["finals"] = []
     system = validate_system(raw)
     calls = []
-    for name in ("accept_formula", "advance_frontier"):
-        fn = getattr(C, name)
-        monkeypatch.setattr(C, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    for module, name in ((C, "accept_formula"), (C, "advance_frontier"), (sim, "broadcast_events")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
     assert str(C.recognized_set(system)) == "t=0 p=1 low= residues={}"
     assert calls == []
+
+
+def left_parity():
+    """Accepts the even N: q0 sweeps right, and the cycle e, o sweeps back
+    left two cells a lap, so it lands on the left endmarker in e exactly
+    when N is even; e then sends the final f right, and o sinks.  N_min
+    is 3, one above e's amplitude, and L_1 is 2, so the class of N_min
+    rejects and the next one accepts."""
+    return _spec(
+        {
+            "q0": (("L", "q0", 1), ("a", "q0", 1), ("R", "e", -1)),
+            "e": (("L", "f", 1), ("a", "o", -1), ("R", "e", -1)),
+            "o": (("L", "z", 0), ("a", "e", -1), ("R", "o", -1)),
+            "f": (("L", "f", 1), ("a", "f", 1), ("R", "f", 0)),
+            "z": _sink("z"),
+        },
+        finals={"f"},
+    )
+
+
+def _decision_batch():
+    """The fixtures, ``left_parity``, fuzz-0..99 and seeded batches of
+    larger systems, with message bounds up to 6: 531 systems."""
+    systems = [load_fixture(name) for name in FIXTURE_NAMES] + [left_parity()]
+    for args, seed, count in (
+        ((4, 3, 3), FUZZ_SEED, 100),
+        ((5, 3, 3), 7, 60),
+        ((6, 4, 4), 11, 40),
+        ((8, 3, 6), 13, 100),
+        ((4, 3, 3), 5, 218),
+    ):
+        rng = random.Random(seed)
+        systems += [cli.generate_system(rng, *args) for _ in range(count)]
+    return systems
+
+
+def test_acceptance_past_nmin_is_decided_per_class():
+    # recognized_set decides on automaton 1's walk on [N_min, N_min + L_1)
+    # alone whether any N >= N_min is accepted.  The decision must be the
+    # one the sample window makes.  Its premise, that each class modulo
+    # L_1 is accepted whole or not at all, must hold for the step loop on
+    # two periods L_1 from 1000, and a system it calls non-accepting must
+    # also reject the next 60 lengths from N_min.
+    systems = _decision_batch()
+    assert len(systems) == 531
+    decided = {True: 0, False: 0}
+    for i, system in enumerate(systems):
+        nmin = dynamics.min_sufficient_length(system)
+        period1 = system.automata[0].hops.period
+        accepting = C._accepts_past_nmin(system, nmin)
+        assert accepting == bool(C._sampled_runs(C.Scope(), system).first), i
+        decided[accepting] += 1
+        classes = [oracles.accepts(system, r) for r in range(nmin, nmin + period1)]
+        for N in range(1000, 1000 + 2 * period1):
+            assert oracles.accepts(system, N) == classes[(N - nmin) % period1], (i, N)
+        if not accepting:
+            assert not any(oracles.accepts(system, N) for N in range(nmin, nmin + 60)), i
+    assert min(decided.values()) > 50

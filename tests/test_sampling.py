@@ -279,9 +279,14 @@ def _key(fr):
 def test_frontiers_build_the_branches_the_step_loop_takes(name, monkeypatch):
     # Each advanced frontier builds every branch the step loop takes from
     # its messages spent and global state, and no other; each sampled
-    # length is simulated once per extraction, and the frontiers advanced
-    # are exactly those whose keys lead to a sampled first acceptance.
+    # length is simulated once per extraction when automaton 1 accepts
+    # some sampled N >= N_min, by the step loop, and none is simulated
+    # otherwise; the frontiers advanced are exactly those whose keys lead
+    # to a sampled first acceptance.
     system = _system(name)
+    nmin = dynamics.min_sufficient_length(system)
+    lengths = C._sample_lengths(system)
+    accepting = any(oracles.accepts(system, N) for N in lengths if N >= nmin)
     simulated = Counter()
     kernel, advance, frontiers = sim.broadcast_events, C.advance_frontier, C.phase_frontiers
 
@@ -305,7 +310,7 @@ def test_frontiers_build_the_branches_the_step_loop_takes(name, monkeypatch):
     monkeypatch.setattr(C, "phase_frontiers", listing)
     sc = C.Scope()
     C.recognized_set(system, sc)
-    assert simulated == Counter(C._sample_lengths(system))
+    assert simulated == (Counter(lengths) if accepting else Counter())
     lead = C._sampled_runs(sc, system).lead
     assert [fr for fr, _ in advanced] == [fr for fr in yielded if _key(fr) in lead]
     assert {_key(fr) for fr, _ in advanced} == lead

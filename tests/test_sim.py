@@ -7,7 +7,7 @@ from multiauto.model import MOVES, validate_system
 from multiauto.sim import Accepted, GlobalConfiguration, RejectedLoop
 
 import oracles
-from conftest import FIXTURE_NAMES, load_fixture
+from conftest import FIXTURE_NAMES, load_fixture, spec_automaton
 from oracles import NoStopWithinBudget, segment_run
 
 
@@ -116,15 +116,33 @@ def _random_one_automaton(rng):
     return validate_system({"version": 1, "automata": [automaton], "message_bound": 1})
 
 
-def test_accepts_matches_step_reference():
-    # The hop-by-hop walk against the step loop, on short tapes and on
-    # tapes of about 1000 and 2000: the same first accepting time.
+def _cycle_then_accept(finals=("c",)):
+    """Sweeps right in a, left in b and right in c, and from c on the
+    right endmarker back left in b: its endmarker visits are (q0, L),
+    (a, R), then (b, L), (c, R) over and over.  With c final the first
+    accepting visit comes one visit after the cycle has started."""
+    delta = [
+        ("q0", "L", "a", 1), ("q0", "a", "q0", 0), ("q0", "R", "q0", 0),
+        ("a", "L", "a", 1), ("a", "a", "a", 1), ("a", "R", "b", -1),
+        ("b", "L", "c", 1), ("b", "a", "b", -1), ("b", "R", "b", -1),
+        ("c", "L", "c", 1), ("c", "a", "c", 1), ("c", "R", "b", -1),
+    ]
+    automaton = spec_automaton("A1", list(finals), [], delta)
+    return validate_system({"version": 1, "automata": [automaton], "message_bound": 1})
+
+
+def _step_reference_systems():
+    """The fixtures, fuzz-0..99 and the cycle-then-accept automaton with and
+    without its final state."""
     systems = [load_fixture(name) for name in FIXTURE_NAMES]
     rng = random.Random(20240817)
     systems += [cli.generate_system(rng, 4, 3, 3) for _ in range(100)]
-    rng = random.Random(3)
-    systems += [_random_one_automaton(rng) for _ in range(1000)]
-    lengths = list(range(120)) + [999, 1000, 2000, 2001]
+    return systems + [_cycle_then_accept(), _cycle_then_accept(finals=())]
+
+
+def _check_against_step_loop(systems, lengths):
+    """sim.first_acceptance and sim.accepts against the step loop; returns
+    the verdicts seen."""
     seen = set()
     for i, system in enumerate(systems):
         for n in lengths:
@@ -132,7 +150,58 @@ def test_accepts_matches_step_reference():
             assert sim.first_acceptance(system, n) == want, (i, n)
             assert sim.accepts(system, n) == (want is not None), (i, n)
             seen.add(want is not None)
-    assert seen == {True, False}
+    return seen
+
+
+def test_accepts_matches_step_reference():
+    # The hop-by-hop walk against the step loop, on every tape up to 300
+    # and on tapes of about 2000: the same first accepting time.
+    lengths = [*range(301), *range(1990, 2010)]
+    assert _check_against_step_loop(_step_reference_systems(), lengths) == {True, False}
+
+
+def test_accepts_matches_step_reference_on_random_automata():
+    rng = random.Random(3)
+    systems = [_random_one_automaton(rng) for _ in range(1000)]
+    lengths = list(range(120)) + [999, 1000, 2000, 2001]
+    assert _check_against_step_loop(systems, lengths) == {True, False}
+
+
+def test_walk_stops_at_the_first_accepting_visit():
+    # With ``accept`` the walk is the whole walk up to and including its
+    # first accepting mark, and no further; without one it is the whole
+    # walk.  On the cycle-then-accept automaton the whole walk goes on
+    # past that mark, so a walk that tested acceptance only once it had
+    # closed its cycle would not stop there.
+    stopped = 0
+    for system in _step_reference_systems():
+        aut = system.automata[0]
+        hops, start = aut.hops, aut.hops.index[aut.initial]
+        for n in (0, 1, 2, 7, 40, 301, 2000):
+            marks, end = hops.walk(start, 0, 0, n)
+            j = hops.first_accepting(marks, n)
+            want = (marks, end) if j is None else (marks[: j + 1], ("accept",))
+            assert hops.walk(start, 0, 0, n, accept=True) == want, (aut.name, n)
+            stopped += j is not None and j + 1 < len(marks)
+    assert stopped > 0
+    hops = _cycle_then_accept().automata[0].hops
+    marks, end = hops.walk(hops.index["q0"], 0, 0, 5)
+    visits = [(hops.names[s], p) for _, s, p in marks if p in (0, 6)]
+    assert visits == [("q0", 0), ("a", 6), ("b", 0), ("c", 6)]
+    assert end[0] == "cycle" and marks[-1][2] not in (0, 6)
+
+
+def test_no_final_state_walks_nothing(monkeypatch):
+    # Automaton 1 without a final state accepts nothing, and
+    # first_acceptance says so without walking.
+    system = _cycle_then_accept(finals=())
+    aut = system.automata[0]
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(type(aut.hops), "walk", no_walk)
+    assert [sim.first_acceptance(system, n) for n in range(50)] == [None] * 50
 
 
 def test_run_halts_within_configuration_space_bound():
