@@ -17,7 +17,9 @@ not counted as killing anything.  One line per mutant, then the score:
     python3 scripts/mutants.py --jobs 2 -- tests/test_presburger.py
 
 Arguments after ``--`` replace the suite's paths (default ``tests``).  A
-run that exceeds ``--timeout`` seconds counts as killed by ``(timeout)``.
+run that exceeds ``--timeout`` seconds counts as killed by ``(timeout)``,
+and one that pytest ends with an exit code other than 0 or 1 (interrupted,
+an internal error, or killed by a signal) as killed by ``(exit <code>)``.
 It exits 2 when an edit's text does not occur exactly once in its file,
 so a mutant cannot go stale silently, and 0 otherwise.
 """
@@ -84,14 +86,28 @@ MUTANTS = (
         '                return marks, ("cycle", seen[s, p], t)\n'
         "            seen[s, p] = t\n"
         "            marks.append((t, s, p))\n"
-        "            if accept and p == right and final[s]:\n"
+        "            if accept and p == right and s in final:\n"
         '                return marks, ("accept",)\n',
-        "                if accept and p == right and final[s]:\n"
+        "                if accept and p == right and s in final:\n"
         '                    return marks, ("accept",)\n'
         '                return marks, ("cycle", seen[s, p], t)\n'
         "            seen[s, p] = t\n"
         "            marks.append((t, s, p))\n",
         "the stopping walk tests acceptance only once its repeat check fires",
+    ),
+    (
+        "exits-residue",
+        "src/multiauto/dynamics.py",
+        "j = exits[end % c]",
+        "j = exits[(end + 1) % c]",
+        "a hop past its first lap leaves at the cycle index of the next residue",
+    ),
+    (
+        "hop-lap-late",
+        "src/multiauto/dynamics.py",
+        "i = j - (lam[j] - end) // c * (k - ell)",
+        "i = j - ((lam[j] - end) // c - 1) * (k - ell)",
+        "a hop past its first lap arrives one lap of its cycle late",
     ),
     (
         "cap-K-1",
@@ -154,6 +170,9 @@ def failing_tests(dest: Path, paths, timeout):
         )
     except subprocess.TimeoutExpired:
         return {"(timeout)"}
+    if run.returncode not in (0, 1):
+        # Interrupted, an internal error or killed: the suite did not pass.
+        return {f"(exit {run.returncode})"}
     return {m.group(1) for m in map(FAILED.match, run.stdout.splitlines()) if m}
 
 

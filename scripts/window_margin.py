@@ -40,7 +40,8 @@ MAX_MESSAGES = 12
 def long_end(system):
     """The end of the fixed window: max(320, N_min + 30·period + 60) + K·M."""
     nmin = dynamics.min_sufficient_length(system)
-    period = lcm(*(abs(i.c) for aut in system.automata for i in aut.hops.inner if i.c))
+    cs = [b.net_cycle_displacement for a in system.automata for b in a.hops.inner.values()]
+    period = lcm(*(abs(c) for c in cs if c))
     cap = construction._run_caps(system)
     return max(320, nmin + 30 * period + 60) + cap * system.message_bound
 

@@ -131,7 +131,7 @@ def cmd_analyze(args) -> int:
         states = {}
         n_takeoff = aut.hops.nmin
         for s in sorted(aut.states):
-            prof = dynamics.basic_sequence(aut, s)
+            prof = aut.hops.inner[s]
             entry = {
                 "sequence": list(prof.sequence),
                 "lambdas": list(prof.lambdas),
@@ -237,9 +237,11 @@ def _dump_stage(sc, system, stage: str) -> None:
 
 
 def verify_against_simulator(system, ups, n_max: int):
-    """First N in [0, n_max] where ups disagrees with the simulator, or None."""
+    """First N in [0, n_max] where ups disagrees with the simulator, or None.
+    The system is validated once, not once per length."""
+    system = validate_system(system)
     for n in range(n_max + 1):
-        if ups.member(n) != sim.accepts(system, n):
+        if ups.member(n) != (sim.first_acceptance(system, n) is not None):
             return n
     return None
 

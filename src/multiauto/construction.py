@@ -248,18 +248,16 @@ def _interior_expr(aut, stop, s, s2, P, PP, Tm):
     position PP is unconstrained, so first contact with an endmarker may
     only happen at time T.  Stop states are forbidden at times 1..T-1.
     """
-    hops = aut.hops
-    seq, lam, ell, c = hops.inner[hops.index[s]][:4]
+    seq, lam, ell, c = aut.hops.inner[s][:4]
     k = len(seq) - 1
     L = k - ell
-    t2 = hops.index[s2]
     # The first index >= 1 of a stop state in the basic sequence, if any.
-    i0 = next((i for i in range(1, k + 1) if hops.names[seq[i]] in stop), None)
+    i0 = next((i for i in range(1, k + 1) if seq[i] in stop), None)
     jmax = i0 if i0 is not None else k - 1
 
     disjuncts = []
     for j in range(jmax + 1):
-        if seq[j] == t2:
+        if seq[j] == s2:
             body = [eq(Tm - j), eq(PP - P - lam[j])]
             for i in range(1, j):
                 body.append(ge(P + lam[i], 1))
@@ -275,7 +273,7 @@ def _interior_expr(aut, stop, s, s2, P, PP, Tm):
             prefix_guards.append(ge(P + lam[i], 1))
             prefix_guards.append(le(P + lam[i], _N))
         for r in range(L):
-            if seq[ell + r] != t2:
+            if seq[ell + r] != s2:
                 continue
             h = var("_h")
             body = [
@@ -766,12 +764,10 @@ def _sample_lengths(system):
     M·|c| on; q_0 reaches it through the index at which the traversal
     holds its M-th broadcast."""
     nmin = dynamics.min_sufficient_length(system)
-    hops = [aut.hops for aut in system.automata]
-    starts = [h.index[aut.initial] for h, aut in zip(hops, system.automata)]
-    period = lcm(*(h.period for h in hops))
+    period = lcm(*(aut.hops.period for aut in system.automata))
     end = nmin - 1
     for r in range(nmin, nmin + period):
-        walks = [dynamics.AffineWalk(h, s, r, period) for h, s in zip(hops, starts)]
+        walks = [dynamics.AffineWalk(aut.hops, aut.initial, r, period) for aut in system.automata]
         q0, repeat = _settling(walks, system.message_bound)
         end = max(end, r + period * (q0 + repeat - 1))
     return tuple(range(0, end + 1))
@@ -1206,6 +1202,6 @@ def recognized_set(system, sc=None) -> UltimatelyPeriodicSet:
     width = max(ups.threshold, nmin)
     bits = [
         sim.accepts(system, n) if n < nmin else ups.member(n)
-        for n in range(width + max(ups.period, 1))
+        for n in range(width + ups.period)
     ]
-    return UltimatelyPeriodicSet.from_bits(bits, width, max(ups.period, 1))
+    return UltimatelyPeriodicSet.from_bits(bits, width, ups.period)

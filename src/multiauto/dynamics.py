@@ -2,11 +2,11 @@
 
 Inside the tape every step reads the same unary letter, so the state
 sequence from any state is eventually periodic ("basic sequence") and the
-head displacement is a fixed profile over that sequence.  :class:`Hops`
-is the one home of the per-automaton constants: it walks the basic
-sequences once, holds each state's sequence, displacements, loop entry
-and net cycle displacement, and derives the sufficient length N_min and
-the traversal slope G from them.  It also turns the basic sequences into
+head displacement is a fixed profile over that sequence
+(:func:`basic_sequence`).  :class:`Hops` is the one home of the
+per-automaton constants: it holds each state's basic sequence, walked
+once per state, and derives the sufficient length N_min and the
+traversal slope G from them.  It also turns the basic sequences into
 the automaton's walk from endmarker to endmarker in closed form.
 :func:`sim.accepts` walks with it, and :func:`takeoff` reads a launch off
 it: one endmarker step and at most one hop, because on a^N with N >= 1 a
@@ -55,8 +55,7 @@ class InputTooShort(Exception):
     """Take-off classification requested below the sufficient input length."""
 
 
-@dataclass(frozen=True)
-class BasicSequenceProfile:
+class BasicSequenceProfile(NamedTuple):
     """The eventually periodic inner-letter trajectory of one state.
 
     ``sequence`` lists states s_0 .. s_k where s_k = s_{loop_entry} is the
@@ -64,6 +63,12 @@ class BasicSequenceProfile:
     steps.  The cycle s_{loop_entry} .. s_{k-1} has net displacement
     ``net_cycle_displacement``; ``amplitude`` is the total sweep
     max(lambdas) - min(lambdas) over the whole sequence.
+
+    ``reach`` maps each displacement of lambda_1 .. lambda_k to the first
+    index at which the head reaches it.  Past the first lap the head
+    reaches a displacement v first at a cycle index j plus whole laps, and
+    j depends only on v mod c, c the net cycle displacement: ``exits``
+    maps each residue v (0 <= |v| < |c|, the sign of c) to its j.
     """
 
     sequence: tuple
@@ -71,6 +76,8 @@ class BasicSequenceProfile:
     loop_entry: int
     net_cycle_displacement: int
     amplitude: int
+    reach: dict
+    exits: dict
 
     @property
     def k(self) -> int:
@@ -95,44 +102,38 @@ def basic_sequence(automaton: Automaton, state: str) -> BasicSequenceProfile:
         if s in index:
             break
         index[s] = len(seq) - 1
-    ell = index[seq[-1]]
+    k, ell = len(seq) - 1, index[seq[-1]]
+    c = lams[-1] - lams[ell]
+    reach = {lams[i]: i for i in range(k, 0, -1)}
+    exits = {
+        v: min(range(ell, k), key=lambda j: j - (lams[j] - v) // c * (k - ell))
+        for v in range(0, c, 1 if c > 0 else -1)
+    }
     return BasicSequenceProfile(
         sequence=tuple(seq),
         lambdas=tuple(lams),
         loop_entry=ell,
-        net_cycle_displacement=lams[-1] - lams[ell],
+        net_cycle_displacement=c,
         amplitude=max(lams) - min(lams),
+        reach=reach,
+        exits=exits,
     )
 
 
 _time = itemgetter(0)
 
 
-class _Inner(NamedTuple):
-    """The basic sequence of one state on ints, as :class:`Hops` reads it."""
-
-    states: tuple  # s_0 .. s_k, where s_k = s_entry is the first repeat
-    lambdas: tuple  # head displacement after i steps, i = 0 .. k
-    entry: int
-    c: int  # net displacement of one lap of the cycle
-    reach: dict  # displacement -> first index 1 .. k at which it is reached
-    # Past the first lap the head reaches displacement v first at a cycle
-    # index j plus whole laps; which j depends only on v mod c.
-    exits: dict
-
-
 class Hops:
     """One automaton's walk in closed form, one endmarker-to-endmarker hop
     at a time.  Built once per automaton (:attr:`model.Automaton.hops`).
 
-    States are numbered in sorted order (``names``, ``index``); ``loud[s]``
-    says whether s broadcasts, ``final[s]`` whether it is final, and
-    ``ends[s]`` holds its (next, move) pairs
-    on the left and on the right endmarker.  Away from the endmarkers every
+    ``loud`` and ``final`` are the automaton's broadcasting and final
+    states, and ``ends[s]`` holds the (next, move) pairs of state s on the
+    left and on the right endmarker.  Away from the endmarkers every
     step reads the inner letter, so the walk from an interior (s, p) is the
-    basic sequence of s (``inner[s]``): i steps later it is in the
-    sequence's i-th state at p + lambda_i, both extended past the first
-    repeat lap by lap.
+    basic sequence of s (``inner[s]``, :func:`basic_sequence`): i steps
+    later it is in the sequence's i-th state at p + lambda_i, both extended
+    past the first repeat lap by lap.
 
     The constants of the silent-phase analysis come from the same walk:
     ``nmin`` is the sufficient input length, one above the largest state
@@ -147,34 +148,20 @@ class Hops:
     """
 
     def __init__(self, automaton: Automaton):
-        names = sorted(automaton.states)
-        index = {s: i for i, s in enumerate(names)}
-        self.names, self.index = names, index
-        self.loud = [s in automaton.broadcasting for s in names]
-        self.final = [s in automaton.finals for s in names]
-        self.ends = [
-            tuple((index[q], d) for q, d in (automaton.delta_left[s], automaton.delta_right[s]))
-            for s in names
-        ]
-        self.inner = []
+        self.loud = automaton.broadcasting
+        self.final = automaton.finals
+        self.ends = {
+            s: (automaton.delta_left[s], automaton.delta_right[s]) for s in automaton.states
+        }
+        self.inner = {s: basic_sequence(automaton, s) for s in sorted(automaton.states)}
         amplitude = slope = 0
         period = 1
-        for s in names:
-            prof = basic_sequence(automaton, s)
-            seq, lam = tuple(index[q] for q in prof.sequence), prof.lambdas
-            k, ell, c = prof.k, prof.loop_entry, prof.net_cycle_displacement
+        for prof in self.inner.values():
+            k, c = prof.k, prof.net_cycle_displacement
             amplitude = max(amplitude, prof.amplitude)
             if c:
                 slope = max(slope, -(-k // abs(c)) * k)
                 period = lcm(period, abs(c))
-            reach = {}
-            for i in range(k, 0, -1):
-                reach[lam[i]] = i
-            exits = {
-                v: min(range(ell, k), key=lambda j: j - (lam[j] - v) // c * (k - ell))
-                for v in range(0, c, 1 if c > 0 else -1)
-            }
-            self.inner.append(_Inner(seq, lam, ell, c, reach, exits))
         self.nmin = 1 + amplitude
         self.slope = slope
         self.period = period
@@ -200,7 +187,7 @@ class Hops:
         Moves are -1, 0 or +1, so the first step out of [1, N] lands on an
         endmarker: an inner move cannot leave the tape.
         """
-        seq, lam, ell, c, reach, exits = self.inner[s]
+        seq, lam, ell, c, _, reach, exits = self.inner[s]
         k = len(seq) - 1
         lo, hi = -p, N + 1 - p
         i = min(reach.get(lo, k + 1), reach.get(hi, k + 1))
@@ -214,8 +201,9 @@ class Hops:
             i = j - (lam[j] - end) // c * (k - ell)
         return (i, *self.after(s, p, i))
 
-    def walk(self, s, p, t, N, accept=False):
-        """The walk from (s, p) at time t on a^N, hop by hop.
+    def walk(self, s, N, accept=False):
+        """The walk from state s on the left endmarker at time 0 on a^N,
+        hop by hop.
 
         Returns (marks, end).  ``marks`` holds the configuration (time,
         state, position) at every endmarker visit and at the start of every
@@ -235,9 +223,14 @@ class Hops:
         (:meth:`first_accepting`).  It comes before the first repeated
         visit, if any: a repeat of it would have stopped the walk on its
         first visit.
+
+        A hop that arrives anywhere but on an endmarker is a fault of
+        :meth:`hop`, and raises RuntimeError: the walk would otherwise go
+        on off the tape without end.
         """
         marks = []
         seen = {}
+        p = t = 0
         right = N + 1
         final = self.final
         while True:
@@ -246,13 +239,15 @@ class Hops:
                 T, s, p = self.hop(s, p, N)
                 if T is None:
                     return marks, ("trap",)
+                if p != 0 and p != right:
+                    raise RuntimeError(f"hop on a^{N} arrived at {p}, off both endmarkers")
                 t += T
                 continue
             if (s, p) in seen:
                 return marks, ("cycle", seen[s, p], t)
             seen[s, p] = t
             marks.append((t, s, p))
-            if accept and p == right and final[s]:
+            if accept and p == right and s in final:
                 return marks, ("accept",)
             s, d = self.ends[s][p == right]
             p += d
@@ -276,7 +271,7 @@ class Hops:
         walk only repeats them, so the first such mark is the first such
         visit."""
         right, final = N + 1, self.final
-        return next((j for j, (_, s, p) in enumerate(marks) if p == right and final[s]), None)
+        return next((j for j, (_, s, p) in enumerate(marks) if p == right and s in final), None)
 
     def loud_indices(self, s):
         """The indices i of the basic sequence of s, extended lap by lap,
@@ -284,8 +279,8 @@ class Hops:
         of the cycle broadcasts."""
         seq, _, ell = self.inner[s][:3]
         lap = len(seq) - 1 - ell
-        yield from (i for i in range(ell) if self.loud[seq[i]])
-        cycle = [j for j in range(ell, ell + lap) if self.loud[seq[j]]]
+        yield from (i for i in range(ell) if seq[i] in self.loud)
+        cycle = [j for j in range(ell, ell + lap) if seq[j] in self.loud]
         for base in itertools.count(0, lap) if cycle else ():
             yield from (base + j for j in cycle)
 
@@ -335,8 +330,8 @@ class AffineWalk:
     def __init__(self, hops, s, r, P):
         self.hops = hops
         self.r = r
-        m0, end0 = self.walk = hops.walk(s, 0, 0, r)
-        m1, end1 = hops.walk(s, 0, 0, r + P) if P else self.walk
+        m0, end0 = self.walk = hops.walk(s, r)
+        m1, end1 = hops.walk(s, r + P) if P else self.walk
         self.marks = [
             ((t1 - t0, t0), s, "L" if p == 0 else "R" if p == r + 1 else None)
             for (t0, s, p), (t1, _, _) in zip(m0, m1)
@@ -383,7 +378,7 @@ class AffineWalk:
                     lap_start = found
             t, s, side = m
             if side is not None:
-                if hops.loud[s]:
+                if s in hops.loud:
                     found += 1
                     yield t, 0
             else:
@@ -512,16 +507,16 @@ def takeoff(automaton: Automaton, state: str, end: str, N: int):
     if N < hops.nmin:
         raise InputTooShort(f"N={N} below sufficient length {hops.nmin}")
     right = end == "R"
-    s, d = hops.ends[hops.index[state]][right]
+    s, d = hops.ends[state][right]
     if not d:
-        return Return(state=hops.names[s], T=1)
+        return Return(state=s, T=1)
     p = (N + 1 if right else 0) + d
     T, s2, p2 = hops.hop(s, p, N)
     if T is None:
         seq, lam, ell = hops.inner[s][:3]
         return Oscillate(p=p + lam[ell], T1=1 + ell, T2=len(seq) - 1 - ell)
     landed = Return if (p2 > N) == right else Traverse
-    return landed(state=hops.names[s2], T=1 + T)
+    return landed(state=s2, T=1 + T)
 
 
 def min_sufficient_length(system) -> int:

@@ -285,9 +285,9 @@ def bounds_profile(system: MultiSystem) -> BoundsProfile:
     amplitude, one below the sufficient length
     :func:`dynamics.min_sufficient_length` that the construction calls
     N_min."""
-    hops = [a.hops for a in validate_system(system).automata]
+    automata = validate_system(system).automata
     return BoundsProfile(
-        K=2 * max(len(h.names) for h in hops),
-        G=max(h.slope for h in hops),
-        N_min=max(h.nmin for h in hops) - 1,
+        K=2 * max(len(a.states) for a in automata),
+        G=max(a.hops.slope for a in automata),
+        N_min=max(a.hops.nmin for a in automata) - 1,
     )

@@ -135,7 +135,9 @@ def run(system: MultiSystem, N: int) -> Trace:
 
 def first_acceptance(system: MultiSystem, N: int):
     """The time of automaton 1's first accepting visit on a^N, a final
-    state on the right endmarker, or None when a^N is rejected.
+    state on the right endmarker, or None when a^N is rejected.  The
+    system must be validated (:func:`model.validate_system`), as for
+    :class:`dynamics.Hops`.
 
     Messages never alter transitions, so acceptance is decided by automaton
     1's own trajectory, walked alone.  Without a final state it makes no
@@ -148,19 +150,17 @@ def first_acceptance(system: MultiSystem, N: int):
     neither visits anything new.  The cost is a few operations per
     endmarker visit up to the first accepting one, not one per step.
     """
-    system = validate_system(system)
     aut = system.automata[0]
     if not aut.finals:
         return None
-    hops = aut.hops
-    marks, end = hops.walk(hops.index[aut.initial], 0, 0, N, accept=True)
+    marks, end = aut.hops.walk(aut.initial, N, accept=True)
     return marks[-1][0] if end[0] == "accept" else None
 
 
 def accepts(system: MultiSystem, N: int) -> bool:
     """Whether a^N is accepted: automaton 1 makes an accepting visit
-    (:func:`first_acceptance`)."""
-    return first_acceptance(system, N) is not None
+    (:func:`first_acceptance`).  Validates ``system`` first."""
+    return first_acceptance(validate_system(system), N) is not None
 
 
 def broadcast_events(system: MultiSystem, N: int) -> tuple:
@@ -191,13 +191,11 @@ def broadcast_events(system: MultiSystem, N: int) -> tuple:
     So the run stops at its ``message_bound``-th event, or once every
     stream has ended, when it has no event left.
     """
-    hops = [a.hops for a in system.automata]
-    walks = [AffineWalk(h, h.index[a.initial], N, 0) for h, a in zip(hops, system.automata)]
+    walks = [AffineWalk(a.hops, a.initial, N, 0) for a in system.automata]
     used = 0
     events = []
     for (_, t), _, _ in first_broadcasts(walks, system.message_bound)[0]:
-        states, pi = zip(*[h.at(*w.walk, t) for h, w in zip(hops, walks)])
-        sigma = tuple([h.names[s] for h, s in zip(hops, states)])
+        sigma, pi = zip(*[w.hops.at(*w.walk, t) for w in walks])
         config = GlobalConfiguration(sigma, pi, used)
         after, broadcasters = global_step(system, config, N)
         events.append((t, broadcasters, config))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from multiauto import cli, construction as C, dynamics, sim
 from multiauto.model import Automaton
 
-from conftest import FIXTURE_NAMES, load_fixture, unique_automata
+from conftest import FIXTURE_NAMES, fixture_path, load_fixture, unique_automata
 from oracles import traversal_slope
 
 
@@ -184,9 +184,9 @@ def test_hops_constants_match_basic_sequences(systems):
         assert aut.hops.slope == traversal_slope(aut), aut.name
 
 
-def test_extraction_builds_each_basic_sequence_once(monkeypatch):
-    # Hops is the one reader of the basic sequences on the extraction path:
-    # one recognized_set walks each (automaton, state) at most once.
+@pytest.fixture
+def basic_sequence_calls(monkeypatch):
+    """Counts the calls of dynamics.basic_sequence per (automaton, state)."""
     calls = Counter()
     basic_sequence = dynamics.basic_sequence
 
@@ -195,9 +195,25 @@ def test_extraction_builds_each_basic_sequence_once(monkeypatch):
         return basic_sequence(aut, s)
 
     monkeypatch.setattr(dynamics, "basic_sequence", counted)
+    return calls
+
+
+def test_extraction_builds_each_basic_sequence_once(basic_sequence_calls):
+    # Hops is the one reader of the basic sequences on the extraction path:
+    # one recognized_set walks each (automaton, state) at most once.
+    calls = basic_sequence_calls
     rng = random.Random(20240817)
     fuzz = [cli.generate_system(rng, 4, 3, 3) for _ in range(8)]
     for system in [load_fixture(name) for name in FIXTURE_NAMES] + fuzz:
         calls.clear()
         C.recognized_set(system)
         assert max(calls.values(), default=0) <= 1, sorted(calls.items())
+
+
+def test_analyze_walks_each_basic_sequence_once(basic_sequence_calls):
+    # analyze reports the basic sequences that Hops holds: each state of
+    # each automaton is walked once, not once more for the report.
+    for name in FIXTURE_NAMES:
+        basic_sequence_calls.clear()
+        assert cli.main(["analyze", str(fixture_path(name))]) == cli.EXIT_OK
+        assert set(basic_sequence_calls.values()) == {1}, (name, basic_sequence_calls)

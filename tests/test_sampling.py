@@ -116,6 +116,13 @@ def late_acceptance():
     return validate_system({"version": 1, "automata": [a, b], "message_bound": 1})
 
 
+def _cycle_lcm(system):
+    """The lcm of the nonzero net cycle displacements |c| of every
+    state, read off the basic sequences themselves."""
+    cs = [b.net_cycle_displacement for a in system.automata for b in a.hops.inner.values()]
+    return lcm(*(abs(c) for c in cs if c))
+
+
 def _long_window(system):
     """Every N up to max(320, N_min + 30·period + 60) + K·M, period the lcm
     of the net cycle displacements, K the run cap and M the message bound:
@@ -123,7 +130,7 @@ def _long_window(system):
     (``construction._sample_lengths``), for the tests that check the
     kernel and the window on many lengths."""
     nmin = dynamics.min_sufficient_length(system)
-    period = lcm(*(abs(i.c) for aut in system.automata for i in aut.hops.inner if i.c))
+    period = _cycle_lcm(system)
     end = max(320, nmin + 30 * period + 60) + C._run_caps(system) * system.message_bound
     return range(end + 1)
 
@@ -177,10 +184,9 @@ def test_hop_follows_step_one():
             for s in sorted(aut.states):
                 for N in (0, 1, 5, 13, 40):
                     for p in range(1, N + 1):
-                        T, s2, p2 = hops.hop(hops.index[s], p, N)
-                        got = (T, None if s2 is None else hops.names[s2], p2)
+                        got = hops.hop(s, p, N)
                         assert got == _hop_by_steps(aut, s, p, N), (name, s, p, N)
-                        trapped += T is None
+                        trapped += got[0] is None
     assert trapped
 
 
@@ -409,12 +415,10 @@ def test_merged_affine_times_match_the_kernel():
     # over two repeat periods past q_0 on every class r.
     checked = 0
     for i, system in enumerate(_premise_systems()):
-        hops = [aut.hops for aut in system.automata]
-        starts = [h.index[aut.initial] for h, aut in zip(hops, system.automata)]
-        period = lcm(*(abs(inner.c) for h in hops for inner in h.inner if inner.c))
+        period = _cycle_lcm(system)
         nmin, m = dynamics.min_sufficient_length(system), system.message_bound
         for r in range(nmin, nmin + period):
-            walks = [dynamics.AffineWalk(h, s, r, period) for h, s in zip(hops, starts)]
+            walks = [dynamics.AffineWalk(a.hops, a.initial, r, period) for a in system.automata]
             events, _ = dynamics.first_broadcasts(walks, m)
             q0, repeat = C._settling(walks, m)
             for q in range(q0, q0 + 2 * repeat + 2):

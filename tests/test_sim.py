@@ -176,19 +176,28 @@ def test_walk_stops_at_the_first_accepting_visit():
     stopped = 0
     for system in _step_reference_systems():
         aut = system.automata[0]
-        hops, start = aut.hops, aut.hops.index[aut.initial]
+        hops, start = aut.hops, aut.initial
         for n in (0, 1, 2, 7, 40, 301, 2000):
-            marks, end = hops.walk(start, 0, 0, n)
+            marks, end = hops.walk(start, n)
             j = hops.first_accepting(marks, n)
             want = (marks, end) if j is None else (marks[: j + 1], ("accept",))
-            assert hops.walk(start, 0, 0, n, accept=True) == want, (aut.name, n)
+            assert hops.walk(start, n, accept=True) == want, (aut.name, n)
             stopped += j is not None and j + 1 < len(marks)
     assert stopped > 0
     hops = _cycle_then_accept().automata[0].hops
-    marks, end = hops.walk(hops.index["q0"], 0, 0, 5)
-    visits = [(hops.names[s], p) for _, s, p in marks if p in (0, 6)]
+    marks, end = hops.walk("q0", 5)
+    visits = [(s, p) for _, s, p in marks if p in (0, 6)]
     assert visits == [("q0", 0), ("a", 6), ("b", 0), ("c", 6)]
     assert end[0] == "cycle" and marks[-1][2] not in (0, 6)
+
+
+def test_walk_rejects_a_hop_off_the_endmarkers(monkeypatch):
+    # A hop must arrive on an endmarker.  One that arrives past the right
+    # endmarker would send the walk off the tape for good; it raises.
+    hops = load_fixture("walker").automata[0].hops
+    monkeypatch.setattr(type(hops), "hop", lambda self, s, p, N: (N, s, N + 2))
+    with pytest.raises(RuntimeError, match="off both endmarkers"):
+        hops.walk("w", 5)
 
 
 def test_no_final_state_walks_nothing(monkeypatch):
